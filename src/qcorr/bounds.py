@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .core import (
     DensityMatrix,
     PureState,
     _relative_entropy_arrays,
+    _xlog2x_sum,
     density_from_pure,
     entropy_of,
     partial_trace,
@@ -42,15 +42,16 @@ from .core import (
     trace_distance_half,
     von_neumann_entropy,
 )
-from .correlations import eof_two_qubit
+from .correlations import Bipartition, eof_two_qubit, mutual_information
 from .measurement import (
     DEFAULT_SETTINGS,
     OptimizerSettings,
     UnsupportedDimensionError,
-    _bloch_vector,
+    _direction,
     _measured_last,
-    angle_grid,
+    _pauli_dot,
     classical_correlations,
+    sphere_search,
 )
 
 H_S_CUTOFF = 1e-9
@@ -148,12 +149,6 @@ def _pos_in_sorted(pair, x) -> int:
     into the marginal is x's rank within the pair.
     """
     return sorted(pair).index(x)
-
-
-def _mutual_info_two(rho: DensityMatrix) -> float:
-    h_a = von_neumann_entropy(partial_trace(rho, (0,)))
-    h_b = von_neumann_entropy(partial_trace(rho, (1,)))
-    return h_a + h_b - von_neumann_entropy(rho)
 
 
 def koashi_winter_audit(psi: PureState, s, f, opts: OptimizerSettings | None = None) -> BoundAudit:
@@ -267,7 +262,7 @@ def discord_bound_audit(
     s_idx = _single_qubit_index(psi, s, "system block")
     discords = []
     for (marg, measured), j in zip(_site_marginals(psi, s_idx, report.sites), report.j_site):
-        discords.append(_mutual_info_two(marg) - j)
+        discords.append(mutual_information(Bipartition(marg, (0,), (1,))) - j)
     tol = NUMERIC_SLACK + OPTIMIZATION_SLACK
     return make_audit(
         "discord-bound",
@@ -326,7 +321,7 @@ def remark_audit(rho: DensityMatrix, opts: OptimizerSettings | None = None) -> B
     if rho.dims != (2, 2):
         raise UnsupportedDimensionError(f"remark audit needs a two-qubit state, got {rho.dims}")
     j = classical_correlations(rho, measured=1, opts=opts).value
-    d = _mutual_info_two(rho) - j
+    d = mutual_information(Bipartition(rho, (0,), (1,))) - j
     lhs = d if j < REMARK_J_CUTOFF else 0.0
     return make_audit("remark", lhs, REMARK_D_CEILING, 0.0, j=j, d=d)
 
@@ -358,9 +353,8 @@ def fanchini_identity_audit(
         marg = reduced_density_matrix(psi, (s_idx, idx))
         measured = _pos_in_sorted((s_idx, idx), idx)
         terms[f"eof_{name}"] = eof_two_qubit(marg)
-        terms[f"discord_{name}"] = (
-            _mutual_info_two(marg) - classical_correlations(marg, measured, opts).value
-        )
+        info = mutual_information(Bipartition(marg, (0,), (1,)))
+        terms[f"discord_{name}"] = info - classical_correlations(marg, measured, opts).value
     lhs_sum = terms["eof_other"] + terms["eof_site"]
     rhs_sum = terms["discord_site"] + terms["discord_other"]
     return make_audit("fanchini", abs(lhs_sum - rhs_sum), 0.0, 5e-3, **terms)
@@ -373,7 +367,7 @@ def _require_full_rank(mat: np.ndarray, what: str) -> None:
 
 
 class _PinchEvaluator:
-    """Relative entropies of a state against its pinchings, one Bloch direction at a time.
+    """Relative entropies of a state against its pinchings along stacks of Bloch directions.
 
     Works in a basis with the measured qubit as the last tensor factor.
     Every evaluation computes the relative entropies from the definition and
@@ -383,45 +377,34 @@ class _PinchEvaluator:
 
     def __init__(self, rho: DensityMatrix, measured: int):
         t, d_rest = _measured_last(rho, measured)
-        self.t = t
         self.rho_perm = t.reshape(d_rest * 2, d_rest * 2)
         self.rho_f = np.trace(t, axis1=0, axis2=2)
         self.h_full = entropy_of(self.rho_perm)
         self.h_f = entropy_of(self.rho_f)
         self.max_identity_dev = 0.0
 
-    def __call__(self, theta: float, phi: float) -> tuple[float, float]:
-        """Returns (H(rho||rho_P), H(rho_F||rho_F,P)) for the direction (theta, phi)."""
-        v = _bloch_vector(theta, phi)
-        w = np.array([v[1].conj(), -v[0].conj()])
-        sigma_t = np.zeros_like(self.t)
-        sigma_f = np.zeros_like(self.rho_f)
-        for u in (v, w):
-            p = np.outer(u, u.conj())
-            sigma_t += np.einsum("jm,ambn,nk->ajbk", p, self.t, p)
-            sigma_f += p @ self.rho_f @ p
-        d = self.rho_perm.shape[0]
-        sigma = sigma_t.reshape(d, d)
-        sigma = (sigma + sigma.conj().T) / 2.0
-        sigma_f = (sigma_f + sigma_f.conj().T) / 2.0
+    def pinch(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pinchings of rho and of rho_F along each direction of ``n`` (G, 3)."""
+        # P_+ X P_+ + P_- X P_- = (X + (n.sigma) X (n.sigma)) / 2 for P_+- = (1 +- n.sigma)/2;
+        # eigh reads one triangle only, so the rounding asymmetry of the sums is harmless.
+        flip = _pauli_dot(n)
+        lift = np.kron(np.eye(len(self.rho_perm) // 2), flip)
+        sigma = (self.rho_perm + lift @ self.rho_perm @ lift) / 2.0
+        return sigma, (self.rho_f + flip @ self.rho_f @ flip) / 2.0
 
+    def __call__(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each direction of ``n`` (G, 3)."""
+        sigma, sigma_f = self.pinch(n)
         r_full = _relative_entropy_arrays(self.rho_perm, sigma)
         r_marg = _relative_entropy_arrays(self.rho_f, sigma_f)
+        h_sigma = -_xlog2x_sum(np.linalg.eigvalsh(sigma))
+        h_sigma_f = -_xlog2x_sum(np.linalg.eigvalsh(sigma_f))
         self.max_identity_dev = max(
             self.max_identity_dev,
-            abs(r_full - (entropy_of(sigma) - self.h_full)),
-            abs(r_marg - (entropy_of(sigma_f) - self.h_f)),
+            float(np.max(np.abs(r_full - (h_sigma - self.h_full)))),
+            float(np.max(np.abs(r_marg - (h_sigma_f - self.h_f)))),
         )
         return r_full, r_marg
-
-
-def _refine(objective, x0, opts: OptimizerSettings):
-    return minimize(
-        objective,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": opts.tol, "fatol": 1e-12, "maxiter": opts.maxiter},
-    )
 
 
 def continuity_chain_audit(
@@ -430,9 +413,9 @@ def continuity_chain_audit(
     """Audit the discord continuity chain D <= m1 <= m2 on a full-rank state.
 
     m1 = min over pinchings P of [H(rho||rho_P) - H(rho_F||rho_F,P)] and
-    m2 = min over pinchings of H(rho||rho_P), both minimized over the same
-    measurement family as `classical_correlations` (grid plus simplex
-    refinement). m1 <= m2 is enforced structurally by evaluating the m1
+    m2 = min over pinchings of H(rho||rho_P), both minimized by the same
+    `sphere_search` as `classical_correlations` (grid ranking plus a batched
+    compass refinement). m1 <= m2 is enforced structurally by evaluating the m1
     objective at m2's minimizer, so the audited link is D <= m1; m2 and the
     worst pinching-identity deviation ride along in ``extras``.
     """
@@ -445,30 +428,14 @@ def continuity_chain_audit(
     discord = h_rest + h_meas - von_neumann_entropy(rho) - j
 
     ev = _PinchEvaluator(rho, measured)
-    grid = angle_grid(opts)
-    vals = np.array([ev(th, ph) for th, ph in grid])
-    m1_vals, m2_vals = vals[:, 0] - vals[:, 1], vals[:, 0]
 
-    def m1_obj(x):
-        r_full, r_marg = ev(x[0], x[1])
+    def m1_obj(n):
+        r_full, r_marg = ev(n)
         return r_full - r_marg
 
-    def m2_obj(x):
-        return ev(x[0], x[1])[0]
-
-    starts = min(opts.starts, len(grid))
-    m1 = float(m1_vals.min())
-    for idx in np.argsort(m1_vals, kind="stable")[:starts]:
-        m1 = min(m1, float(_refine(m1_obj, grid[int(idx)], opts).fun))
-    m2 = float(m2_vals.min())
-    best_m2_x = grid[int(np.argsort(m2_vals, kind="stable")[0])]
-    for idx in np.argsort(m2_vals, kind="stable")[:starts]:
-        res = _refine(m2_obj, grid[int(idx)], opts)
-        if res.fun < m2:
-            m2 = float(res.fun)
-            best_m2_x = res.x
+    m2_best = sphere_search(lambda n: ev(n)[0], opts)
     # Evaluating m1's objective at m2's minimizer keeps m1 <= m2 structural.
-    m1 = min(m1, m1_obj(best_m2_x))
+    m1 = min(sphere_search(m1_obj, opts).value, float(m1_obj(_direction(m2_best.angles))[0]))
 
     tol = OPTIMIZATION_SLACK + NUMERIC_SLACK
     return make_audit(
@@ -476,7 +443,7 @@ def continuity_chain_audit(
         discord,
         m1,
         tol,
-        m2=m2,
+        m2=m2_best.value,
         pinch_dev=ev.max_identity_dev,
         classical=j,
     )
@@ -522,16 +489,11 @@ def f_bound_audit(
     _require_full_rank(rho.mat, "f-function audit")
     best = classical_correlations(rho, measured, opts)
     ev = _PinchEvaluator(rho, measured)
-    theta, phi = best.angles.theta, best.angles.phi
-    r_full, r_marg = ev(theta, phi)
+    n = _direction(best.angles)
+    r_full, r_marg = (float(r[0]) for r in ev(n))
     eps = r_full - r_marg
-
-    v = _bloch_vector(theta, phi)
-    w = np.array([v[1].conj(), -v[0].conj()])
-    sigma_f = sum(np.outer(u, u.conj()) @ ev.rho_f @ np.outer(u, u.conj()) for u in (v, w))
-    sigma_f = (sigma_f + sigma_f.conj().T) / 2.0
     f_val = relative_entropy_upper_bound(
-        DensityMatrix(ev.rho_f, (2,)), DensityMatrix(sigma_f, (2,))
+        DensityMatrix(ev.rho_f, (2,)), DensityMatrix(ev.pinch(n)[1][0], (2,))
     )
     return make_audit("f-bound", r_full, eps + f_val, NUMERIC_SLACK, eps=eps, f=f_val)
 

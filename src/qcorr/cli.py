@@ -379,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed for random trials")
     common.add_argument("--grid", type=int, default=24, help="measurement search grid density")
-    common.add_argument("--starts", type=int, default=5, help="simplex refinement starts")
-    common.add_argument("--tol", type=float, default=1e-8, help="simplex coordinate tolerance")
+    common.add_argument("--starts", type=int, default=5, help="refined search starts")
+    common.add_argument("--tol", type=float, default=1e-8, help="refinement step tolerance")
     common.add_argument("--threads", type=int, default=1, help="worker threads for trials/points")
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -167,51 +167,41 @@ def eig_hermitian(m: np.ndarray, atol: float = 1e-10) -> tuple[np.ndarray, np.nd
     return vals[::-1], vecs[:, ::-1]
 
 
-def _entropy_from_eigs(vals: np.ndarray) -> float:
+def _xlog2x_sum(vals: np.ndarray) -> np.ndarray:
+    """sum_i x_i log2 x_i over the last axis of a stack, with 0 log 0 = 0."""
     # Clamp to [0, 1] to absorb -1e-10-scale negativity before the log.
-    lam = np.clip(np.real(vals), 0.0, 1.0)
-    lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam)))
+    x = np.clip(np.real(vals), 0.0, 1.0)
+    return np.sum(x * np.log2(np.where(x > 0.0, x, 1.0)), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0*log 0 = 0."""
-    return _entropy_from_eigs(np.linalg.eigvalsh(rho.mat))
+    return entropy_of(rho.mat)
 
 
 def entropy_of(mat: np.ndarray) -> float:
     """Entropy in bits of a raw Hermitian PSD array (no invariant checks)."""
-    return _entropy_from_eigs(np.linalg.eigvalsh(mat))
+    return float(-_xlog2x_sum(np.linalg.eigvalsh(mat)))
 
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log2 p - (1-p) log2 (1-p)."""
     p = min(max(float(p), 0.0), 1.0)
-    out = 0.0
-    if 0.0 < p:
-        out -= p * np.log2(p)
-    if p < 1.0:
-        out -= (1.0 - p) * np.log2(1.0 - p)
-    return float(out)
+    return float(-_xlog2x_sum(np.array([p, 1.0 - p])))
 
 
-def _relative_entropy_arrays(x: np.ndarray, y: np.ndarray) -> float:
+def _relative_entropy_arrays(x: np.ndarray, y: np.ndarray):
+    """H(x||y) for one x (d, d) against y (d, d) or a stack (..., d, d); inf
+    wherever the support of x is not inside the support of y."""
     yvals, yvecs = np.linalg.eigh(y)
     support = yvals >= SUPPORT_CUTOFF
-    if not np.all(support):
-        kernel = yvecs[:, ~support]
-        kernel_weight = float(np.real(np.einsum("ij,ik,kj->", kernel.conj(), x, kernel)))
-        if kernel_weight > SUPPORT_CUTOFF:
-            return float("inf")
-    xvals = np.linalg.eigvalsh(x)
-    xlam = np.clip(xvals, 0.0, 1.0)
-    xlam = xlam[xlam > 0.0]
-    tr_x_log_x = float(np.sum(xlam * np.log2(xlam)))
-    # <v_j| x |v_j> weights for the y-eigenbasis terms on the support.
-    weights = np.real(np.einsum("ij,ik,kj->j", yvecs.conj(), x, yvecs))
-    mu = yvals[support]
-    tr_x_log_y = float(np.sum(weights[support] * np.log2(mu)))
-    return max(0.0, tr_x_log_x - tr_x_log_y)
+    # <v_j| x |v_j> weights for the y-eigenbasis terms.
+    weights = np.real(np.einsum("...ij,ik,...kj->...j", yvecs.conj(), x, yvecs))
+    kernel_weight = np.sum(np.where(support, 0.0, weights), axis=-1)
+    tr_x_log_x = _xlog2x_sum(np.linalg.eigvalsh(x))
+    tr_x_log_y = np.sum(weights * np.log2(np.where(support, yvals, 1.0)), axis=-1)
+    rel = np.maximum(0.0, tr_x_log_x - tr_x_log_y)
+    return np.where(kernel_weight > SUPPORT_CUTOFF, np.inf, rel)
 
 
 def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:
@@ -222,7 +212,7 @@ def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:
     """
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    return _relative_entropy_arrays(x.mat, y.mat)
+    return float(_relative_entropy_arrays(x.mat, y.mat))
 
 
 def trace_distance_half(x: DensityMatrix, y: DensityMatrix) -> float:

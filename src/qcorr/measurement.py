@@ -3,14 +3,13 @@
 Classical correlations J of a bipartite state are the maximal mutual
 information of the post-measurement state over local measurements on one
 subsystem. Here the measured subsystem must be a qubit and the search runs
-over rank-1 projective measurements, parametrized by Bloch angles: a coarse
-(theta, phi) grid followed by Nelder-Mead refinement from the best grid
-points. For a rank-1 projective measurement on side B the post-measurement
-mutual information reduces to
+over rank-1 projective measurements along Bloch directions n. For such a
+measurement on side B the post-measurement mutual information reduces to
 
     I(rho_meas) = H(rho_A) - sum_a p_a H(rho_A | outcome a),
 
-which is what the optimizer evaluates.
+with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho].
+`sphere_search` minimizes it (and the pinching objectives in `bounds`).
 """
 
 from __future__ import annotations
@@ -19,12 +18,18 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .core import DensityMatrix, entropy_of, kron
+from .core import DensityMatrix, _xlog2x_sum, entropy_of, kron
 
 COMPLETENESS_TOL = 1e-10
-_P_FLOOR = 1e-14
+# sigma_0 = 1 and the Pauli matrices; direction n projects onto (1 +- n.sigma)/2.
+_PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+# Neighbours probed by each refinement step, in units of the step length.
+_COMPASS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
+# Directions with |n . m| above this are one measurement (m = n or m = -n).
+_SAME_AXIS = 1.0 - 1e-9
+# Directions per objective call while ranking the grid; bounds stacked-block memory.
+_GRID_CHUNK = 1024
 
 
 class UnsupportedDimensionError(ValueError):
@@ -47,7 +52,8 @@ class BlochAngles:
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for the classical-correlations search (CLI: --grid/--starts/--tol)."""
+    """`sphere_search` knobs (CLI: --grid/--starts/--tol): grid points per angle,
+    distinct directions refined, converged step (radians), cap on steps."""
 
     grid: int = 24
     starts: int = 5
@@ -87,21 +93,16 @@ class ProjectiveMeasurement:
 
 @dataclass(frozen=True)
 class MeasurementOptimum:
-    """Best post-measurement mutual information found, with its maximizer."""
+    """Best post-measurement mutual information found, with its maximizer, the
+    distinct directions refined, whether all of them met ``tol`` within
+    ``maxiter`` steps, and the number of directions evaluated."""
 
     value: float
     argmax: ProjectiveMeasurement
     angles: BlochAngles
     starts_used: int
     converged: bool
-
-
-def _bloch_vector(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-
-
-def _bloch_orthogonal(theta: float, phi: float) -> np.ndarray:
-    return np.array([np.sin(theta / 2.0), -np.exp(1j * phi) * np.cos(theta / 2.0)])
+    evaluations: int
 
 
 def _canonical_angles(theta: float, phi: float) -> BlochAngles:
@@ -110,14 +111,31 @@ def _canonical_angles(theta: float, phi: float) -> BlochAngles:
         theta = 2.0 * np.pi - theta
         phi = phi + np.pi
     theta = min(max(theta, 0.0), np.pi)
-    return BlochAngles(theta, float(np.mod(phi, 2.0 * np.pi)))
+    phi = float(np.mod(phi, 2.0 * np.pi))
+    # A phi just below 0 rounds up to 2*pi itself, which is the direction phi = 0.
+    return BlochAngles(theta, phi if phi < 2.0 * np.pi else 0.0)
+
+
+def _bloch_directions(points: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors n (G, 3) of (theta, phi) rows (G, 2)."""
+    theta, phi = points.T
+    s = np.sin(theta)
+    return np.column_stack([s * np.cos(phi), s * np.sin(phi), np.cos(theta)])
+
+
+def _direction(angles: BlochAngles) -> np.ndarray:
+    return _bloch_directions(np.array([[angles.theta, angles.phi]]))
+
+
+def _pauli_dot(n: np.ndarray) -> np.ndarray:
+    """n.sigma (G, 2, 2) for each Bloch vector of a (G, 3) stack."""
+    return np.einsum("gk,kij->gij", n, _PAULI[1:])
 
 
 def qubit_projectors(angles: BlochAngles) -> ProjectiveMeasurement:
-    """Rank-1 projectors onto +n and -n for the Bloch direction n(theta, phi)."""
-    v = _bloch_vector(angles.theta, angles.phi)
-    w = _bloch_orthogonal(angles.theta, angles.phi)
-    return ProjectiveMeasurement((np.outer(v, v.conj()), np.outer(w, w.conj())), subsystem=0)
+    """Rank-1 projectors (1 +- n.sigma)/2 onto +n and -n for the direction n(theta, phi)."""
+    flip = _pauli_dot(_direction(angles))[0]
+    return ProjectiveMeasurement(((_PAULI[0] + flip) / 2.0, (_PAULI[0] - flip) / 2.0), 0)
 
 
 def apply_local_measurement(rho: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
@@ -171,42 +189,97 @@ def angle_grid(opts: OptimizerSettings | None = None) -> np.ndarray:
     return np.column_stack([tt.ravel(), pp.ravel()])
 
 
-def _outcome_blocks(t: np.ndarray) -> np.ndarray:
-    """(4, d_rest^2) map from a flattened projector outer product to the
-    unnormalized conditional block B[a, b] = sum_jk conj(v_j) v_k t[a, j, b, k]."""
-    d_rest = t.shape[0]
-    return np.ascontiguousarray(t.transpose(1, 3, 0, 2).reshape(4, d_rest * d_rest))
+@dataclass(frozen=True)
+class SphereMinimum:
+    """Smallest objective value `sphere_search` found, where, and at what cost."""
+
+    angles: BlochAngles
+    value: float
+    starts_used: int
+    converged: bool
+    evaluations: int
 
 
-def _blocks_entropy_terms(m: np.ndarray) -> np.ndarray:
-    """p log2 p - sum_i w_i log2 w_i for each block in a (..., d, d) stack."""
-    w = np.clip(np.linalg.eigvalsh(m), 0.0, 1.0)
-    p = w.sum(axis=-1)
-    wlog = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0).sum(axis=-1)
-    plog = np.where(p > _P_FLOOR, p * np.log2(np.where(p > _P_FLOOR, p, 1.0)), 0.0)
-    return plog - wlog
+def sphere_search(objective, opts: OptimizerSettings | None = None) -> SphereMinimum:
+    """Minimize ``objective`` (G unit vectors (G, 3) -> G values, equal at n and -n).
+
+    Every `angle_grid` point is evaluated and ranked (stable sort, so ties keep
+    grid order). The ``opts.starts`` best directions that differ up to sign are
+    refined together by a compass search in (theta, phi): each step probes the
+    8 neighbours at the start's step length and moves to the best one if it is
+    strictly lower, or else halves the step. A start has converged once its
+    step is below ``opts.tol``; the loop stops after ``opts.maxiter`` steps.
+    """
+    opts = opts or DEFAULT_SETTINGS
+    grid = angle_grid(opts)
+    n = _bloch_directions(grid)
+    values = np.concatenate(
+        [objective(n[i : i + _GRID_CHUNK]) for i in range(0, len(n), _GRID_CHUNK)]
+    )
+    ranked = np.argsort(values, kind="stable")
+    picked: list[int] = []
+    for idx in ranked:
+        if len(picked) == opts.starts:
+            break
+        if not picked or np.max(np.abs(n[picked] @ n[idx])) < _SAME_AXIS:
+            picked.append(int(idx))
+    # With no start to refine, the best grid point stands as it is.
+    rows = picked or [int(ranked[0])]
+    x, f = grid[rows], values[rows]
+    step = np.full(len(x), np.pi / max(opts.grid - 1, 1) if picked else 0.0)
+    evaluations = len(grid)
+    for _ in range(opts.maxiter):
+        live = np.flatnonzero(step >= opts.tol)
+        if live.size == 0:
+            break
+        trial = x[live, None, :] + step[live, None, None] * _COMPASS
+        ft = objective(_bloch_directions(trial.reshape(-1, 2))).reshape(live.size, len(_COMPASS))
+        evaluations += ft.size
+        k = np.argmin(ft, axis=1)
+        best = ft[np.arange(live.size), k]
+        moved = best < f[live]
+        x[live[moved]] = trial[moved, k[moved]]
+        f[live[moved]] = best[moved]
+        step[live[~moved]] /= 2.0
+    s = int(np.argmin(f))  # the first of equal values, i.e. the best-ranked start
+    return SphereMinimum(
+        angles=_canonical_angles(x[s, 0], x[s, 1]),
+        value=float(f[s]),
+        starts_used=len(picked),
+        converged=bool(np.all(step < opts.tol)),
+        evaluations=evaluations,
+    )
 
 
-def _cond_entropy_batch(t2: np.ndarray, d_rest: int, vs: np.ndarray) -> np.ndarray:
-    """sum_a p_a H(rho_A|a) for a batch of measurement vectors vs of shape (G, 2)."""
-    both = np.stack([vs, np.stack([vs[:, 1].conj(), -vs[:, 0].conj()], axis=1)])
-    cond = np.zeros(vs.shape[0])
-    for v in both:
-        outer = (v.conj()[:, :, None] * v[:, None, :]).reshape(-1, 4)
-        m = (outer @ t2).reshape(-1, d_rest, d_rest)
-        cond += _blocks_entropy_terms(m)
-    return cond
+def _conditional_entropy(t: np.ndarray, d_rest: int):
+    """Objective sum_a p_a H(rest | a) of the measurement along each direction n.
 
+    Outcome +-n leaves the unnormalized block B(+-n) = (T_0 +- n.T)/2 on the
+    unmeasured side, with T_s = Tr_meas[(1 x sigma_s) rho] formed once here.
+    For d_rest = 2 a block b_0 + b.sigma has eigenvalues b_0 +- |b|; larger
+    blocks go through one stacked eigvalsh.
+    """
+    ts = np.einsum("skj,ajbk->sab", _PAULI, t)
+    signs = np.array([1.0, -1.0])[:, None, None]
+    if d_rest == 2:
+        coef = np.einsum("sab,rba->sr", ts, _PAULI).real / 2.0
 
-def _cond_entropy_single(t2: np.ndarray, d_rest: int, theta: float, phi: float) -> float:
-    v = _bloch_vector(theta, phi)
-    w = np.array([v[1].conj(), -v[0].conj()])
-    total = 0.0
-    for vec in (v, w):
-        outer = np.outer(vec.conj(), vec).reshape(4)
-        m = (outer @ t2).reshape(d_rest, d_rest)
-        total += float(_blocks_entropy_terms(m))
-    return total
+        def block_eigs(n):
+            b = (coef[0] + signs * (n @ coef[1:])) / 2.0
+            r = np.sqrt(np.sum(b[..., 1:] ** 2, axis=-1))
+            return np.stack([b[..., 0] - r, b[..., 0] + r], axis=-1)
+
+    else:
+
+        def block_eigs(n):
+            nt = (n @ ts[1:].reshape(3, -1)).reshape(-1, d_rest, d_rest)
+            return np.linalg.eigvalsh((ts[0] + signs[..., None] * nt) / 2.0)
+
+    def objective(n):
+        w = np.clip(block_eigs(n), 0.0, 1.0)
+        return np.sum(_xlog2x_sum(w.sum(axis=-1, keepdims=True)) - _xlog2x_sum(w), axis=0)
+
+    return objective
 
 
 def classical_correlations(
@@ -222,48 +295,22 @@ def classical_correlations(
     measured : int
         Index into ``rho.dims`` of the measured qubit.
     opts : OptimizerSettings, optional
-        Grid density, refinement start count, and simplex tolerance.
+        Grid density, number of refined starts, and refinement step tolerance.
 
     Returns
     -------
     MeasurementOptimum
         Best value J in bits, the measurement attaining it, and search stats.
     """
-    opts = opts or DEFAULT_SETTINGS
     t, d_rest = _measured_last(rho, measured)
     h_a = entropy_of(np.trace(t, axis1=1, axis2=3))
-    t2 = _outcome_blocks(t)
-
-    grid_pts = angle_grid(opts)
-    vs = np.stack(
-        [np.cos(grid_pts[:, 0] / 2.0), np.exp(1j * grid_pts[:, 1]) * np.sin(grid_pts[:, 0] / 2.0)],
-        axis=1,
-    )
-    cond = _cond_entropy_batch(t2, d_rest, vs)
-
-    # Stable sort keeps grid order among ties (deterministic argmax).
-    ranked = np.argsort(cond, kind="stable")
-    best_idx = int(ranked[0])
-    best_cond = float(cond[best_idx])
-    best_angles = (float(grid_pts[best_idx, 0]), float(grid_pts[best_idx, 1]))
-
-    starts = min(opts.starts, len(ranked))
-    converged = True
-    for idx in ranked[:starts]:
-        x0 = grid_pts[int(idx)]
-        res = minimize(
-            lambda x: _cond_entropy_single(t2, d_rest, x[0], x[1]),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": opts.tol, "fatol": 1e-12, "maxiter": opts.maxiter},
-        )
-        converged = converged and bool(res.success)
-        if res.fun < best_cond:
-            best_cond = float(res.fun)
-            best_angles = (float(res.x[0]), float(res.x[1]))
-
-    angles = _canonical_angles(*best_angles)
-    meas = ProjectiveMeasurement(qubit_projectors(angles).projectors, subsystem=measured)
+    best = sphere_search(_conditional_entropy(t, d_rest), opts)
+    meas = ProjectiveMeasurement(qubit_projectors(best.angles).projectors, subsystem=measured)
     return MeasurementOptimum(
-        value=h_a - best_cond, argmax=meas, angles=angles, starts_used=starts, converged=converged
+        value=h_a - best.value,
+        argmax=meas,
+        angles=best.angles,
+        starts_used=best.starts_used,
+        converged=best.converged,
+        evaluations=best.evaluations,
     )

@@ -1,9 +1,15 @@
 """Tests for projective measurements and the classical-correlations optimizer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import qcorr
 from qcorr import (
     Bipartition,
     BlochAngles,
@@ -23,7 +29,10 @@ from qcorr import (
     relative_entropy,
     von_neumann_entropy,
     qubit_projectors,
+    StarConfig,
+    analytic_marginals,
 )
+from qcorr.measurement import _canonical_angles
 
 
 def _mutual_info(rho: DensityMatrix) -> float:
@@ -52,6 +61,13 @@ def test_bloch_angles_validate_ranges():
         BlochAngles(np.pi + 0.1, 0.0)
     with pytest.raises(ValueError):
         BlochAngles(0.5, 2.0 * np.pi)
+
+
+def test_canonical_angles_fold_phi_just_below_zero_onto_zero():
+    assert _canonical_angles(0.3, -1e-17) == BlochAngles(0.3, 0.0)
+    through_pole = _canonical_angles(-0.3, np.pi - 1e-17)
+    assert through_pole.theta == pytest.approx(0.3, abs=1e-15)
+    assert through_pole.phi == 0.0
 
 
 def test_qubit_projectors_at_north_pole_are_computational():
@@ -249,3 +265,54 @@ def test_classical_correlations_measure_first_subsystem_too():
         a = classical_correlations(rho, 0).value
         b = classical_correlations(swapped, 1).value
         assert abs(a - b) <= 2e-6
+
+
+@pytest.mark.parametrize(
+    "dims, measured", [((2, 2), 0), ((2, 2), 1), ((2, 3), 0), ((2, 2, 2), 0), ((2, 2, 2), 1)]
+)
+def test_reported_argmax_attains_classical_correlations(dims, measured):
+    """Measuring with best.argmax leaves exactly best.value of mutual information."""
+    rest = tuple(i for i in range(len(dims)) if i != measured)
+    for rank in range(1, int(np.prod(dims)) + 1):
+        rho = random_density_matrix(dims, rank, 71 + 10 * rank + measured)
+        best = classical_correlations(rho, measured)
+        post = apply_local_measurement(rho, best.argmax)
+        info = mutual_information(Bipartition(post, (measured,), rest))
+        assert abs(info - best.value) <= 1e-12
+
+
+def test_classical_correlations_dominate_dense_definition_grid():
+    thetas = np.linspace(0.0, np.pi, 25)
+    phis = np.linspace(0.0, 2.0 * np.pi, 25, endpoint=False)
+    rng = np.random.default_rng(77)
+    for dims in ((2, 2), (2, 2, 2)):
+        for rank in (1, 2, int(np.prod(dims))):
+            rho = random_density_matrix(dims, rank, int(rng.integers(1 << 30)))
+            best = classical_correlations(rho, len(dims) - 1)
+            dense = max(_measured_mutual_info(rho, t, p) for t in thetas for p in phis)
+            assert best.value >= dense - 1e-12
+
+
+def test_search_diagnostics_count_evaluations_and_convergence():
+    # At a = 1 the star marginal is a product state and the objective is flat.
+    flat = classical_correlations(analytic_marginals(StarConfig(10, 1.0))[1], 1)
+    interior = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
+    assert flat.converged and interior.converged
+    assert flat.starts_used == interior.starts_used == 5
+    assert flat.evaluations < interior.evaluations
+    capped = classical_correlations(
+        analytic_marginals(StarConfig(10, 0.5))[1], 1, OptimizerSettings(maxiter=3)
+    )
+    assert not capped.converged
+    assert capped.evaluations == 24 * 24 + 3 * 8 * 5  # grid, then 3 steps of 8 per start
+
+
+def test_importing_qcorr_leaves_scipy_unloaded():
+    src = str(Path(qcorr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, qcorr, qcorr.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
