@@ -29,7 +29,8 @@ def full_rank_two_qubit(seed):
 # -- 1. The chain D <= m1 <= m2 ----------------------------------------------
 # m1 minimizes H(rho||rho_P) - H(rho_F||rho_F,P) over pinchings P of the
 # measured qubit; m2 minimizes H(rho||rho_P) alone. Discord never exceeds
-# either minimum.
+# either minimum. For projective pinchings the m1 objective is I(rho) - I(rho_P),
+# so m1 = I - J = D and its minimizer is J's optimal measurement.
 print("continuity chain on five random full-rank two-qubit states")
 print(f"{'seed':>6s} {'D':>9s} {'m1':>9s} {'m2':>9s} {'holds':>6s}")
 for seed in range(5):

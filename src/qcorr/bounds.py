@@ -413,39 +413,34 @@ def continuity_chain_audit(
     """Audit the discord continuity chain D <= m1 <= m2 on a full-rank state.
 
     m1 = min over pinchings P of [H(rho||rho_P) - H(rho_F||rho_F,P)] and
-    m2 = min over pinchings of H(rho||rho_P), both minimized by the same
-    `sphere_search` as `classical_correlations` (grid ranking plus a batched
-    compass refinement). m1 <= m2 is enforced structurally by evaluating the m1
-    objective at m2's minimizer, so the audited link is D <= m1; m2 and the
-    worst pinching-identity deviation ride along in ``extras``.
+    m2 = min over pinchings of H(rho||rho_P). For a projective pinching of the
+    measured qubit F the m1 objective equals I(rho) - I(rho_P), so its minimizer
+    is J's argmax and m1 needs no search of its own: it is the smaller of the
+    m1 objective at J's argmax and at m2's minimizer (found by `sphere_search`),
+    which keeps m1 <= m2 structural. D - m1 is then rounding unless m2's
+    minimizer beats J's argmax, i.e. unless the J search fell short, so the
+    audit allows only ``NUMERIC_SLACK``. m2 and the worst pinching-identity
+    deviation ride along in ``extras``.
     """
     opts = opts or DEFAULT_SETTINGS
     _require_full_rank(rho.mat, "continuity audit")
-    j = classical_correlations(rho, measured, opts).value
+    best = classical_correlations(rho, measured, opts)
     rest = tuple(i for i in range(len(rho.dims)) if i != measured)
-    h_rest = von_neumann_entropy(partial_trace(rho, rest))
-    h_meas = von_neumann_entropy(partial_trace(rho, (measured,)))
-    discord = h_rest + h_meas - von_neumann_entropy(rho) - j
+    discord = mutual_information(Bipartition(rho, rest, (measured,))) - best.value
 
     ev = _PinchEvaluator(rho, measured)
-
-    def m1_obj(n):
-        r_full, r_marg = ev(n)
-        return r_full - r_marg
-
     m2_best = sphere_search(lambda n: ev(n)[0], opts)
-    # Evaluating m1's objective at m2's minimizer keeps m1 <= m2 structural.
-    m1 = min(sphere_search(m1_obj, opts).value, float(m1_obj(_direction(m2_best.angles))[0]))
+    r_full, r_marg = ev(np.vstack([_direction(best.angles), _direction(m2_best.angles)]))
+    m1 = float(np.min(r_full - r_marg))
 
-    tol = OPTIMIZATION_SLACK + NUMERIC_SLACK
     return make_audit(
         "continuity",
         discord,
         m1,
-        tol,
+        NUMERIC_SLACK,
         m2=m2_best.value,
         pinch_dev=ev.max_identity_dev,
-        classical=j,
+        classical=best.value,
     )
 
 

@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import floor
 from pathlib import Path
 
@@ -155,13 +154,6 @@ def _suite_audit(suite: str, trial: int, seed: int, opts: OptimizerSettings) -> 
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def _map_ordered(fn, items, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _write_manifest(out_path, command: str, params: dict, seed: int, started: float) -> None:
     manifest = {
         "command": command,
@@ -200,7 +192,7 @@ def cmd_sweep(args) -> int:
     a_grid = [min(args.a_min + k * args.a_step, args.a_max) for k in range(count)]
 
     try:
-        rows = run_sweep(n_list, a_grid, _opts_from(args), threads=args.threads)
+        rows = run_sweep(n_list, a_grid, _opts_from(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -239,7 +231,6 @@ def cmd_sweep(args) -> int:
             "grid": args.grid,
             "starts": args.starts,
             "tol": args.tol,
-            "threads": args.threads,
             "out": str(args.out),
             "plot": str(args.plot) if args.plot else None,
         },
@@ -255,9 +246,7 @@ def cmd_audit(args) -> int:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
     opts = _opts_from(args)
-    audits = _map_ordered(
-        lambda k: _suite_audit(args.suite, k, args.seed, opts), range(args.trials), args.threads
-    )
+    audits = [_suite_audit(args.suite, k, args.seed, opts) for k in range(args.trials)]
     header = ["label", "lhs", "rhs", "slack", "satisfied", "tolerance"]
     rows = [
         [a.label, _fmt(a.lhs), _fmt(a.rhs), _fmt(a.slack),
@@ -278,7 +267,6 @@ def cmd_audit(args) -> int:
             "grid": args.grid,
             "starts": args.starts,
             "tol": args.tol,
-            "threads": args.threads,
             "out": str(args.out),
         },
         args.seed,
@@ -381,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", type=int, default=24, help="measurement search grid density")
     common.add_argument("--starts", type=int, default=5, help="refined search starts")
     common.add_argument("--tol", type=float, default=1e-8, help="refinement step tolerance")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for trials/points")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -157,16 +157,6 @@ def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
     return DensityMatrix(t.reshape(rho.dim, rho.dim), new_dims)
 
 
-def eig_hermitian(m: np.ndarray, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (real, descending) and matching eigenvector columns of a Hermitian matrix."""
-    m = np.asarray(m)
-    herm_err = np.max(np.abs(m - m.conj().T))
-    if herm_err > atol:
-        raise ValueError(f"matrix is not Hermitian within {atol:g}: deviation {herm_err:.3e}")
-    vals, vecs = np.linalg.eigh(m)
-    return vals[::-1], vecs[:, ::-1]
-
-
 def _xlog2x_sum(vals: np.ndarray) -> np.ndarray:
     """sum_i x_i log2 x_i over the last axis of a stack, with 0 log 0 = 0."""
     # Clamp to [0, 1] to absorb -1e-10-scale negativity before the log.

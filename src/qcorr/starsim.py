@@ -19,7 +19,6 @@ closed forms at small N.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -170,16 +169,6 @@ def _sweep_point(cfg: StarConfig, opts: OptimizerSettings | None) -> SweepRow:
     )
 
 
-def run_sweep(
-    n_list, a_grid, opts: OptimizerSettings | None = None, threads: int = 1
-) -> list[SweepRow]:
-    """Sweep quantities over the (N, a) grid, in grid order (N outer, a inner).
-
-    Points are independent; with ``threads > 1`` they are evaluated by a
-    thread pool, with output order (and values) unchanged.
-    """
-    configs = [StarConfig(n, a) for n in n_list for a in a_grid]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: _sweep_point(c, opts), configs))
-    return [_sweep_point(cfg, opts) for cfg in configs]
+def run_sweep(n_list, a_grid, opts: OptimizerSettings | None = None) -> list[SweepRow]:
+    """Sweep quantities over the (N, a) grid, in grid order (N outer, a inner)."""
+    return [_sweep_point(StarConfig(n, a), opts) for n in n_list for a in a_grid]

@@ -216,14 +216,14 @@ def _full_rank_two_qubit(seed: int) -> DensityMatrix:
 def test_criterion_07_continuity_chain(capsys):
     for trial in range(100):
         audit = continuity_chain_audit(_full_rank_two_qubit(7000 + trial), measured=1)
-        assert audit.satisfied  # discord <= m1 within 2e-3 + 1e-6
+        assert audit.satisfied and audit.tolerance == 1e-6  # discord <= m1 within 1e-6
         assert audit.rhs <= audit.extras["m2"] + 1e-9
         assert audit.extras["pinch_dev"] <= 1e-9
     _passed(
         capsys,
         7,
         "continuity chain D <= m1 <= m2 held on 100 full-rank states "
-        f"(slack {SWEEP_SLACK}), pinching identity within 1e-9",
+        f"(slack {audit.tolerance}), pinching identity within 1e-9",
     )
 
 

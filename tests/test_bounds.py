@@ -1,15 +1,21 @@
 """Tests for the inequality audits and consensus quantifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qcorr import (
+    Bipartition,
+    BlochAngles,
     DensityMatrix,
     OptimizerSettings,
+    ProjectiveMeasurement,
     PureState,
     StarConfig,
     UndefinedConsensusError,
     UnsupportedDimensionError,
+    apply_local_measurement,
     bell_state,
     binary_entropy,
     build_universe_brute,
@@ -29,6 +35,8 @@ from qcorr import (
     koashi_winter_audit,
     kron,
     kw_j_complement,
+    mutual_information,
+    qubit_projectors,
     random_density_matrix,
     random_pure_state,
     reduced_density_matrix,
@@ -38,7 +46,7 @@ from qcorr import (
     remark_audit,
     w_state,
 )
-from qcorr.bounds import make_audit
+from qcorr.bounds import OPTIMIZATION_SLACK, make_audit
 
 
 def _full_rank(dims, seed: int, eps: float = 1e-6) -> DensityMatrix:
@@ -333,6 +341,22 @@ def test_continuity_chain_on_random_full_rank_states():
         assert audit.satisfied
         assert audit.rhs <= audit.extras["m2"] + 1e-9
         assert audit.extras["pinch_dev"] <= 1e-9
+
+
+def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
+    # J reported at its argmax tilted by 0.05 rad loses ~7.5e-4 bits; m2's
+    # minimizer then beats it, so D - m1 is a search shortfall, not rounding.
+    import qcorr.bounds as bounds_mod
+
+    rho = _full_rank((2, 2), 7017)
+    best = classical_correlations(rho, 1)
+    tilted = BlochAngles(best.angles.theta + 0.05, best.angles.phi)
+    meas = ProjectiveMeasurement(qubit_projectors(tilted).projectors, 1)
+    value = mutual_information(Bipartition(apply_local_measurement(rho, meas), (0,), (1,)))
+    assert 1e-4 < best.value - value < OPTIMIZATION_SLACK
+    shortfall = dataclasses.replace(best, value=value, argmax=meas, angles=tilted)
+    monkeypatch.setattr(bounds_mod, "classical_correlations", lambda *args: shortfall)
+    assert not continuity_chain_audit(rho, 1).satisfied
 
 
 # ---------------------------------------------------------------------------

@@ -117,15 +117,6 @@ def test_sweep_plot_is_a_standalone_svg(tmp_path):
     assert text.count("N = ") == 2  # one panel per environment size
 
 
-def test_sweep_output_is_deterministic_across_threads(tmp_path):
-    flags = ["sweep", "--n", "2,3", "--a-step", "0.25", "--seed", "4"]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(flags + ["--out", str(serial)]) == 0
-    assert main(flags + ["--threads", "4", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 # ---------------------------------------------------------------------------
 # audit
 # ---------------------------------------------------------------------------
@@ -171,15 +162,6 @@ def test_audit_exit_code_flags_violations(tmp_path, capsys, monkeypatch):
     assert "2/2" in capsys.readouterr().err
     rows = _read_csv(out)
     assert all(r[4] == "false" for r in rows[1:])
-
-
-def test_audit_threaded_output_matches_serial(tmp_path):
-    flags = ["audit", "--suite", "jens", "--trials", "6", "--seed", "3"]
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    assert main(flags + ["--out", str(serial)]) == 0
-    assert main(flags + ["--threads", "3", "--out", str(threaded)]) == 0
-    assert serial.read_bytes() == threaded.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,6 @@ def test_sweep_matches_per_site_quantities_from_brute_state():
     assert row.delta == pytest.approx(report.delta, abs=2e-6)
 
 
-def test_sweep_threaded_output_matches_serial():
-    serial = run_sweep((2, 4), (0.3, 0.8))
-    threaded = run_sweep((2, 4), (0.3, 0.8), threads=4)
-    for r1, r2 in zip(serial, threaded):
-        assert r1 == r2
-
-
 def test_sweep_handles_single_site_environment():
     (row,) = run_sweep((1,), (0.5,))
     # with one site the complement is empty, so observers cannot agree
