@@ -21,6 +21,13 @@ quantifiers to bipartite discord and entanglement of formation:
 
 Every audit is reported as a `BoundAudit` carrying lhs, rhs, slack and the
 tolerance that decided `satisfied`, so reports serialize uniformly.
+
+Wherever a marginal needs D, or J together with E, they come from one
+`correlations.quantum_discord` record. `consensus_delta`,
+`discord_bound_audit` and `eof_bound_audit` share one per-site pass that
+forms H(rho_S) and each marginal once. Code that needs J alone or J's
+optimal direction (trade-off, continuity, f-function, environment
+consensus) calls `classical_correlations` directly.
 """
 
 from __future__ import annotations
@@ -32,9 +39,8 @@ import numpy as np
 from .core import (
     DensityMatrix,
     PureState,
-    _relative_entropy_arrays,
+    _relative_entropy_spectral,
     _xlog2x_sum,
-    density_from_pure,
     entropy_of,
     partial_trace,
     reduced_density_matrix,
@@ -42,7 +48,13 @@ from .core import (
     trace_distance_half,
     von_neumann_entropy,
 )
-from .correlations import Bipartition, eof_two_qubit, mutual_information
+from .correlations import (
+    Bipartition,
+    CorrelationRecord,
+    eof_two_qubit,
+    mutual_information,
+    quantum_discord,
+)
 from .measurement import (
     DEFAULT_SETTINGS,
     OptimizerSettings,
@@ -119,10 +131,6 @@ class EnvConsensusReport:
     defined: tuple[bool, ...]
 
 
-def _as_density(state: PureState | DensityMatrix) -> DensityMatrix:
-    return density_from_pure(state) if isinstance(state, PureState) else state
-
-
 def _marginal(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     if isinstance(state, PureState):
         return reduced_density_matrix(state, keep)
@@ -149,6 +157,15 @@ def _pos_in_sorted(pair, x) -> int:
     into the marginal is x's rank within the pair.
     """
     return sorted(pair).index(x)
+
+
+def _site_record(
+    psi: PureState, s_idx: int, site: int, opts: OptimizerSettings | None
+) -> CorrelationRecord:
+    """`quantum_discord` of the (system, site) marginal with the site measured."""
+    marg = reduced_density_matrix(psi, (s_idx, site))
+    measured = "ab"[_pos_in_sorted((s_idx, site), site)]
+    return quantum_discord(Bipartition(marg, (0,), (1,)), measured, opts)
 
 
 def koashi_winter_audit(psi: PureState, s, f, opts: OptimizerSettings | None = None) -> BoundAudit:
@@ -218,14 +235,14 @@ def consensus_from_marginals(
     )
 
 
-def consensus_delta(psi: PureState, s, opts: OptimizerSettings | None = None) -> ConsensusReport:
-    """Per-site consensus parameters delta_i and their mean for a pure universe.
+def _site_pass(
+    psi: PureState, s, opts: OptimizerSettings | None
+) -> tuple[ConsensusReport, tuple[CorrelationRecord, ...]]:
+    """The consensus report of a pure universe and the record of each (S, site) marginal.
 
-    delta_i = [J(rho_S,env) - min{J(rho_S,site_i), J(rho_S,env-without-i)}] / H(rho_S)
-
-    with J(rho_S,env) = H(rho_S) (pure universe), the site term optimized
-    directly on the two-qubit marginal, and the complement term obtained
-    from trade-off saturation (`kw_j_complement`).
+    Forms H(rho_S) and each system-site marginal once; every D, J and E the
+    consensus functions use comes from `quantum_discord` on those marginals,
+    measured on the site.
     """
     _require_pure(psi, "consensus parameters")
     s_idx = _single_qubit_index(psi, s, "system block")
@@ -234,39 +251,34 @@ def consensus_delta(psi: PureState, s, opts: OptimizerSettings | None = None) ->
         if psi.dims[i] != 2:
             raise UnsupportedDimensionError(f"environment site {i} has dimension {psi.dims[i]}")
     h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
-    if h_s <= H_S_CUTOFF:
-        raise UndefinedConsensusError(
-            f"H(rho_S) = {h_s:.3e} <= {H_S_CUTOFF}; consensus parameters are undefined"
-        )
-    j_site = []
-    j_complement = []
-    for i in sites:
-        marg = reduced_density_matrix(psi, (s_idx, i))
-        measured = _pos_in_sorted((s_idx, i), i)
-        j_site.append(classical_correlations(marg, measured, opts).value)
-        j_complement.append(h_s - eof_two_qubit(marg))
-    return consensus_from_marginals(h_s, sites, j_site, j_complement)
+    records = tuple(_site_record(psi, s_idx, i, opts) for i in sites)
+    report = consensus_from_marginals(
+        h_s, sites, [r.classical for r in records], [h_s - r.eof for r in records]
+    )
+    return report, records
 
 
-def _site_marginals(psi: PureState, s_idx: int, sites) -> list[tuple[DensityMatrix, int]]:
-    return [
-        (reduced_density_matrix(psi, (s_idx, i)), _pos_in_sorted((s_idx, i), i)) for i in sites
-    ]
+def consensus_delta(psi: PureState, s, opts: OptimizerSettings | None = None) -> ConsensusReport:
+    """Per-site consensus parameters delta_i and their mean for a pure universe.
+
+    delta_i = [J(rho_S,env) - min{J(rho_S,site_i), J(rho_S,env-without-i)}] / H(rho_S)
+
+    with J(rho_S,env) = H(rho_S) (pure universe), the site term optimized
+    directly on the two-qubit marginal, and the complement term obtained
+    from trade-off saturation (H(rho_S) - E, as in `kw_j_complement`).
+    """
+    return _site_pass(psi, s, opts)[0]
 
 
 def discord_bound_audit(
     psi: PureState, s, opts: OptimizerSettings | None = None
 ) -> BoundAudit:
     """Audit mean site discord <= delta * H(rho_S) for a pure universe."""
-    report = consensus_delta(psi, s, opts)
-    s_idx = _single_qubit_index(psi, s, "system block")
-    discords = []
-    for (marg, measured), j in zip(_site_marginals(psi, s_idx, report.sites), report.j_site):
-        discords.append(mutual_information(Bipartition(marg, (0,), (1,))) - j)
+    report, records = _site_pass(psi, s, opts)
     tol = NUMERIC_SLACK + OPTIMIZATION_SLACK
     return make_audit(
         "discord-bound",
-        float(np.mean(discords)),
+        float(np.mean([r.discord for r in records])),
         report.delta * report.h_s,
         tol,
         delta=report.delta,
@@ -282,21 +294,16 @@ def eof_bound_audit(
     Returns one audit per environment site followed by one labelled
     ``eof-bound-avg`` for mean(E) <= delta * H(rho_S).
     """
-    report = consensus_delta(psi, s, opts)
-    s_idx = _single_qubit_index(psi, s, "system block")
+    report, records = _site_pass(psi, s, opts)
     tol = NUMERIC_SLACK + OPTIMIZATION_SLACK
-    audits = []
-    eofs = []
-    for (marg, _), site, d_i in zip(
-        _site_marginals(psi, s_idx, report.sites), report.sites, report.delta_i
-    ):
-        e = eof_two_qubit(marg)
-        eofs.append(e)
-        audits.append(make_audit(f"eof-bound-site-{site}", e, d_i * report.h_s, tol, site=site))
+    audits = [
+        make_audit(f"eof-bound-site-{site}", r.eof, d_i * report.h_s, tol, site=site)
+        for r, site, d_i in zip(records, report.sites, report.delta_i)
+    ]
     audits.append(
         make_audit(
             "eof-bound-avg",
-            float(np.mean(eofs)),
+            float(np.mean([r.eof for r in records])),
             report.delta * report.h_s,
             tol,
             delta=report.delta,
@@ -320,8 +327,8 @@ def remark_audit(rho: DensityMatrix, opts: OptimizerSettings | None = None) -> B
     """
     if rho.dims != (2, 2):
         raise UnsupportedDimensionError(f"remark audit needs a two-qubit state, got {rho.dims}")
-    j = classical_correlations(rho, measured=1, opts=opts).value
-    d = mutual_information(Bipartition(rho, (0,), (1,))) - j
+    record = quantum_discord(Bipartition(rho, (0,), (1,)), measured="b", opts=opts)
+    j, d = record.classical, record.discord
     lhs = d if j < REMARK_J_CUTOFF else 0.0
     return make_audit("remark", lhs, REMARK_D_CEILING, 0.0, j=j, d=d)
 
@@ -350,11 +357,9 @@ def fanchini_identity_audit(
     terms = {}
     sides = {"site": site, "other": other}
     for name, idx in sides.items():
-        marg = reduced_density_matrix(psi, (s_idx, idx))
-        measured = _pos_in_sorted((s_idx, idx), idx)
-        terms[f"eof_{name}"] = eof_two_qubit(marg)
-        info = mutual_information(Bipartition(marg, (0,), (1,)))
-        terms[f"discord_{name}"] = info - classical_correlations(marg, measured, opts).value
+        record = _site_record(psi, s_idx, idx, opts)
+        terms[f"eof_{name}"] = record.eof
+        terms[f"discord_{name}"] = record.discord
     lhs_sum = terms["eof_other"] + terms["eof_site"]
     rhs_sum = terms["discord_site"] + terms["discord_other"]
     return make_audit("fanchini", abs(lhs_sum - rhs_sum), 0.0, 5e-3, **terms)
@@ -395,16 +400,18 @@ class _PinchEvaluator:
     def __call__(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(H(rho||rho_P), H(rho_F||rho_F,P)) for each direction of ``n`` (G, 3)."""
         sigma, sigma_f = self.pinch(n)
-        r_full = _relative_entropy_arrays(self.rho_perm, sigma)
-        r_marg = _relative_entropy_arrays(self.rho_f, sigma_f)
-        h_sigma = -_xlog2x_sum(np.linalg.eigvalsh(sigma))
-        h_sigma_f = -_xlog2x_sum(np.linalg.eigvalsh(sigma_f))
-        self.max_identity_dev = max(
-            self.max_identity_dev,
-            float(np.max(np.abs(r_full - (h_sigma - self.h_full)))),
-            float(np.max(np.abs(r_marg - (h_sigma_f - self.h_f)))),
-        )
+        r_full, dev_full = _against_pinching(self.rho_perm, self.h_full, sigma)
+        r_marg, dev_marg = _against_pinching(self.rho_f, self.h_f, sigma_f)
+        self.max_identity_dev = max(self.max_identity_dev, dev_full, dev_marg)
         return r_full, r_marg
+
+
+def _against_pinching(x: np.ndarray, h_x: float, sigma: np.ndarray) -> tuple[np.ndarray, float]:
+    """H(x||sigma) from the definition for a stack of pinchings ``sigma`` of x, and the
+    worst deviation from the identity H(x||sigma) = H(sigma) - H(x); one eigensolve."""
+    vals, vecs = np.linalg.eigh(sigma)
+    rel = _relative_entropy_spectral(x, -h_x, vals, vecs)
+    return rel, float(np.max(np.abs(rel - (-_xlog2x_sum(vals) - h_x))))
 
 
 def continuity_chain_audit(
@@ -502,10 +509,9 @@ def env_consensus(
     with J measured on site j. Sites with H(rho_site_i) ~ 0 are flagged
     undefined instead of raising.
     """
-    state = _as_density(env)
-    n = len(state.dims)
-    if any(d != 2 for d in state.dims):
-        raise UnsupportedDimensionError(f"all environment sites must be qubits, got {state.dims}")
+    n = len(env.dims)
+    if any(d != 2 for d in env.dims):
+        raise UnsupportedDimensionError(f"all environment sites must be qubits, got {env.dims}")
     entropies = tuple(
         von_neumann_entropy(_marginal(env, (i,))) for i in range(n)
     )

@@ -154,24 +154,38 @@ def _suite_audit(suite: str, trial: int, seed: int, opts: OptimizerSettings) -> 
     raise ValueError(f"unknown suite {suite!r}")
 
 
-def _write_manifest(out_path, command: str, params: dict, seed: int, started: float) -> None:
+def _write_outputs(args, command: str, params: dict, header, rows, started: float,
+                   extra=()) -> int:
+    """Write the CSV at ``args.out``, any ``extra`` (path, text) files, and the manifest.
+
+    The manifest records ``params`` plus the optimizer flags and the output path
+    every command shares. Returns 0, or 2 after printing the error when an
+    output file cannot be written.
+    """
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        for path, text in extra:
+            Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     manifest = {
         "command": command,
-        "parameters": params,
-        "seed": seed,
+        "parameters": {
+            **params, "grid": args.grid, "starts": args.starts, "tol": args.tol,
+            "out": str(args.out),
+        },
+        "seed": args.seed,
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - started, 6),
     }
-    Path(str(out_path) + ".manifest.json").write_text(
+    Path(str(args.out) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    return 0
 
 
 def _opts_from(args) -> OptimizerSettings:
@@ -213,31 +227,15 @@ def cmd_sweep(args) -> int:
         ]
         for r in rows
     ]
-    try:
-        _write_csv(args.out, header, csv_rows)
-        if args.plot:
-            Path(args.plot).write_text(sweep_plot_svg(rows), encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    _write_manifest(
-        args.out,
-        "sweep",
-        {
-            "n": n_list,
-            "a_min": args.a_min,
-            "a_max": args.a_max,
-            "a_step": args.a_step,
-            "grid": args.grid,
-            "starts": args.starts,
-            "tol": args.tol,
-            "out": str(args.out),
-            "plot": str(args.plot) if args.plot else None,
-        },
-        args.seed,
-        started,
-    )
-    return 0
+    params = {
+        "n": n_list,
+        "a_min": args.a_min,
+        "a_max": args.a_max,
+        "a_step": args.a_step,
+        "plot": str(args.plot) if args.plot else None,
+    }
+    extra = [(args.plot, sweep_plot_svg(rows))] if args.plot else []
+    return _write_outputs(args, "sweep", params, header, csv_rows, started, extra)
 
 
 def cmd_audit(args) -> int:
@@ -253,25 +251,9 @@ def cmd_audit(args) -> int:
          "true" if a.satisfied else "false", _fmt(a.tolerance)]
         for a in audits
     ]
-    try:
-        _write_csv(args.out, header, rows)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    params = {"suite": args.suite, "trials": args.trials}
+    if _write_outputs(args, "audit", params, header, rows, started):
         return 2
-    _write_manifest(
-        args.out,
-        "audit",
-        {
-            "suite": args.suite,
-            "trials": args.trials,
-            "grid": args.grid,
-            "starts": args.starts,
-            "tol": args.tol,
-            "out": str(args.out),
-        },
-        args.seed,
-        started,
-    )
     failed = sum(0 if a.satisfied else 1 for a in audits)
     if failed:
         print(f"{failed}/{len(audits)} audits violated their tolerance", file=sys.stderr)
@@ -312,48 +294,23 @@ def cmd_state(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    lines = [
-        ("mutual information I", _fmt(record.mutual_info)),
-        ("classical J", _fmt(record.classical)),
-        ("discord D", _fmt(record.discord)),
-        ("eof E", _fmt(record.eof) if record.eof is not None else "-"),
-        ("entropy H(rho_A)", _fmt(record.entropy_a)),
-        ("measured side", record.measured_side),
+    fields = [  # CSV column, printed label, value
+        ("mutual_info", "mutual information I", _fmt(record.mutual_info)),
+        ("classical", "classical J", _fmt(record.classical)),
+        ("discord", "discord D", _fmt(record.discord)),
+        ("eof", "eof E", _fmt(record.eof) if record.eof is not None else ""),
+        ("entropy_a", "entropy H(rho_A)", _fmt(record.entropy_a)),
+        ("measured_side", "measured side", record.measured_side),
     ]
-    width = max(len(name) for name, _ in lines)
-    for name, value in lines:
-        print(f"{name:<{width}}  {value}")
+    width = max(len(label) for _, label, _ in fields)
+    for _, label, value in fields:
+        print(f"{label:<{width}}  {value or '-'}")
 
     if args.out:
-        header = ["mutual_info", "classical", "discord", "eof", "entropy_a", "measured_side"]
-        row = [
-            _fmt(record.mutual_info),
-            _fmt(record.classical),
-            _fmt(record.discord),
-            _fmt(record.eof) if record.eof is not None else "",
-            _fmt(record.entropy_a),
-            record.measured_side,
-        ]
-        try:
-            _write_csv(args.out, header, [row])
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 2
-        _write_manifest(
-            args.out,
-            "state",
-            {
-                "in": str(args.infile),
-                "split": args.split,
-                "measure": args.measure,
-                "grid": args.grid,
-                "starts": args.starts,
-                "tol": args.tol,
-                "out": str(args.out),
-            },
-            args.seed,
-            started,
-        )
+        params = {"in": str(args.infile), "split": args.split, "measure": args.measure}
+        header = [column for column, _, _ in fields]
+        row = [value for _, _, value in fields]
+        return _write_outputs(args, "state", params, header, [row], started)
     return 0
 
 

@@ -159,9 +159,11 @@ def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
 
 def _xlog2x_sum(vals: np.ndarray) -> np.ndarray:
     """sum_i x_i log2 x_i over the last axis of a stack, with 0 log 0 = 0."""
-    # Clamp to [0, 1] to absorb -1e-10-scale negativity before the log.
-    x = np.clip(np.real(vals), 0.0, 1.0)
-    return np.sum(x * np.log2(np.where(x > 0.0, x, 1.0)), axis=-1)
+    # Clamp to [0, 1] to absorb -1e-10-scale negativity before the log. The
+    # method forms of clip and sum skip numpy's dispatch wrappers, which cost
+    # more than the arithmetic on the few-element arrays of the search loops.
+    x = np.real(vals).clip(0.0, 1.0)
+    return (x * np.log2(np.where(x > 0.0, x, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -180,15 +182,17 @@ def binary_entropy(p: float) -> float:
     return float(-_xlog2x_sum(np.array([p, 1.0 - p])))
 
 
-def _relative_entropy_arrays(x: np.ndarray, y: np.ndarray):
-    """H(x||y) for one x (d, d) against y (d, d) or a stack (..., d, d); inf
-    wherever the support of x is not inside the support of y."""
-    yvals, yvecs = np.linalg.eigh(y)
+def _relative_entropy_spectral(x: np.ndarray, tr_x_log_x, yvals: np.ndarray, yvecs: np.ndarray):
+    """H(x||y) for one x (d, d) against y given by its eigendecomposition, one or a
+    stack (..., d); inf wherever the support of x is not inside the support of y.
+
+    Takes Tr(x log2 x) and the spectrum of y, so a caller that already holds
+    them runs no eigensolve here.
+    """
     support = yvals >= SUPPORT_CUTOFF
     # <v_j| x |v_j> weights for the y-eigenbasis terms.
     weights = np.real(np.einsum("...ij,ik,...kj->...j", yvecs.conj(), x, yvecs))
     kernel_weight = np.sum(np.where(support, 0.0, weights), axis=-1)
-    tr_x_log_x = _xlog2x_sum(np.linalg.eigvalsh(x))
     tr_x_log_y = np.sum(weights * np.log2(np.where(support, yvals, 1.0)), axis=-1)
     rel = np.maximum(0.0, tr_x_log_x - tr_x_log_y)
     return np.where(kernel_weight > SUPPORT_CUTOFF, np.inf, rel)
@@ -202,7 +206,9 @@ def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:
     """
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    return float(_relative_entropy_arrays(x.mat, y.mat))
+    yvals, yvecs = np.linalg.eigh(y.mat)
+    tr_x_log_x = _xlog2x_sum(np.linalg.eigvalsh(x.mat))
+    return float(_relative_entropy_spectral(x.mat, tr_x_log_x, yvals, yvecs))
 
 
 def trace_distance_half(x: DensityMatrix, y: DensityMatrix) -> float:

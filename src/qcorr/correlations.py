@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     PureState,
+    _xlog2x_sum,
     binary_entropy,
     partial_trace,
     reduced_density_matrix,
@@ -35,6 +36,15 @@ from .measurement import (
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _RANK_CUTOFF = 1e-12
+
+# Numeric convex-roof search (a validation oracle, not the default path): random
+# isometries seeded besides the eigendecomposition, Jacobi sweeps per refined
+# candidate, candidates refined, simplex steps per member pair, and the seed.
+_ROOF_RESTARTS = 20
+_ROOF_SWEEPS = 40
+_ROOF_TOP_K = 2
+_ROOF_PAIR_MAXITER = 60
+_ROOF_SEED = 7
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,10 @@ def quantum_discord(
 ) -> CorrelationRecord:
     """Discord D = I - J with J maximized over measurements on one side.
 
+    The one place that forms D and pairs it with E for a two-qubit marginal:
+    the star-network sweep, the consensus parameters and the discord, EoF,
+    remark and conservation audits all read their J, D and E from this record.
+
     Parameters
     ----------
     b : Bipartition
@@ -146,24 +160,14 @@ def eof_two_qubit(rho: DensityMatrix) -> float:
     return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
-@dataclass(frozen=True)
-class ConvexRoofSettings:
-    """Knobs for the numeric convex-roof search (a validation oracle, not the default path)."""
+def _ensemble_entropy(members: np.ndarray, d_a: int, d_b: int) -> float:
+    """Average entanglement entropy of an ensemble of unnormalized members.
 
-    restarts: int = 20
-    sweeps: int = 40
-    top_k: int = 2
-    pair_maxiter: int = 60
-    seed: int = 7
-
-
-def _member_entropies(members: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Weight-scaled entanglement entropies of unnormalized ensemble members.
-
-    For an unnormalized member w with weight p = <w|w>, returns
-    p * H(marginal of w/|w|), vectorized over the rows of ``members``. The
-    2x2 case gets the closed-form singular values (trace and determinant of
-    the reshaped member); anything else goes through batched SVD.
+    For an unnormalized member w with weight p = <w|w> = sum_k s_k^2, sums
+    p * H(marginal of w/|w|) = p log2 p - sum_k s_k^2 log2 s_k^2 over the rows
+    of ``members``, with s_k the singular values of the reshaped member. The
+    2x2 case gets them in closed form (trace and determinant of the reshaped
+    member); anything else goes through batched SVD.
     """
     mats = members.reshape(-1, d_a, d_b)
     if d_a == 2 and d_b == 2:
@@ -173,14 +177,8 @@ def _member_entropies(members: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
         s2 = np.stack([(t + disc) / 2.0, (t - disc) / 2.0], axis=1)
     else:
         s2 = np.linalg.svd(mats, compute_uv=False) ** 2
-    p = s2.sum(axis=1)
-    safe = np.where(s2 > 0.0, s2, 1.0)
-    plog = np.where(p > 1e-15, p * np.log2(np.where(p > 1e-15, p, 1.0)), 0.0)
-    return -(s2 * np.log2(safe)).sum(axis=1) + plog
-
-
-def _ensemble_value(members: np.ndarray, d_a: int, d_b: int) -> float:
-    return float(_member_entropies(members, d_a, d_b).sum())
+    p = s2.sum(axis=1, keepdims=True)
+    return float((_xlog2x_sum(p) - _xlog2x_sum(s2)).sum())
 
 
 def _pair_rotation(x) -> np.ndarray:
@@ -288,7 +286,7 @@ def _sweep_pairs(
                 cost = _pair_cost_2x2(pair)
             else:
                 def cost(x, pair=pair):
-                    return _ensemble_value(_pair_rotation(x) @ pair, d_a, d_b)
+                    return _ensemble_entropy(_pair_rotation(x) @ pair, d_a, d_b)
             base = cost((0.0, 0.0, 0.0))
             x, fx = _nelder_mead3(cost, fatol, maxiter)
             if fx < base - 1e-13:
@@ -297,65 +295,57 @@ def _sweep_pairs(
     return gained
 
 
-def eof_convex_roof_numeric(
-    rho: DensityMatrix, ensemble_size: int | None = None, opts: ConvexRoofSettings | None = None
-) -> float:
+def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
     """Upper-converging numeric estimate of the entanglement of formation.
 
-    Purifies ``rho`` and searches over ensemble decompositions, parametrized
-    by isometries on the purification ancilla, for the smallest average
-    entanglement entropy. Every candidate is a valid decomposition, so the
-    returned value never undershoots the true convex roof. The search seeds
-    ``opts.restarts`` random isometries plus the eigendecomposition, then
-    refines the best few by repeated two-member rotations (each solved by a
-    small derivative-free simplex).
+    Purifies ``rho`` and searches over ensemble decompositions of twice the
+    rank, parametrized by isometries on the purification ancilla, for the
+    smallest average entanglement entropy. Every candidate is a valid
+    decomposition, so the returned value never undershoots the true convex
+    roof. The search seeds ``_ROOF_RESTARTS`` random isometries plus the
+    eigendecomposition, then refines the best few by repeated two-member
+    rotations (each solved by a small derivative-free simplex).
 
     Parameters
     ----------
     rho : DensityMatrix
         Bipartite state, total dimension at most 16.
-    ensemble_size : int, optional
-        Number of ensemble members; defaults to twice the rank.
-    opts : ConvexRoofSettings, optional
     """
     if len(rho.dims) != 2:
         raise ValueError(f"need a bipartite state, got dims {rho.dims}")
     if rho.dim > 16:
         raise ValueError(f"total dimension {rho.dim} exceeds the supported 16")
-    opts = opts or ConvexRoofSettings()
     d_a, d_b = rho.dims
 
     vals, vecs = np.linalg.eigh(rho.mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     rank = int(np.sum(vals > _RANK_CUTOFF))
-    m = 2 * rank if ensemble_size is None else int(ensemble_size)
-    if m < rank:
-        raise ValueError(f"ensemble_size {m} is below the state rank {rank}")
+    m = 2 * rank
     # Columns sqrt(lambda_i)|e_i>; rows of Q @ basis.T are unnormalized members.
     basis = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
 
-    rng = np.random.default_rng(opts.seed)
+    rng = np.random.default_rng(_ROOF_SEED)
     seeds = []
     eye_seed = np.zeros((m, rank), dtype=complex)
     eye_seed[:rank, :rank] = np.eye(rank)
     seeds.append(eye_seed + 1e-3 * (rng.standard_normal((m, rank)) * (1 + 1j)))
-    for _ in range(opts.restarts):
+    for _ in range(_ROOF_RESTARTS):
         seeds.append(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))
 
     scored = []
     for x in seeds:
         q = np.linalg.qr(x)[0][:, :rank]
         members = q @ basis.T
-        scored.append((_ensemble_value(members, d_a, d_b), members))
+        scored.append((_ensemble_entropy(members, d_a, d_b), members))
     scored.sort(key=lambda t: t[0])
 
     best = scored[0][0]
-    for _, members in scored[: opts.top_k]:
+    for _, members in scored[:_ROOF_TOP_K]:
         members = members.copy()
-        for _ in range(opts.sweeps):
-            if _sweep_pairs(members, d_a, d_b, opts.pair_maxiter, fatol=1e-9) < 1e-8:
+        for _ in range(_ROOF_SWEEPS):
+            if _sweep_pairs(members, d_a, d_b, _ROOF_PAIR_MAXITER, fatol=1e-9) < 1e-8:
                 break
         # One tighter pass nails the last digits once the basin is settled.
-        _sweep_pairs(members, d_a, d_b, 3 * opts.pair_maxiter, fatol=1e-13)
-        best = min(best, _ensemble_value(members, d_a, d_b))
+        _sweep_pairs(members, d_a, d_b, 3 * _ROOF_PAIR_MAXITER, fatol=1e-13)
+        best = min(best, _ensemble_entropy(members, d_a, d_b))
     return max(0.0, best)

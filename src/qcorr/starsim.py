@@ -24,8 +24,8 @@ import numpy as np
 
 from .bounds import H_S_CUTOFF, consensus_from_marginals
 from .core import DensityMatrix, PureState, von_neumann_entropy
-from .correlations import Bipartition, eof_two_qubit, mutual_information
-from .measurement import OptimizerSettings, classical_correlations
+from .correlations import Bipartition, quantum_discord
+from .measurement import OptimizerSettings
 
 BRUTE_MAX_SITES = 12
 
@@ -143,9 +143,8 @@ def analytic_marginals(
 def _sweep_point(cfg: StarConfig, opts: OptimizerSettings | None) -> SweepRow:
     rho_s, rho_se, _ = analytic_marginals(cfg)
     h_s = von_neumann_entropy(rho_s)
-    eof = eof_two_qubit(rho_se)
-    j = classical_correlations(rho_se, measured=1, opts=opts).value
-    discord = mutual_information(Bipartition(rho_se, (0,), (1,))) - j
+    record = quantum_discord(Bipartition(rho_se, (0,), (1,)), measured="b", opts=opts)
+    eof, j, discord = record.eof, record.classical, record.discord
 
     if h_s > H_S_CUTOFF:
         # All sites share one marginal by permutation symmetry, so one site's

@@ -1,6 +1,7 @@
 """Tests for the inequality audits and consensus quantifiers."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,33 @@ def test_eof_bound_holds_on_haar_universes():
         psi = random_pure_state((2, 2, 2, 2), int(rng.integers(1 << 30)))
         for audit in eof_bound_audit(psi, (0,)):
             assert audit.satisfied
+
+
+def _count_calls(monkeypatch, original) -> list:
+    """Wrap ``original`` under every qcorr module attribute bound to it; returns the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcorr" and getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
+def test_consensus_audits_form_each_site_marginal_once(monkeypatch):
+    psi = random_pure_state((2, 2, 2, 2), 5)
+    marginals = _count_calls(monkeypatch, reduced_density_matrix)
+    eofs = _count_calls(monkeypatch, eof_two_qubit)
+    # rho_S plus one marginal per site, and one EoF per site.
+    eof_bound_audit(psi, (0,))
+    assert (len(marginals), len(eofs)) == (4, 3)
+    marginals.clear()
+    eofs.clear()
+    discord_bound_audit(psi, (0,))
+    assert (len(marginals), len(eofs)) == (4, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,6 @@ def test_convex_roof_matches_closed_form_on_random_states():
 def test_convex_roof_rejects_oversized_and_underparametrized_input():
     with pytest.raises(ValueError, match="dimension"):
         eof_convex_roof_numeric(random_density_matrix((4, 5), 1, 43))
-    with pytest.raises(ValueError, match="ensemble"):
-        eof_convex_roof_numeric(random_density_matrix((2, 2), 4, 47), ensemble_size=2)
 
 
 def test_pure_state_discord_and_eof_equal_entanglement_entropy():
