@@ -144,13 +144,18 @@ def entanglement_entropy(psi: PureState, side_a) -> float:
 
 
 def concurrence_two_qubit(rho: DensityMatrix) -> float:
-    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4) of a two-qubit state."""
+    """Wootters concurrence C = max(0, l1 - l2 - l3 - l4) of a two-qubit state.
+
+    The l_i are the singular values of tau = Psi^T (sigma_y x sigma_y) Psi, Psi
+    with columns sqrt(lambda_i)|e_i> (Wootters, PRL 80, 2245 (1998)): the
+    square roots of the eigenvalues of rho rho~, without the ~sqrt(eps) loss
+    that taking those eigenvalues directly has on rank-deficient states.
+    """
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence needs dims (2, 2), got {rho.dims}")
-    tilde = _YY @ rho.mat.conj() @ _YY
-    evals = np.linalg.eigvals(rho.mat @ tilde)
-    # abs() guards tiny negative/complex round-off before the square root
-    lam = np.sqrt(np.sort(np.abs(np.real(evals)))[::-1])
+    vals, vecs = np.linalg.eigh(rho.mat)
+    psi = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    lam = np.linalg.svd(psi.T @ _YY @ psi, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -304,7 +309,11 @@ def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
     decomposition, so the returned value never undershoots the true convex
     roof. The search seeds ``_ROOF_RESTARTS`` random isometries plus the
     eigendecomposition, then refines the best few by repeated two-member
-    rotations (each solved by a small derivative-free simplex).
+    rotations (each solved by a small derivative-free simplex). The search
+    can stop above the roof: on qubit-qutrit states of rank >= 4 it stopped up
+    to 2.8e-4 above a minimum that the same search reached when the member
+    entropies were summed in another order, so 2x3 values carry about 3e-4 of
+    search error.
 
     Parameters
     ----------

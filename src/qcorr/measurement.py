@@ -30,6 +30,8 @@ _COMPASS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], 
 _SAME_AXIS = 1.0 - 1e-9
 # Directions per objective call while ranking the grid; bounds stacked-block memory.
 _GRID_CHUNK = 1024
+# Step divisor after a failed compass step; 8 took the fewest batched steps (2-16 tried).
+_SHRINK = 8.0
 
 
 class UnsupportedDimensionError(ValueError):
@@ -53,7 +55,9 @@ class BlochAngles:
 @dataclass(frozen=True)
 class OptimizerSettings:
     """`sphere_search` knobs (CLI: --grid/--starts/--tol): grid points per angle,
-    distinct directions refined, converged step (radians), cap on steps."""
+    distinct directions refined, step (radians) below which a start has
+    converged, cap on steps. A search has converged when every start reached
+    ``tol`` or was retired onto an earlier start that is no worse."""
 
     grid: int = 24
     starts: int = 5
@@ -94,8 +98,8 @@ class ProjectiveMeasurement:
 @dataclass(frozen=True)
 class MeasurementOptimum:
     """Best post-measurement mutual information found, with its maximizer, the
-    distinct directions refined, whether all of them met ``tol`` within
-    ``maxiter`` steps, and the number of directions evaluated."""
+    distinct directions refined, whether each met ``tol`` or was retired onto a
+    no-worse start within ``maxiter`` steps, and the directions evaluated."""
 
     value: float
     argmax: ProjectiveMeasurement
@@ -207,8 +211,11 @@ def sphere_search(objective, opts: OptimizerSettings | None = None) -> SphereMin
     grid order). The ``opts.starts`` best directions that differ up to sign are
     refined together by a compass search in (theta, phi): each step probes the
     8 neighbours at the start's step length and moves to the best one if it is
-    strictly lower, or else halves the step. A start has converged once its
-    step is below ``opts.tol``; the loop stops after ``opts.maxiter`` steps.
+    strictly lower, or else divides the step by 8. After each step a start is
+    retired (its step set to 0) when it lies within max(step_i, step_j) of an
+    earlier start j up to sign, |n_i . n_j| > cos(max(step_i, step_j)), and is
+    no better than it, f_i >= f_j. A start has converged once its step is below
+    ``opts.tol``; the loop stops after ``opts.maxiter`` steps.
     """
     opts = opts or DEFAULT_SETTINGS
     grid = angle_grid(opts)
@@ -240,7 +247,10 @@ def sphere_search(objective, opts: OptimizerSettings | None = None) -> SphereMin
         moved = best < f[live]
         x[live[moved]] = trial[moved, k[moved]]
         f[live[moved]] = best[moved]
-        step[live[~moved]] /= 2.0
+        step[live[~moved]] /= _SHRINK
+        d = _bloch_directions(x)
+        near = np.abs(d @ d.T) > np.cos(np.maximum.outer(step, step))
+        step[np.triu(near & (f[:, None] <= f), 1).any(axis=0)] = 0.0
     s = int(np.argmin(f))  # the first of equal values, i.e. the best-ranked start
     return SphereMinimum(
         angles=_canonical_angles(x[s, 0], x[s, 1]),

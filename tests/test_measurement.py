@@ -32,6 +32,7 @@ from qcorr import (
     StarConfig,
     analytic_marginals,
 )
+from qcorr import measurement
 from qcorr.measurement import _canonical_angles
 
 
@@ -299,12 +300,41 @@ def test_search_diagnostics_count_evaluations_and_convergence():
     interior = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
     assert flat.converged and interior.converged
     assert flat.starts_used == interior.starts_used == 5
-    assert flat.evaluations < interior.evaluations
+    # The flat objective moves no start, so each reaches tol after 8 failed steps (/8 each).
+    assert flat.evaluations == 24 * 24 + 8 * 8 * 5
     capped = classical_correlations(
         analytic_marginals(StarConfig(10, 0.5))[1], 1, OptimizerSettings(maxiter=3)
     )
     assert not capped.converged
-    assert capped.evaluations == 24 * 24 + 3 * 8 * 5  # grid, then 3 steps of 8 per start
+    # The grid, one step of 8 per start, then two steps of the one start left
+    # once the other four are retired onto it.
+    assert capped.evaluations == 24 * 24 + 8 * (5 + 1 + 1)
+
+
+def test_search_retires_starts_that_share_a_basin(monkeypatch):
+    batches = []
+    conditional_entropy = measurement._conditional_entropy
+
+    def counting(t, d_rest):
+        objective = conditional_entropy(t, d_rest)
+
+        def wrapped(n):
+            batches.append(len(n))
+            return objective(n)
+
+        return wrapped
+
+    monkeypatch.setattr(measurement, "_conditional_entropy", counting)
+    rho = random_density_matrix((2, 2), 2, 1)
+    best = classical_correlations(rho, 1)
+    steps, live = len(batches) - 1, [b // 8 for b in batches[1:]]
+    assert best.converged and best.starts_used == 5
+    assert best.evaluations == sum(batches) < 24 * 24 + steps * 8 * 5
+    # No start reaches tol in fewer than 8 failed steps, so one that leaves the
+    # batch within the first 9 steps was retired onto an earlier start.
+    assert min(live[:9]) < 5
+    post = apply_local_measurement(rho, best.argmax)
+    assert abs(mutual_information(Bipartition(post, (1,), (0,))) - best.value) <= 1e-12
 
 
 def test_importing_qcorr_leaves_scipy_unloaded():

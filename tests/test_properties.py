@@ -52,5 +52,5 @@ def test_record_is_invariant_under_local_unitaries(seed, rank, measured, unitary
     rec, rot = _record(rho, measured), _record(rotated, measured)
     for name in ("mutual_info", "classical", "discord"):
         assert abs(getattr(rec, name) - getattr(rot, name)) <= 1e-12, name
-    # The concurrence closed form loses ~sqrt(eps) on rank-deficient states.
-    assert abs(rec.eof - rot.eof) <= 1e-7
+    # The singular-value concurrence moved E by at most 1.2e-15 over these examples.
+    assert abs(rec.eof - rot.eof) <= 1e-14
