@@ -17,7 +17,6 @@ from qcorr import (
     classical_correlations,
     density_from_pure,
     eof_two_qubit,
-    kron,
     quantum_discord,
 )
 
@@ -43,8 +42,8 @@ show("Bell pair", bell)
 # J = I = h(0.3) and D = E = 0. A measurement in the computational basis
 # already reads out all correlations.
 cc = DensityMatrix(
-    0.7 * kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-    + 0.3 * kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])),
+    0.7 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    + 0.3 * np.kron(np.diag([0.0, 1.0]), np.diag([0.0, 1.0])),
     (2, 2),
 )
 record = show("classical mixture", cc)
@@ -59,7 +58,7 @@ show(f"Werner p={p}", werner)
 print(f"{'':22s} closed-form J = 1 - h({(1+p)/2}) = {1 - binary_entropy((1+p)/2):.5f}")
 
 # -- 4. Product state: nothing to see ----------------------------------------
-product = DensityMatrix(kron(np.diag([0.6, 0.4]), np.diag([0.8, 0.2])), (2, 2))
+product = DensityMatrix(np.kron(np.diag([0.6, 0.4]), np.diag([0.8, 0.2])), (2, 2))
 show("product state", product)
 
 # -- 5. Discord is asymmetric -------------------------------------------------
@@ -67,7 +66,8 @@ show("product state", product)
 # correlations (D = 0); measuring the quantum side leaves some behind.
 plus = np.array([[0.5, 0.5], [0.5, 0.5]])
 cq = DensityMatrix(
-    0.5 * kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * kron(np.diag([0.0, 1.0]), plus),
+    0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
+    + 0.5 * np.kron(np.diag([0.0, 1.0]), plus),
     (2, 2),
 )
 left = quantum_discord(Bipartition(cq, (0,), (1,)), measured="a").discord

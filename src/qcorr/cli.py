@@ -45,7 +45,6 @@ from .core import (
     PureState,
     density_from_pure,
     ghz_state,
-    kron,
     random_density_matrix,
     random_pure_state,
     w_state,
@@ -93,12 +92,12 @@ def _near_product_state(seed: int) -> DensityMatrix:
     rho_b = random_density_matrix((2,), 2, rng)
     sigma = random_density_matrix((2, 2), 4, rng)
     t = rng.uniform(0.0, 0.05)
-    mat = (1.0 - t) * kron(rho_a.mat, rho_b.mat) + t * sigma.mat
+    mat = (1.0 - t) * np.kron(rho_a.mat, rho_b.mat) + t * sigma.mat
     return DensityMatrix(mat, (2, 2))
 
 
 def _remark_fixture() -> DensityMatrix:
-    return DensityMatrix(kron(np.diag([0.7, 0.3]), np.eye(2) / 2.0), (2, 2))
+    return DensityMatrix(np.kron(np.diag([0.7, 0.3]), np.eye(2) / 2.0), (2, 2))
 
 
 def _worst(audits) -> BoundAudit:

@@ -86,11 +86,6 @@ class PureState:
         return self.vec.shape[0]
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; K[i*p+k, j*q+l] = a[i, j] * b[k, l]."""
-    return np.kron(a, b)
-
-
 def density_from_pure(psi: PureState) -> DensityMatrix:
     """Projector |psi><psi| as a validated density matrix."""
     return DensityMatrix(np.outer(psi.vec, psi.vec.conj()), psi.dims)

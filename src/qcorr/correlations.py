@@ -4,14 +4,14 @@ Quantum discord is the gap between total mutual information and the classical
 correlations J extracted by the best local measurement, so it inherits J's
 asymmetry in the measured side. Entanglement of formation comes in two
 routes that deliberately stay independent of each other: the two-qubit
-concurrence closed form, and a numeric convex-roof minimization over
-ensemble decompositions that upper-bounds the true value by construction.
+concurrence closed form, and a numeric convex roof. The roof is a
+Riemannian gradient descent over the isometries that map a purification
+ancilla onto ensemble decompositions, run on a stack of starts at once; every
+iterate is a valid decomposition, so its value upper-bounds the true roof.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +38,22 @@ _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 _RANK_CUTOFF = 1e-12
 
 # Numeric convex-roof search (a validation oracle, not the default path): random
-# isometries seeded besides the eigendecomposition, Jacobi sweeps per refined
-# candidate, candidates refined, simplex steps per member pair, and the seed.
+# isometries started besides the eigendecomposition and their seed, then the
+# step and stopping rules of `_roof_descent`. A start stops at a squared
+# gradient norm of _ROOF_GRAD_TOL or after _ROOF_STALL_STEPS accepted steps in a
+# row that each gain less than _ROOF_GAIN_TOL * max(1, |f|).
 _ROOF_RESTARTS = 20
-_ROOF_SWEEPS = 40
-_ROOF_TOP_K = 2
-_ROOF_PAIR_MAXITER = 60
 _ROOF_SEED = 7
+_ROOF_FIRST_STEP = 1.0
+_ROOF_ARMIJO = 1e-4
+_ROOF_SHRINK = 4.0
+_ROOF_PRUNE_AFTER = 10
+_ROOF_KEEP = 2
+_ROOF_GRAD_TOL = 1e-28
+_ROOF_GAIN_TOL = 1e-15
+_ROOF_STALL_STEPS = 3
+_ROOF_MIN_STEP = 1e-14
+_ROOF_MAX_STEPS = 3000
 
 
 @dataclass(frozen=True)
@@ -165,139 +174,84 @@ def eof_two_qubit(rho: DensityMatrix) -> float:
     return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
-def _ensemble_entropy(members: np.ndarray, d_a: int, d_b: int) -> float:
-    """Average entanglement entropy of an ensemble of unnormalized members.
+def _roof_value_and_gradient(q: np.ndarray, basis: np.ndarray, d_a: int, d_b: int):
+    """Average entanglement entropy of each start's ensemble, and its Riemannian gradient.
 
-    For an unnormalized member w with weight p = <w|w> = sum_k s_k^2, sums
-    p * H(marginal of w/|w|) = p log2 p - sum_k s_k^2 log2 s_k^2 over the rows
-    of ``members``, with s_k the singular values of the reshaped member. The
-    2x2 case gets them in closed form (trace and determinant of the reshaped
-    member); anything else goes through batched SVD.
+    The rows of ``q[k] @ basis.T`` are the unnormalized members w of start k.
+    With s the singular values of w reshaped to (d_a, d_b) and p = <w|w> =
+    sum s^2, a member adds p H(w/|w|) = p log2 p - sum s^2 log2 s^2, and a
+    change dw changes that by 2 Re tr(G^dag dw) with G = U diag(s (log2 p -
+    log2 s^2)) V^dag (0 where s = 0). One batched SVD of the member stack gives
+    both. The Euclidean gradient Gamma = G @ conj(basis) is projected onto the
+    tangent space of the isometries: xi = Gamma - q herm(q^dag Gamma).
     """
-    mats = members.reshape(-1, d_a, d_b)
-    if d_a == 2 and d_b == 2:
-        t = np.einsum("mij,mij->m", mats, mats.conj()).real
-        det = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-        disc = np.sqrt(np.maximum(t * t - 4.0 * np.abs(det) ** 2, 0.0))
-        s2 = np.stack([(t + disc) / 2.0, (t - disc) / 2.0], axis=1)
-    else:
-        s2 = np.linalg.svd(mats, compute_uv=False) ** 2
-    p = s2.sum(axis=1, keepdims=True)
-    return float((_xlog2x_sum(p) - _xlog2x_sum(s2)).sum())
+    n_starts, m, _ = q.shape
+    u, s, vh = np.linalg.svd((q @ basis.T).reshape(-1, d_a, d_b), full_matrices=False)
+    s2 = s * s
+    p = s2.sum(axis=-1, keepdims=True)
+    value = (_xlog2x_sum(p) - _xlog2x_sum(s2)).reshape(n_starts, m).sum(axis=1)
+    tiny = np.finfo(float).tiny
+    coeff = s * np.log2(np.maximum(p, tiny) / np.maximum(s2, tiny))
+    gamma = ((u * coeff[:, None, :]) @ vh).reshape(n_starts, m, -1) @ basis.conj()
+    herm = q.conj().transpose(0, 2, 1) @ gamma
+    herm = (herm + herm.conj().transpose(0, 2, 1)) / 2.0
+    return value, gamma - q @ herm
 
 
-def _pair_rotation(x) -> np.ndarray:
-    theta, beta, gamma = x
-    c, s = np.cos(theta), np.sin(theta)
-    eb, eg = np.exp(1j * beta), np.exp(1j * gamma)
-    return np.array([[c, s * eb * eg], [-s / eb, c * eg]])
+def _retract(x: np.ndarray) -> np.ndarray:
+    """Isometry factor of the QR decomposition of each matrix, with diag(R) > 0."""
+    q, r = np.linalg.qr(x)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
 
 
-def _scalar_entropy(t: float, absdet: float) -> float:
-    """Weighted entanglement entropy of one 2x2 member from norm^2 and |det|."""
-    if t < 1e-15:
-        return 0.0
-    disc = math.sqrt(max(t * t - 4.0 * absdet * absdet, 0.0))
-    out = t * math.log2(t)
-    for s2 in ((t + disc) / 2.0, (t - disc) / 2.0):
-        if s2 > 0.0:
-            out -= s2 * math.log2(s2)
-    return out
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("kij,kij->k", a.conj(), b).real
 
 
-def _pair_cost_2x2(pair: np.ndarray):
-    """Closed-form pair objective for qubit-qubit members.
+def _roof_descent(q: np.ndarray, basis: np.ndarray, d_a: int, d_b: int) -> float:
+    """Lowest value reached by a joint descent of a stack of isometries.
 
-    The rotated members are alpha*A + beta*B, whose Frobenius norm^2 and
-    determinant are quadratic forms in (alpha, beta); precomputing the six
-    invariants makes each evaluation a handful of scalar operations.
+    Every start steps along -xi by its own Barzilai-Borwein length and retracts
+    with QR, so every iterate is a valid decomposition. A step that fails the
+    Armijo check is undone and the start divides its length by
+    ``_ROOF_SHRINK``. After ``_ROOF_PRUNE_AFTER`` steps only the best
+    ``_ROOF_KEEP`` starts go on. A start stops at a vanishing gradient, after
+    ``_ROOF_STALL_STEPS`` accepted steps in a row that gain next to nothing,
+    once its length falls below ``_ROOF_MIN_STEP``, or after
+    ``_ROOF_MAX_STEPS`` steps.
     """
-    a, b = pair[0].reshape(2, 2), pair[1].reshape(2, 2)
-    na = float(np.vdot(a, a).real)
-    nb = float(np.vdot(b, b).real)
-    ip = complex(np.vdot(a, b))
-    det_a = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    det_b = complex(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-    mix = complex(
-        a[0, 0] * b[1, 1] + b[0, 0] * a[1, 1] - a[0, 1] * b[1, 0] - b[0, 1] * a[1, 0]
-    )
-
-    def cost(x):
-        theta, beta, gamma = x
-        c, s = math.cos(theta), math.sin(theta)
-        eb = cmath.exp(1j * beta)
-        eg = cmath.exp(1j * gamma)
-        out = 0.0
-        for alpha, coeff in ((c, s * eb * eg), (-s / eb, c * eg)):
-            t = (
-                (alpha * alpha.conjugate()).real * na
-                + (coeff * coeff.conjugate()).real * nb
-                + 2.0 * (alpha.conjugate() * coeff * ip).real
-            )
-            det = alpha * alpha * det_a + coeff * coeff * det_b + alpha * coeff * mix
-            out += _scalar_entropy(t, abs(det))
-        return out
-
-    return cost
-
-
-def _nelder_mead3(f, fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
-    """Tiny fixed-shape Nelder-Mead over three angles, started at the origin.
-
-    The identity rotation is always a simplex vertex, so the returned value
-    never exceeds f(0); that keeps every sweep monotone.
-    """
-    pts = [np.zeros(3)] + [0.35 * np.eye(3)[k] for k in range(3)]
-    vals = [f(p) for p in pts]
-    for _ in range(maxiter):
-        order = sorted(range(4), key=lambda k: vals[k])
-        pts = [pts[k] for k in order]
-        vals = [vals[k] for k in order]
-        if vals[3] - vals[0] < fatol:
-            break
-        centroid = (pts[0] + pts[1] + pts[2]) / 3.0
-        refl = centroid + (centroid - pts[3])
-        f_refl = f(refl)
-        if f_refl < vals[0]:
-            expand = centroid + 2.0 * (centroid - pts[3])
-            f_exp = f(expand)
-            pts[3], vals[3] = (expand, f_exp) if f_exp < f_refl else (refl, f_refl)
-        elif f_refl < vals[2]:
-            pts[3], vals[3] = refl, f_refl
-        else:
-            contr = centroid + 0.5 * (pts[3] - centroid)
-            f_con = f(contr)
-            if f_con < vals[3]:
-                pts[3], vals[3] = contr, f_con
-            else:
-                for k in range(1, 4):
-                    pts[k] = pts[0] + 0.5 * (pts[k] - pts[0])
-                    vals[k] = f(pts[k])
-    best = int(np.argmin(vals))
-    return pts[best], vals[best]
-
-
-def _sweep_pairs(
-    members: np.ndarray, d_a: int, d_b: int, maxiter: int, fatol: float
-) -> float:
-    """One Jacobi-style pass of two-member rotations; mutates ``members`` in place."""
-    m = members.shape[0]
-    qubit_pair = (d_a, d_b) == (2, 2)
-    gained = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair = members[[i, j]]
-            if qubit_pair:
-                cost = _pair_cost_2x2(pair)
-            else:
-                def cost(x, pair=pair):
-                    return _ensemble_entropy(_pair_rotation(x) @ pair, d_a, d_b)
-            base = cost((0.0, 0.0, 0.0))
-            x, fx = _nelder_mead3(cost, fatol, maxiter)
-            if fx < base - 1e-13:
-                members[[i, j]] = _pair_rotation(x) @ pair
-                gained += base - fx
-    return gained
+    f, xi = _roof_value_and_gradient(q, basis, d_a, d_b)
+    step = np.full(len(f), _ROOF_FIRST_STEP)
+    stalled = np.zeros(len(f), dtype=int)
+    best = f.min()
+    for it in range(_ROOF_MAX_STEPS):
+        g2 = _real_inner(xi, xi)
+        live = (g2 > _ROOF_GRAD_TOL) & (stalled < _ROOF_STALL_STEPS) & (step >= _ROOF_MIN_STEP)
+        if it == _ROOF_PRUNE_AFTER:
+            live[np.argsort(f, kind="stable")[_ROOF_KEEP:]] = False
+        if not live.all():
+            best = min(best, f.min())
+            if not live.any():
+                return float(best)
+            q, xi, f, g2, step, stalled = (a[live] for a in (q, xi, f, g2, step, stalled))
+        trial = _retract(q - step[:, None, None] * xi)
+        f_t, xi_t = _roof_value_and_gradient(trial, basis, d_a, d_b)
+        gain = f - f_t
+        # f changes by 2 Re tr(xi^dag dq), so its slope along -xi is -2|xi|^2.
+        ok = gain >= _ROOF_ARMIJO * 2.0 * step * g2
+        s_k, y_k = trial - q, xi_t - xi
+        sy = _real_inner(s_k, y_k)
+        # The long (|s|^2 / s.y) and short (s.y / |y|^2) lengths in turn.
+        num, den = (_real_inner(s_k, s_k), sy) if it % 2 == 0 else (sy, _real_inner(y_k, y_k))
+        bb = np.where(sy > 0.0, num / np.where(sy > 0.0, den, 1.0), step)
+        small = gain < _ROOF_GAIN_TOL * np.maximum(1.0, np.abs(f_t))
+        stalled = np.where(ok, np.where(small, stalled + 1, 0), stalled)
+        step = np.where(ok, bb, step / _ROOF_SHRINK)
+        f = np.where(ok, f_t, f)
+        q = np.where(ok[:, None, None], trial, q)
+        xi = np.where(ok[:, None, None], xi_t, xi)
+    return float(min(best, f.min()))
 
 
 def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
@@ -305,15 +259,16 @@ def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
 
     Purifies ``rho`` and searches over ensemble decompositions of twice the
     rank, parametrized by isometries on the purification ancilla, for the
-    smallest average entanglement entropy. Every candidate is a valid
-    decomposition, so the returned value never undershoots the true convex
-    roof. The search seeds ``_ROOF_RESTARTS`` random isometries plus the
-    eigendecomposition, then refines the best few by repeated two-member
-    rotations (each solved by a small derivative-free simplex). The search
-    can stop above the roof: on qubit-qutrit states of rank >= 4 it stopped up
-    to 2.8e-4 above a minimum that the same search reached when the member
-    entropies were summed in another order, so 2x3 values carry about 3e-4 of
-    search error.
+    smallest average entanglement entropy. The eigendecomposition and
+    ``_ROOF_RESTARTS`` seeded random isometries descend together along the
+    Riemannian gradient with Barzilai-Borwein steps and a QR retraction
+    (Rothlisberger, Rehacek & Loss, PRA 80, 042301 (2009); Audenaert,
+    Verstraete & De Moor, PRA 64, 052304 (2001)); after ten steps only the best
+    two go on. Every iterate is a valid decomposition, so the value never
+    undershoots the true roof. On 400 seeded two-qubit states of rank 1-4 it
+    stayed within 1.8e-12 of `eof_two_qubit` (1.7e-14 below rank 4). On
+    qubit-qutrit states of rank 5-6 the search can reach its 3000-step cap
+    still descending: ten times as many steps lowered it by at most 2.4e-6.
 
     Parameters
     ----------
@@ -340,21 +295,5 @@ def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
     seeds.append(eye_seed + 1e-3 * (rng.standard_normal((m, rank)) * (1 + 1j)))
     for _ in range(_ROOF_RESTARTS):
         seeds.append(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))
-
-    scored = []
-    for x in seeds:
-        q = np.linalg.qr(x)[0][:, :rank]
-        members = q @ basis.T
-        scored.append((_ensemble_entropy(members, d_a, d_b), members))
-    scored.sort(key=lambda t: t[0])
-
-    best = scored[0][0]
-    for _, members in scored[:_ROOF_TOP_K]:
-        members = members.copy()
-        for _ in range(_ROOF_SWEEPS):
-            if _sweep_pairs(members, d_a, d_b, _ROOF_PAIR_MAXITER, fatol=1e-9) < 1e-8:
-                break
-        # One tighter pass nails the last digits once the basin is settled.
-        _sweep_pairs(members, d_a, d_b, 3 * _ROOF_PAIR_MAXITER, fatol=1e-13)
-        best = min(best, _ensemble_entropy(members, d_a, d_b))
-    return max(0.0, best)
+    q = np.linalg.qr(np.stack(seeds))[0]
+    return max(0.0, _roof_descent(q, basis, d_a, d_b))

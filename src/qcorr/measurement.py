@@ -19,7 +19,7 @@ from math import prod
 
 import numpy as np
 
-from .core import DensityMatrix, _xlog2x_sum, entropy_of, kron
+from .core import DensityMatrix, _xlog2x_sum, entropy_of
 
 COMPLETENESS_TOL = 1e-10
 # sigma_0 = 1 and the Pauli matrices; direction n projects onto (1 +- n.sigma)/2.
@@ -157,7 +157,7 @@ def apply_local_measurement(rho: DensityMatrix, m: ProjectiveMeasurement) -> Den
     right = np.eye(prod(rho.dims[m.subsystem + 1 :]))
     out = np.zeros_like(rho.mat)
     for p in m.projectors:
-        full = kron(kron(left, p), right)
+        full = np.kron(np.kron(left, p), right)
         out += full @ rho.mat @ full
     out = (out + out.conj().T) / 2.0
     return DensityMatrix(out, rho.dims)

@@ -26,7 +26,6 @@ from qcorr import (
     fanchini_identity_audit,
     ghz_state,
     koashi_winter_audit,
-    kron,
     mutual_information,
     Bipartition,
     random_density_matrix,
@@ -170,7 +169,7 @@ def _near_product(seed: int) -> DensityMatrix:
     a = random_density_matrix((2,), 2, seed)
     b = random_density_matrix((2,), 2, seed + 1)
     noise = random_density_matrix((2, 2), 4, seed + 2)
-    mat = 0.9999 * kron(a.mat, b.mat) + 1e-4 * noise.mat
+    mat = 0.9999 * np.kron(a.mat, b.mat) + 1e-4 * noise.mat
     return DensityMatrix(mat, (2, 2))
 
 
@@ -193,7 +192,7 @@ def test_criterion_06_no_discord_without_classical_correlations(capsys):
     for _ in range(5):
         probs = rng.dirichlet((2.0, 2.0))
         blocks = [random_density_matrix((2,), 2, int(rng.integers(1 << 30))) for _ in range(2)]
-        mat = probs[0] * kron(blocks[0].mat, np.diag([1.0, 0.0])) + probs[1] * kron(
+        mat = probs[0] * np.kron(blocks[0].mat, np.diag([1.0, 0.0])) + probs[1] * np.kron(
             blocks[1].mat, np.diag([0.0, 1.0])
         )
         rho = DensityMatrix(mat, (2, 2))

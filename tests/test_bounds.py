@@ -34,7 +34,6 @@ from qcorr import (
     fanchini_identity_audit,
     ghz_state,
     koashi_winter_audit,
-    kron,
     kw_j_complement,
     mutual_information,
     qubit_projectors,
@@ -61,7 +60,7 @@ def _cq_full_rank() -> DensityMatrix:
     """Classical-quantum state, classical on the first qubit, full rank."""
     rho0 = np.diag([0.8, 0.2]).astype(complex)
     rho1 = np.array([[0.3, 0.1], [0.1, 0.7]], dtype=complex)
-    mat = 0.6 * kron(np.diag([1.0, 0.0]), rho0) + 0.4 * kron(np.diag([0.0, 1.0]), rho1)
+    mat = 0.6 * np.kron(np.diag([1.0, 0.0]), rho0) + 0.4 * np.kron(np.diag([0.0, 1.0]), rho1)
     return DensityMatrix(mat, (2, 2))
 
 
@@ -276,7 +275,7 @@ def test_consensus_audits_form_each_site_marginal_once(monkeypatch):
 
 
 def test_remark_audit_on_product_states():
-    rho = DensityMatrix(kron(np.diag([0.7, 0.3]), np.eye(2) / 2.0).astype(complex), (2, 2))
+    rho = DensityMatrix(np.kron(np.diag([0.7, 0.3]), np.eye(2) / 2.0).astype(complex), (2, 2))
     audit = remark_audit(rho)
     assert audit.satisfied
     assert audit.extras["j"] <= 1e-6

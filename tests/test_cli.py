@@ -13,7 +13,6 @@ from qcorr import (
     DensityMatrix,
     bell_state,
     density_from_pure,
-    kron,
     quantum_discord,
     save_state,
 )
@@ -189,7 +188,7 @@ def test_state_on_bell_fixture(tmp_path, capsys):
 
 def test_state_on_product_fixture(tmp_path, capsys):
     fixture = tmp_path / "product.json"
-    mat = kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
+    mat = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
     save_state(fixture, DensityMatrix(mat, (2, 2)))
     out = tmp_path / "product.csv"
     assert main(["state", "--in", str(fixture), "--split", "0|1", "--out", str(out)]) == 0

@@ -11,7 +11,6 @@ from qcorr import (
     binary_entropy,
     density_from_pure,
     ghz_state,
-    kron,
     partial_trace,
     permute_subsystems,
     random_density_matrix,
@@ -78,34 +77,6 @@ def test_random_outputs_pass_constructor_invariants():
 
 
 # ---------------------------------------------------------------------------
-# kron
-# ---------------------------------------------------------------------------
-
-
-def test_kron_identity_case():
-    assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4), atol=0)
-
-
-def test_kron_diag_case():
-    out = kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert_allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]), atol=0)
-
-
-def test_kron_matches_index_formula_on_random_pairs():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        k = kron(a, b)
-        p, q = b.shape
-        for i in range(2):
-            for j in range(2):
-                for l in range(3):
-                    for m in range(3):
-                        assert k[i * p + l, j * q + m] == pytest.approx(a[i, j] * b[l, m])
-
-
-# ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------
 
@@ -117,7 +88,7 @@ def test_partial_trace_of_product_state_recovers_factor():
         seed_b = int(rng.integers(1 << 30))
         rho_a = random_density_matrix((2,), 2, seed_a)
         rho_b = random_density_matrix((3,), 3, seed_b)
-        joint = DensityMatrix(kron(rho_a.mat, rho_b.mat), (2, 3))
+        joint = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), (2, 3))
         assert_allclose(partial_trace(joint, (0,)).mat, rho_a.mat, atol=1e-12)
         assert_allclose(partial_trace(joint, (1,)).mat, rho_b.mat, atol=1e-12)
 
@@ -159,9 +130,9 @@ def test_partial_trace_rejects_bad_keep_sets():
 def test_permute_subsystems_swaps_product_factors():
     rho_a = random_density_matrix((2,), 2, 31)
     rho_b = random_density_matrix((2,), 2, 37)
-    joint = DensityMatrix(kron(rho_a.mat, rho_b.mat), (2, 2))
+    joint = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), (2, 2))
     swapped = permute_subsystems(joint, (1, 0))
-    assert_allclose(swapped.mat, kron(rho_b.mat, rho_a.mat), atol=1e-12)
+    assert_allclose(swapped.mat, np.kron(rho_b.mat, rho_a.mat), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +162,7 @@ def test_entropy_is_additive_over_tensor_products():
     for _ in range(8):
         rho_a = random_density_matrix((2,), 2, int(rng.integers(1 << 30)))
         rho_b = random_density_matrix((3,), 3, int(rng.integers(1 << 30)))
-        joint = DensityMatrix(kron(rho_a.mat, rho_b.mat), (2, 3))
+        joint = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), (2, 3))
         total = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b)
         assert von_neumann_entropy(joint) == pytest.approx(total, abs=1e-10)
 

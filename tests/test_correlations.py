@@ -21,7 +21,6 @@ from qcorr import (
     eof_convex_roof_numeric,
     eof_two_qubit,
     ghz_state,
-    kron,
     mutual_information,
     quantum_discord,
     random_density_matrix,
@@ -29,6 +28,7 @@ from qcorr import (
     reduced_density_matrix,
     w_state,
 )
+from qcorr.correlations import _roof_value_and_gradient
 
 
 def _werner(p: float) -> DensityMatrix:
@@ -39,7 +39,7 @@ def _werner(p: float) -> DensityMatrix:
 def _product(seed_a: int, seed_b: int) -> DensityMatrix:
     rho_a = random_density_matrix((2,), 2, seed_a)
     rho_b = random_density_matrix((2,), 2, seed_b)
-    return DensityMatrix(kron(rho_a.mat, rho_b.mat), (2, 2))
+    return DensityMatrix(np.kron(rho_a.mat, rho_b.mat), (2, 2))
 
 
 def _dense_grid_discord(rho: DensityMatrix, points: int) -> float:
@@ -116,7 +116,7 @@ def test_discord_vanishes_for_classical_quantum_states():
     plus = np.full((2, 2), 0.5, dtype=complex)
     rho_list = [np.diag([1.0, 0.0]).astype(complex), plus]
     p = rng.uniform(0.2, 0.8)
-    mat = p * kron(rho_list[0], np.diag([1.0, 0.0])) + (1.0 - p) * kron(
+    mat = p * np.kron(rho_list[0], np.diag([1.0, 0.0])) + (1.0 - p) * np.kron(
         rho_list[1], np.diag([0.0, 1.0])
     )
     rho = DensityMatrix(mat, (2, 2))
@@ -125,7 +125,7 @@ def test_discord_vanishes_for_classical_quantum_states():
 
 
 def test_discord_is_asymmetric_between_sides():
-    mat = 0.5 * kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * kron(
+    mat = 0.5 * np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])) + 0.5 * np.kron(
         np.full((2, 2), 0.5), np.diag([0.0, 1.0])
     )
     rho = DensityMatrix(mat.astype(complex), (2, 2))
@@ -223,12 +223,13 @@ def test_w_state_pair_marginal_concurrence_is_two_thirds():
 
 
 def test_convex_roof_on_pure_states_recovers_entanglement_entropy():
+    # Within 5.6e-16 of the marginal entropy on both states.
     psi22 = random_pure_state((2, 2), 31)
     expected = entanglement_entropy(psi22, (0,))
-    assert eof_convex_roof_numeric(density_from_pure(psi22)) == pytest.approx(expected, abs=1e-6)
+    assert eof_convex_roof_numeric(density_from_pure(psi22)) == pytest.approx(expected, abs=1e-10)
     psi23 = random_pure_state((2, 3), 37)
     expected = entanglement_entropy(psi23, (0,))
-    assert eof_convex_roof_numeric(density_from_pure(psi23)) == pytest.approx(expected, abs=1e-6)
+    assert eof_convex_roof_numeric(density_from_pure(psi23)) == pytest.approx(expected, abs=1e-10)
 
 
 def test_convex_roof_vanishes_on_constructed_separable_states():
@@ -239,15 +240,16 @@ def test_convex_roof_vanishes_on_constructed_separable_states():
         for w in weights:
             a = random_density_matrix((2,), 2, int(rng.integers(1 << 30)))
             b = random_density_matrix((2,), 2, int(rng.integers(1 << 30)))
-            mat += w * kron(a.mat, b.mat)
+            mat += w * np.kron(a.mat, b.mat)
         rho = DensityMatrix(mat, (2, 2))
-        assert eof_convex_roof_numeric(rho) <= 1e-4
+        assert eof_convex_roof_numeric(rho) <= 1e-10  # exactly 0 on all three
         assert eof_two_qubit(rho) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_convex_roof_matches_werner_closed_form():
     rho = _werner(0.8)
-    assert eof_convex_roof_numeric(rho) == pytest.approx(eof_two_qubit(rho), abs=5e-4)
+    # 1.1e-16 apart.
+    assert eof_convex_roof_numeric(rho) == pytest.approx(eof_two_qubit(rho), abs=1e-10)
 
 
 def test_convex_roof_matches_closed_form_on_random_states():
@@ -259,7 +261,40 @@ def test_convex_roof_matches_closed_form_on_random_states():
         exact = eof_two_qubit(rho)
         assert numeric >= exact - 1e-9  # the roof search can only overshoot
         worst = max(worst, abs(numeric - exact))
-    assert worst <= 1e-3
+    assert worst <= 1e-10  # 2.3e-14 seen
+
+
+def test_convex_roof_gradient_matches_finite_differences():
+    for dims, rank, seed in (((2, 2), 3, 1201), ((2, 3), 4, 1202)):
+        rho = random_density_matrix(dims, rank, seed)
+        vals, vecs = np.linalg.eigh(rho.mat)
+        basis = vecs[:, ::-1][:, :rank] * np.sqrt(vals[::-1][:rank])
+        rng = np.random.default_rng(seed)
+        shape = (1, 2 * rank, rank)
+        q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        _, xi = _roof_value_and_gradient(q, basis, *dims)
+        herm = q[0].conj().T @ xi[0]
+        assert_allclose(herm, -herm.conj().T, atol=1e-14)  # xi is tangent to the isometries
+        for _ in range(4):
+            z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            proj = q[0].conj().T @ z[0]
+            z = z - q @ ((proj + proj.conj().T) / 2.0)
+            h = 1e-6
+            f_plus = _roof_value_and_gradient(q + h * z, basis, *dims)[0][0]
+            f_minus = _roof_value_and_gradient(q - h * z, basis, *dims)[0][0]
+            analytic = 2.0 * np.vdot(xi, z).real
+            scale = 2.0 * np.linalg.norm(xi) * np.linalg.norm(z)
+            assert abs((f_plus - f_minus) / (2.0 * h) - analytic) <= 1e-7 * scale
+
+
+def test_convex_roof_reaches_below_the_pairwise_search_on_qubit_qutrit():
+    # The former pairwise-rotation search stopped at 0.139173841732 on this state.
+    assert eof_convex_roof_numeric(random_density_matrix((2, 3), 4, 2003)) <= 0.139173841732 - 1e-4
+
+
+def test_convex_roof_is_deterministic():
+    rho = random_density_matrix((2, 2), 4, 1003)
+    assert eof_convex_roof_numeric(rho) == eof_convex_roof_numeric(rho)
 
 
 def test_convex_roof_rejects_oversized_and_underparametrized_input():

@@ -22,7 +22,6 @@ from qcorr import (
     binary_entropy,
     classical_correlations,
     density_from_pure,
-    kron,
     mutual_information,
     partial_trace,
     random_density_matrix,
@@ -171,7 +170,7 @@ def test_apply_local_measurement_rejects_dimension_mismatch():
 def test_classical_correlations_of_product_state_vanish():
     rho_a = random_density_matrix((2,), 2, 25)
     rho_b = random_density_matrix((2,), 2, 29)
-    joint = DensityMatrix(kron(rho_a.mat, rho_b.mat), (2, 2))
+    joint = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), (2, 2))
     best = classical_correlations(joint, 1)
     assert abs(best.value) <= 1e-10
 
@@ -214,7 +213,7 @@ def test_classical_correlations_invariant_under_local_unitaries():
         gen_v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         u, _ = np.linalg.qr(gen_u)
         v, _ = np.linalg.qr(gen_v)
-        w = kron(u, v)
+        w = np.kron(u, v)
         rotated = DensityMatrix(w @ rho.mat @ w.conj().T, (2, 2))
         a = classical_correlations(rho, 1).value
         b = classical_correlations(rotated, 1).value
@@ -233,7 +232,7 @@ def test_classical_correlations_stable_under_denser_grid():
 def test_classical_correlations_tie_break_is_deterministic():
     rho_a = random_density_matrix((2,), 2, 47)
     rho_b = random_density_matrix((2,), 2, 51)
-    joint = DensityMatrix(kron(rho_a.mat, rho_b.mat), (2, 2))
+    joint = DensityMatrix(np.kron(rho_a.mat, rho_b.mat), (2, 2))
     first = classical_correlations(joint, 1)
     second = classical_correlations(joint, 1)
     assert first.angles == second.angles

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from qcorr import (
     Bipartition,
     DensityMatrix,
-    kron,
+    eof_convex_roof_numeric,
+    eof_two_qubit,
     partial_trace,
     quantum_discord,
     random_density_matrix,
@@ -47,10 +48,19 @@ def test_record_bounds_and_decomposition(seed, rank, measured):
 def test_record_is_invariant_under_local_unitaries(seed, rank, measured, unitary_seed):
     rho = random_density_matrix((2, 2), rank, seed)
     rng = np.random.default_rng(unitary_seed)
-    u = kron(_haar_unitary(rng), _haar_unitary(rng))
+    u = np.kron(_haar_unitary(rng), _haar_unitary(rng))
     rotated = DensityMatrix(u @ rho.mat @ u.conj().T, (2, 2))
     rec, rot = _record(rho, measured), _record(rotated, measured)
     for name in ("mutual_info", "classical", "discord"):
         assert abs(getattr(rec, name) - getattr(rot, name)) <= 1e-12, name
     # The singular-value concurrence moved E by at most 1.2e-15 over these examples.
     assert abs(rec.eof - rot.eof) <= 1e-14
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=SEEDS, rank=RANKS)
+def test_convex_roof_matches_closed_form(seed, rank):
+    rho = random_density_matrix((2, 2), rank, seed)
+    roof, closed = eof_convex_roof_numeric(rho), eof_two_qubit(rho)
+    assert roof >= closed - 1e-12  # every iterate is a valid decomposition
+    assert abs(roof - closed) <= 1e-10
