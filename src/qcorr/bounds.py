@@ -56,8 +56,6 @@ from .correlations import (
     quantum_discord,
 )
 from .measurement import (
-    DEFAULT_SETTINGS,
-    OptimizerSettings,
     UnsupportedDimensionError,
     _direction,
     _measured_last,
@@ -159,22 +157,22 @@ def _pos_in_sorted(pair, x) -> int:
     return sorted(pair).index(x)
 
 
-def _site_record(
-    psi: PureState, s_idx: int, site: int, opts: OptimizerSettings | None
-) -> CorrelationRecord:
+def _site_record(psi: PureState, s_idx: int, site: int) -> CorrelationRecord:
     """`quantum_discord` of the (system, site) marginal with the site measured."""
     marg = reduced_density_matrix(psi, (s_idx, site))
     measured = "ab"[_pos_in_sorted((s_idx, site), site)]
-    return quantum_discord(Bipartition(marg, (0,), (1,)), measured, opts)
+    return quantum_discord(Bipartition(marg, (0,), (1,)), measured)
 
 
-def koashi_winter_audit(psi: PureState, s, f, opts: OptimizerSettings | None = None) -> BoundAudit:
+def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
     """Audit E(rho_SF) <= H(rho_S) - J(rho_S,complement) on a pure state.
 
     For pure global states the trade-off is an equality, so the audit also
     reports the saturation gap |E - (H - J)| in ``extras["gap"]``. The
     complement of S and F must be a single qubit so J can be optimized
-    directly.
+    directly. The slack H - J_found - E equals J_true - J_found >= 0 up to
+    rounding, so a J search shortfall cannot fail the audit and only
+    ``NUMERIC_SLACK`` is allowed.
     """
     _require_pure(psi, "trade-off audit")
     s_idx = _single_qubit_index(psi, s, "system block")
@@ -187,8 +185,8 @@ def koashi_winter_audit(psi: PureState, s, f, opts: OptimizerSettings | None = N
     h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
     eof = eof_two_qubit(reduced_density_matrix(psi, (s_idx, f_idx)))
     comp = reduced_density_matrix(psi, (s_idx, rest[0]))
-    j = classical_correlations(comp, measured=_pos_in_sorted((s_idx, rest[0]), rest[0]), opts=opts)
-    return make_audit("kw", eof, h_s - j.value, OPTIMIZATION_SLACK, gap=abs(h_s - j.value - eof))
+    j = classical_correlations(comp, measured=_pos_in_sorted((s_idx, rest[0]), rest[0]))
+    return make_audit("kw", eof, h_s - j.value, NUMERIC_SLACK, gap=abs(h_s - j.value - eof))
 
 
 def kw_j_complement(psi: PureState, s, site: int) -> float:
@@ -235,9 +233,7 @@ def consensus_from_marginals(
     )
 
 
-def _site_pass(
-    psi: PureState, s, opts: OptimizerSettings | None
-) -> tuple[ConsensusReport, tuple[CorrelationRecord, ...]]:
+def _site_pass(psi: PureState, s) -> tuple[ConsensusReport, tuple[CorrelationRecord, ...]]:
     """The consensus report of a pure universe and the record of each (S, site) marginal.
 
     Forms H(rho_S) and each system-site marginal once; every D, J and E the
@@ -251,14 +247,14 @@ def _site_pass(
         if psi.dims[i] != 2:
             raise UnsupportedDimensionError(f"environment site {i} has dimension {psi.dims[i]}")
     h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
-    records = tuple(_site_record(psi, s_idx, i, opts) for i in sites)
+    records = tuple(_site_record(psi, s_idx, i) for i in sites)
     report = consensus_from_marginals(
         h_s, sites, [r.classical for r in records], [h_s - r.eof for r in records]
     )
     return report, records
 
 
-def consensus_delta(psi: PureState, s, opts: OptimizerSettings | None = None) -> ConsensusReport:
+def consensus_delta(psi: PureState, s) -> ConsensusReport:
     """Per-site consensus parameters delta_i and their mean for a pure universe.
 
     delta_i = [J(rho_S,env) - min{J(rho_S,site_i), J(rho_S,env-without-i)}] / H(rho_S)
@@ -267,14 +263,12 @@ def consensus_delta(psi: PureState, s, opts: OptimizerSettings | None = None) ->
     directly on the two-qubit marginal, and the complement term obtained
     from trade-off saturation (H(rho_S) - E, as in `kw_j_complement`).
     """
-    return _site_pass(psi, s, opts)[0]
+    return _site_pass(psi, s)[0]
 
 
-def discord_bound_audit(
-    psi: PureState, s, opts: OptimizerSettings | None = None
-) -> BoundAudit:
+def discord_bound_audit(psi: PureState, s) -> BoundAudit:
     """Audit mean site discord <= delta * H(rho_S) for a pure universe."""
-    report, records = _site_pass(psi, s, opts)
+    report, records = _site_pass(psi, s)
     tol = NUMERIC_SLACK + OPTIMIZATION_SLACK
     return make_audit(
         "discord-bound",
@@ -286,15 +280,13 @@ def discord_bound_audit(
     )
 
 
-def eof_bound_audit(
-    psi: PureState, s, opts: OptimizerSettings | None = None
-) -> list[BoundAudit]:
+def eof_bound_audit(psi: PureState, s) -> list[BoundAudit]:
     """Audit E(rho_S,site_i) <= delta_i * H(rho_S) per site, plus the averaged form.
 
     Returns one audit per environment site followed by one labelled
     ``eof-bound-avg`` for mean(E) <= delta * H(rho_S).
     """
-    report, records = _site_pass(psi, s, opts)
+    report, records = _site_pass(psi, s)
     tol = NUMERIC_SLACK + OPTIMIZATION_SLACK
     audits = [
         make_audit(f"eof-bound-site-{site}", r.eof, d_i * report.h_s, tol, site=site)
@@ -316,7 +308,7 @@ REMARK_J_CUTOFF = 1e-4
 REMARK_D_CEILING = 2e-3
 
 
-def remark_audit(rho: DensityMatrix, opts: OptimizerSettings | None = None) -> BoundAudit:
+def remark_audit(rho: DensityMatrix) -> BoundAudit:
     """Audit "no quantum correlations without classical correlations".
 
     Computes J and D on the same measured side of a two-qubit state. The
@@ -327,15 +319,13 @@ def remark_audit(rho: DensityMatrix, opts: OptimizerSettings | None = None) -> B
     """
     if rho.dims != (2, 2):
         raise UnsupportedDimensionError(f"remark audit needs a two-qubit state, got {rho.dims}")
-    record = quantum_discord(Bipartition(rho, (0,), (1,)), measured="b", opts=opts)
+    record = quantum_discord(Bipartition(rho, (0,), (1,)), measured="b")
     j, d = record.classical, record.discord
     lhs = d if j < REMARK_J_CUTOFF else 0.0
     return make_audit("remark", lhs, REMARK_D_CEILING, 0.0, j=j, d=d)
 
 
-def fanchini_identity_audit(
-    psi: PureState, s, site: int, opts: OptimizerSettings | None = None
-) -> BoundAudit:
+def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
     """Audit the conservation identity on a three-qubit pure state.
 
     E(rho_S,other) + E(rho_S,site) = D(rho_S,site-measured)
@@ -357,7 +347,7 @@ def fanchini_identity_audit(
     terms = {}
     sides = {"site": site, "other": other}
     for name, idx in sides.items():
-        record = _site_record(psi, s_idx, idx, opts)
+        record = _site_record(psi, s_idx, idx)
         terms[f"eof_{name}"] = record.eof
         terms[f"discord_{name}"] = record.discord
     lhs_sum = terms["eof_other"] + terms["eof_site"]
@@ -414,9 +404,7 @@ def _against_pinching(x: np.ndarray, h_x: float, sigma: np.ndarray) -> tuple[np.
     return rel, float(np.max(np.abs(rel - (-_xlog2x_sum(vals) - h_x))))
 
 
-def continuity_chain_audit(
-    rho: DensityMatrix, measured: int, opts: OptimizerSettings | None = None
-) -> BoundAudit:
+def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     """Audit the discord continuity chain D <= m1 <= m2 on a full-rank state.
 
     m1 = min over pinchings P of [H(rho||rho_P) - H(rho_F||rho_F,P)] and
@@ -429,14 +417,13 @@ def continuity_chain_audit(
     audit allows only ``NUMERIC_SLACK``. m2 and the worst pinching-identity
     deviation ride along in ``extras``.
     """
-    opts = opts or DEFAULT_SETTINGS
     _require_full_rank(rho.mat, "continuity audit")
-    best = classical_correlations(rho, measured, opts)
+    best = classical_correlations(rho, measured)
     rest = tuple(i for i in range(len(rho.dims)) if i != measured)
     discord = mutual_information(Bipartition(rho, rest, (measured,))) - best.value
 
     ev = _PinchEvaluator(rho, measured)
-    m2_best = sphere_search(lambda n: ev(n)[0], opts)
+    m2_best = sphere_search(lambda n: ev(n)[0])
     r_full, r_marg = ev(np.vstack([_direction(best.angles), _direction(m2_best.angles)]))
     m1 = float(np.min(r_full - r_marg))
 
@@ -478,18 +465,15 @@ def relative_entropy_bound_audit(x: DensityMatrix, y: DensityMatrix) -> BoundAud
     return make_audit("jens", relative_entropy(x, y), relative_entropy_upper_bound(x, y), 1e-9)
 
 
-def f_bound_audit(
-    rho: DensityMatrix, measured: int, opts: OptimizerSettings | None = None
-) -> BoundAudit:
+def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     """Audit H(rho||rho_P~) <= eps + f(rho_F, P~) at the J-optimal measurement P~.
 
     eps = H(rho||rho_P~) - H(rho_F||rho_F,P~) is the continuity gap at P~ and
     f is the spectral relative-entropy bound evaluated on the measured
     marginal, so the audit closes the loop between the two.
     """
-    opts = opts or DEFAULT_SETTINGS
     _require_full_rank(rho.mat, "f-function audit")
-    best = classical_correlations(rho, measured, opts)
+    best = classical_correlations(rho, measured)
     ev = _PinchEvaluator(rho, measured)
     n = _direction(best.angles)
     r_full, r_marg = (float(r[0]) for r in ev(n))
@@ -500,9 +484,7 @@ def f_bound_audit(
     return make_audit("f-bound", r_full, eps + f_val, NUMERIC_SLACK, eps=eps, f=f_val)
 
 
-def env_consensus(
-    env: PureState | DensityMatrix, opts: OptimizerSettings | None = None
-) -> EnvConsensusReport:
+def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
     """Pairwise-J disagreement quantifier delta^e_i across environment sites.
 
     delta^e_i = 1 - min over j != i of J(rho_site_i,site_j) / H(rho_site_i),
@@ -523,9 +505,9 @@ def env_consensus(
                 continue
             marg = _marginal(env, (i, jj))
             if live[i]:
-                j_matrix[i][jj] = classical_correlations(marg, measured=1, opts=opts).value
+                j_matrix[i][jj] = classical_correlations(marg, measured=1).value
             if live[jj]:
-                j_matrix[jj][i] = classical_correlations(marg, measured=0, opts=opts).value
+                j_matrix[jj][i] = classical_correlations(marg, measured=0).value
     delta = []
     defined = []
     for i in range(n):
@@ -545,11 +527,7 @@ def env_consensus(
 
 
 def env_eof_bound_audit(
-    env: PureState | DensityMatrix,
-    i: int,
-    j: int,
-    report: EnvConsensusReport | None = None,
-    opts: OptimizerSettings | None = None,
+    env: PureState | DensityMatrix, i: int, j: int, report: EnvConsensusReport | None = None
 ) -> BoundAudit:
     """Audit E(rho_site_i,site_j) <= delta^e_i * H(rho_site_i) for one site pair.
 
@@ -561,7 +539,7 @@ def env_eof_bound_audit(
             "pairwise entanglement bound is derived for pure environments; "
             "purify or pass a PureState"
         )
-    report = report or env_consensus(env, opts)
+    report = report or env_consensus(env)
     i, j = int(i), int(j)
     if i == j:
         raise ValueError("need two distinct sites")

@@ -50,7 +50,6 @@ from .core import (
     w_state,
 )
 from .correlations import Bipartition, quantum_discord
-from .measurement import OptimizerSettings
 from .starsim import run_sweep
 from .stateio import load_state
 from .svgplot import sweep_plot_svg
@@ -104,17 +103,17 @@ def _worst(audits) -> BoundAudit:
     return min(audits, key=lambda a: a.slack)
 
 
-def _suite_audit(suite: str, trial: int, seed: int, opts: OptimizerSettings) -> BoundAudit:
+def _suite_audit(suite: str, trial: int, seed: int) -> BoundAudit:
     s = _trial_seed(seed, trial)
     if suite == "kw":
         psi = ghz_state(3) if trial == 0 else random_pure_state((2, 2, 2), s)
-        return koashi_winter_audit(psi, (0,), (1,), opts)
+        return koashi_winter_audit(psi, (0,), (1,))
     if suite == "discord-bound":
         psi = ghz_state(4) if trial == 0 else random_pure_state((2, 2, 2, 2), s)
-        return discord_bound_audit(psi, (0,), opts)
+        return discord_bound_audit(psi, (0,))
     if suite == "eof-bound":
         psi = ghz_state(4) if trial == 0 else random_pure_state((2, 2, 2, 2), s)
-        return _worst(eof_bound_audit(psi, (0,), opts))
+        return _worst(eof_bound_audit(psi, (0,)))
     if suite == "remark":
         if trial == 0:
             rho = _remark_fixture()
@@ -122,7 +121,7 @@ def _suite_audit(suite: str, trial: int, seed: int, opts: OptimizerSettings) -> 
             rho = _near_product_state(s)
         else:
             rho = random_density_matrix((2, 2), 4, s)
-        return remark_audit(rho, opts)
+        return remark_audit(rho)
     if suite == "fanchini":
         if trial == 0:
             psi = ghz_state(3)
@@ -130,10 +129,10 @@ def _suite_audit(suite: str, trial: int, seed: int, opts: OptimizerSettings) -> 
             psi = w_state(3)
         else:
             psi = random_pure_state((2, 2, 2), s)
-        return fanchini_identity_audit(psi, (0,), 1, opts)
+        return fanchini_identity_audit(psi, (0,), 1)
     if suite == "continuity":
         rho = _full_rank_mix(random_density_matrix((2, 2), 4, s))
-        return continuity_chain_audit(rho, 1, opts)
+        return continuity_chain_audit(rho, 1)
     if suite == "jens":
         d = (2, 3, 4)[trial % 3]
         rng = np.random.default_rng(s)
@@ -142,9 +141,9 @@ def _suite_audit(suite: str, trial: int, seed: int, opts: OptimizerSettings) -> 
         return relative_entropy_bound_audit(x, y)
     if suite == "env-bound":
         env = ghz_state(4) if trial == 0 else random_pure_state((2, 2, 2, 2), s)
-        report = env_consensus(env, opts)
+        report = env_consensus(env)
         audits = [
-            env_eof_bound_audit(env, i, j, report, opts)
+            env_eof_bound_audit(env, i, j, report)
             for i in range(4)
             for j in range(4)
             if i != j and report.defined[i]
@@ -157,9 +156,8 @@ def _write_outputs(args, command: str, params: dict, header, rows, started: floa
                    extra=()) -> int:
     """Write the CSV at ``args.out``, any ``extra`` (path, text) files, and the manifest.
 
-    The manifest records ``params`` plus the optimizer flags and the output path
-    every command shares. Returns 0, or 2 after printing the error when an
-    output file cannot be written.
+    The manifest records ``params`` plus the output path. Returns 0, or 2 after
+    printing the error when an output file cannot be written.
     """
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -173,10 +171,7 @@ def _write_outputs(args, command: str, params: dict, header, rows, started: floa
         return 2
     manifest = {
         "command": command,
-        "parameters": {
-            **params, "grid": args.grid, "starts": args.starts, "tol": args.tol,
-            "out": str(args.out),
-        },
+        "parameters": {**params, "out": str(args.out)},
         "seed": args.seed,
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - started, 6),
@@ -185,10 +180,6 @@ def _write_outputs(args, command: str, params: dict, header, rows, started: floa
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return 0
-
-
-def _opts_from(args) -> OptimizerSettings:
-    return OptimizerSettings(grid=args.grid, starts=args.starts, tol=args.tol)
 
 
 def cmd_sweep(args) -> int:
@@ -205,7 +196,7 @@ def cmd_sweep(args) -> int:
     a_grid = [min(args.a_min + k * args.a_step, args.a_max) for k in range(count)]
 
     try:
-        rows = run_sweep(n_list, a_grid, _opts_from(args))
+        rows = run_sweep(n_list, a_grid)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -242,8 +233,7 @@ def cmd_audit(args) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return 2
-    opts = _opts_from(args)
-    audits = [_suite_audit(args.suite, k, args.seed, opts) for k in range(args.trials)]
+    audits = [_suite_audit(args.suite, k, args.seed) for k in range(args.trials)]
     header = ["label", "lhs", "rhs", "slack", "satisfied", "tolerance"]
     rows = [
         [a.label, _fmt(a.lhs), _fmt(a.rhs), _fmt(a.slack),
@@ -286,9 +276,7 @@ def cmd_state(args) -> int:
         state = load_state(args.infile)
         rho = density_from_pure(state) if isinstance(state, PureState) else state
         side_a, side_b = _parse_split(args.split, len(rho.dims))
-        record = quantum_discord(
-            Bipartition(rho, side_a, side_b), measured=args.measure, opts=_opts_from(args)
-        )
+        record = quantum_discord(Bipartition(rho, side_a, side_b), measured=args.measure)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -322,9 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed for random trials")
-    common.add_argument("--grid", type=int, default=24, help="measurement search grid density")
-    common.add_argument("--starts", type=int, default=5, help="refined search starts")
-    common.add_argument("--tol", type=float, default=1e-8, help="refinement step tolerance")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -355,6 +340,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 2
     handlers = {"sweep": cmd_sweep, "audit": cmd_audit, "state": cmd_state}
     return handlers[args.command](args)
 

@@ -27,7 +27,6 @@ from .core import (
 )
 from .measurement import (
     MeasurementOptimum,
-    OptimizerSettings,
     ProjectiveMeasurement,
     UnsupportedDimensionError,
     classical_correlations,
@@ -91,11 +90,16 @@ class CorrelationRecord:
     optimal_measurement: ProjectiveMeasurement
 
 
-def mutual_information(b: Bipartition) -> float:
-    """I = H(rho_A) + H(rho_B) - H(rho_AB) in bits."""
+def _info_terms(b: Bipartition) -> tuple[float, float, float]:
+    """I(A:B), H(rho_A) and H(rho_B) in bits, each marginal formed once."""
     h_a = von_neumann_entropy(partial_trace(b.rho, b.side_a))
     h_b = von_neumann_entropy(partial_trace(b.rho, b.side_b))
-    return h_a + h_b - von_neumann_entropy(b.rho)
+    return h_a + h_b - von_neumann_entropy(b.rho), h_a, h_b
+
+
+def mutual_information(b: Bipartition) -> float:
+    """I = H(rho_A) + H(rho_B) - H(rho_AB) in bits."""
+    return _info_terms(b)[0]
 
 
 def _measured_subsystem(b: Bipartition, measured: str) -> int:
@@ -108,9 +112,7 @@ def _measured_subsystem(b: Bipartition, measured: str) -> int:
     return side[0]
 
 
-def quantum_discord(
-    b: Bipartition, measured: str = "b", opts: OptimizerSettings | None = None
-) -> CorrelationRecord:
+def quantum_discord(b: Bipartition, measured: str = "b") -> CorrelationRecord:
     """Discord D = I - J with J maximized over measurements on one side.
 
     The one place that forms D and pairs it with E for a two-qubit marginal:
@@ -122,7 +124,6 @@ def quantum_discord(
     b : Bipartition
     measured : {"a", "b"}
         Which side carries the measurement; that side must be a single qubit.
-    opts : OptimizerSettings, optional
 
     Returns
     -------
@@ -132,16 +133,15 @@ def quantum_discord(
     if measured not in ("a", "b"):
         raise ValueError(f"measured must be 'a' or 'b', got {measured!r}")
     idx = _measured_subsystem(b, measured)
-    unmeasured = b.side_a if measured == "b" else b.side_b
-    best: MeasurementOptimum = classical_correlations(b.rho, idx, opts)
-    info = mutual_information(b)
+    best: MeasurementOptimum = classical_correlations(b.rho, idx)
+    info, h_a, h_b = _info_terms(b)
     eof = eof_two_qubit(b.rho) if b.rho.dims == (2, 2) else None
     return CorrelationRecord(
         mutual_info=info,
         classical=best.value,
         discord=info - best.value,
         eof=eof,
-        entropy_a=von_neumann_entropy(partial_trace(b.rho, unmeasured)),
+        entropy_a=h_a if measured == "b" else h_b,
         measured_side=measured,
         optimal_measurement=best.argmax,
     )

@@ -9,7 +9,9 @@ measurement on side B the post-measurement mutual information reduces to
     I(rho_meas) = H(rho_A) - sum_a p_a H(rho_A | outcome a),
 
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho].
-`sphere_search` minimizes it (and the pinching objectives in `bounds`).
+`sphere_search` minimizes it (and the pinching objectives in `bounds`) with
+fixed settings: a _GRID x _GRID angle grid, _STARTS refined directions, a step
+tolerance of _TOL radians and at most _MAX_STEPS refinement steps.
 """
 
 from __future__ import annotations
@@ -32,6 +34,13 @@ _SAME_AXIS = 1.0 - 1e-9
 _GRID_CHUNK = 1024
 # Step divisor after a failed compass step; 8 took the fewest batched steps (2-16 tried).
 _SHRINK = 8.0
+# `sphere_search` settings, read at call time: grid points per angle, distinct
+# directions refined, step (radians) below which a start has converged, and the
+# cap on refinement steps.
+_GRID = 24
+_STARTS = 5
+_TOL = 1e-8
+_MAX_STEPS = 400
 
 
 class UnsupportedDimensionError(ValueError):
@@ -50,22 +59,6 @@ class BlochAngles:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not 0.0 <= self.phi < 2.0 * np.pi:
             raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """`sphere_search` knobs (CLI: --grid/--starts/--tol): grid points per angle,
-    distinct directions refined, step (radians) below which a start has
-    converged, cap on steps. A search has converged when every start reached
-    ``tol`` or was retired onto an earlier start that is no worse."""
-
-    grid: int = 24
-    starts: int = 5
-    tol: float = 1e-8
-    maxiter: int = 400
-
-
-DEFAULT_SETTINGS = OptimizerSettings()
 
 
 @dataclass(frozen=True)
@@ -98,8 +91,8 @@ class ProjectiveMeasurement:
 @dataclass(frozen=True)
 class MeasurementOptimum:
     """Best post-measurement mutual information found, with its maximizer, the
-    distinct directions refined, whether each met ``tol`` or was retired onto a
-    no-worse start within ``maxiter`` steps, and the directions evaluated."""
+    distinct directions refined, whether each met ``_TOL`` or was retired onto a
+    no-worse start within ``_MAX_STEPS`` steps, and the directions evaluated."""
 
     value: float
     argmax: ProjectiveMeasurement
@@ -136,10 +129,10 @@ def _pauli_dot(n: np.ndarray) -> np.ndarray:
     return np.einsum("gk,kij->gij", n, _PAULI[1:])
 
 
-def qubit_projectors(angles: BlochAngles) -> ProjectiveMeasurement:
-    """Rank-1 projectors (1 +- n.sigma)/2 onto +n and -n for the direction n(theta, phi)."""
+def qubit_projectors(angles: BlochAngles, subsystem: int = 0) -> ProjectiveMeasurement:
+    """Projectors (1 +- n.sigma)/2 on qubit ``subsystem`` onto +n and -n for n(theta, phi)."""
     flip = _pauli_dot(_direction(angles))[0]
-    return ProjectiveMeasurement(((_PAULI[0] + flip) / 2.0, (_PAULI[0] - flip) / 2.0), 0)
+    return ProjectiveMeasurement(((_PAULI[0] + flip) / 2.0, (_PAULI[0] - flip) / 2.0), subsystem)
 
 
 def apply_local_measurement(rho: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
@@ -180,15 +173,14 @@ def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
     return t.reshape(d_rest, 2, d_rest, 2), d_rest
 
 
-def angle_grid(opts: OptimizerSettings | None = None) -> np.ndarray:
-    """(grid^2, 2) array of (theta, phi) search points covering the Bloch sphere.
+def angle_grid() -> np.ndarray:
+    """(_GRID^2, 2) array of (theta, phi) search points covering the Bloch sphere.
 
     theta runs over [0, pi] inclusive, phi over [0, 2*pi) without the
     endpoint; the optimizers in this package all start from this family.
     """
-    opts = opts or DEFAULT_SETTINGS
-    thetas = np.linspace(0.0, np.pi, opts.grid)
-    phis = np.linspace(0.0, 2.0 * np.pi, opts.grid, endpoint=False)
+    thetas = np.linspace(0.0, np.pi, _GRID)
+    phis = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     return np.column_stack([tt.ravel(), pp.ravel()])
 
@@ -204,21 +196,20 @@ class SphereMinimum:
     evaluations: int
 
 
-def sphere_search(objective, opts: OptimizerSettings | None = None) -> SphereMinimum:
+def sphere_search(objective) -> SphereMinimum:
     """Minimize ``objective`` (G unit vectors (G, 3) -> G values, equal at n and -n).
 
     Every `angle_grid` point is evaluated and ranked (stable sort, so ties keep
-    grid order). The ``opts.starts`` best directions that differ up to sign are
+    grid order). The _STARTS best directions that differ up to sign are
     refined together by a compass search in (theta, phi): each step probes the
     8 neighbours at the start's step length and moves to the best one if it is
     strictly lower, or else divides the step by 8. After each step a start is
     retired (its step set to 0) when it lies within max(step_i, step_j) of an
     earlier start j up to sign, |n_i . n_j| > cos(max(step_i, step_j)), and is
     no better than it, f_i >= f_j. A start has converged once its step is below
-    ``opts.tol``; the loop stops after ``opts.maxiter`` steps.
+    _TOL; the loop stops after _MAX_STEPS steps.
     """
-    opts = opts or DEFAULT_SETTINGS
-    grid = angle_grid(opts)
+    grid = angle_grid()
     n = _bloch_directions(grid)
     values = np.concatenate(
         [objective(n[i : i + _GRID_CHUNK]) for i in range(0, len(n), _GRID_CHUNK)]
@@ -226,17 +217,15 @@ def sphere_search(objective, opts: OptimizerSettings | None = None) -> SphereMin
     ranked = np.argsort(values, kind="stable")
     picked: list[int] = []
     for idx in ranked:
-        if len(picked) == opts.starts:
+        if len(picked) == _STARTS:
             break
         if not picked or np.max(np.abs(n[picked] @ n[idx])) < _SAME_AXIS:
             picked.append(int(idx))
-    # With no start to refine, the best grid point stands as it is.
-    rows = picked or [int(ranked[0])]
-    x, f = grid[rows], values[rows]
-    step = np.full(len(x), np.pi / max(opts.grid - 1, 1) if picked else 0.0)
+    x, f = grid[picked], values[picked]
+    step = np.full(len(x), np.pi / (_GRID - 1))
     evaluations = len(grid)
-    for _ in range(opts.maxiter):
-        live = np.flatnonzero(step >= opts.tol)
+    for _ in range(_MAX_STEPS):
+        live = np.flatnonzero(step >= _TOL)
         if live.size == 0:
             break
         trial = x[live, None, :] + step[live, None, None] * _COMPASS
@@ -256,7 +245,7 @@ def sphere_search(objective, opts: OptimizerSettings | None = None) -> SphereMin
         angles=_canonical_angles(x[s, 0], x[s, 1]),
         value=float(f[s]),
         starts_used=len(picked),
-        converged=bool(np.all(step < opts.tol)),
+        converged=bool(np.all(step < _TOL)),
         evaluations=evaluations,
     )
 
@@ -292,9 +281,7 @@ def _conditional_entropy(t: np.ndarray, d_rest: int):
     return objective
 
 
-def classical_correlations(
-    rho: DensityMatrix, measured: int, opts: OptimizerSettings | None = None
-) -> MeasurementOptimum:
+def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOptimum:
     """Maximize post-measurement mutual information over projective measurements.
 
     Parameters
@@ -304,8 +291,6 @@ def classical_correlations(
         into the unmeasured side.
     measured : int
         Index into ``rho.dims`` of the measured qubit.
-    opts : OptimizerSettings, optional
-        Grid density, number of refined starts, and refinement step tolerance.
 
     Returns
     -------
@@ -314,11 +299,10 @@ def classical_correlations(
     """
     t, d_rest = _measured_last(rho, measured)
     h_a = entropy_of(np.trace(t, axis1=1, axis2=3))
-    best = sphere_search(_conditional_entropy(t, d_rest), opts)
-    meas = ProjectiveMeasurement(qubit_projectors(best.angles).projectors, subsystem=measured)
+    best = sphere_search(_conditional_entropy(t, d_rest))
     return MeasurementOptimum(
         value=h_a - best.value,
-        argmax=meas,
+        argmax=qubit_projectors(best.angles, measured),
         angles=best.angles,
         starts_used=best.starts_used,
         converged=best.converged,

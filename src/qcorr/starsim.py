@@ -25,7 +25,6 @@ import numpy as np
 from .bounds import H_S_CUTOFF, consensus_from_marginals
 from .core import DensityMatrix, PureState, von_neumann_entropy
 from .correlations import Bipartition, quantum_discord
-from .measurement import OptimizerSettings
 
 BRUTE_MAX_SITES = 12
 
@@ -140,10 +139,10 @@ def analytic_marginals(
     return DensityMatrix(rho_s, (2,)), DensityMatrix(rho_se, (2, 2)), rho_pair
 
 
-def _sweep_point(cfg: StarConfig, opts: OptimizerSettings | None) -> SweepRow:
+def _sweep_point(cfg: StarConfig) -> SweepRow:
     rho_s, rho_se, _ = analytic_marginals(cfg)
     h_s = von_neumann_entropy(rho_s)
-    record = quantum_discord(Bipartition(rho_se, (0,), (1,)), measured="b", opts=opts)
+    record = quantum_discord(Bipartition(rho_se, (0,), (1,)), measured="b")
     eof, j, discord = record.eof, record.classical, record.discord
 
     if h_s > H_S_CUTOFF:
@@ -168,6 +167,6 @@ def _sweep_point(cfg: StarConfig, opts: OptimizerSettings | None) -> SweepRow:
     )
 
 
-def run_sweep(n_list, a_grid, opts: OptimizerSettings | None = None) -> list[SweepRow]:
+def run_sweep(n_list, a_grid) -> list[SweepRow]:
     """Sweep quantities over the (N, a) grid, in grid order (N outer, a inner)."""
-    return [_sweep_point(StarConfig(n, a), opts) for n in n_list for a in a_grid]
+    return [_sweep_point(StarConfig(n, a)) for n in n_list for a in a_grid]

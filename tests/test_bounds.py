@@ -10,8 +10,6 @@ from qcorr import (
     Bipartition,
     BlochAngles,
     DensityMatrix,
-    OptimizerSettings,
-    ProjectiveMeasurement,
     PureState,
     StarConfig,
     UndefinedConsensusError,
@@ -114,6 +112,17 @@ def test_kw_audit_gap_stays_small_on_haar_states():
         audit = koashi_winter_audit(psi, (0,), (1,))
         assert audit.satisfied
         assert audit.extras["gap"] <= 2e-3
+
+
+def test_kw_audit_flags_an_eof_above_the_tradeoff(monkeypatch):
+    # For a pure state E = H_S - J_true, so an E raised by 1e-4 is a violation
+    # far beyond rounding and must fail the audit.
+    import qcorr.bounds as bounds_mod
+
+    exact = bounds_mod.eof_two_qubit
+    monkeypatch.setattr(bounds_mod, "eof_two_qubit", lambda rho: exact(rho) + 1e-4)
+    audit = koashi_winter_audit(random_pure_state((2, 2, 2), 7001), (0,), (1,))
+    assert audit.satisfied is False
 
 
 def test_kw_audit_rejects_invalid_inputs():
@@ -269,6 +278,22 @@ def test_consensus_audits_form_each_site_marginal_once(monkeypatch):
     assert (len(marginals), len(eofs)) == (4, 3)
 
 
+def test_consensus_delta_forms_each_site_entropy_once(monkeypatch):
+    # H(rho_S) and its validation (2), then per site the marginal's validation,
+    # J's unmeasured entropy, and I's three entropies plus the validations of its
+    # two partial traces: 2 + 3 * (1 + 1 + 5) = 23 eigensolves.
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    consensus_delta(random_pure_state((2, 2, 2, 2), 5), (0,))
+    assert len(calls) == 23
+
+
 # ---------------------------------------------------------------------------
 # no-quantum-without-classical remark
 # ---------------------------------------------------------------------------
@@ -378,7 +403,7 @@ def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
     rho = _full_rank((2, 2), 7017)
     best = classical_correlations(rho, 1)
     tilted = BlochAngles(best.angles.theta + 0.05, best.angles.phi)
-    meas = ProjectiveMeasurement(qubit_projectors(tilted).projectors, 1)
+    meas = qubit_projectors(tilted, 1)
     value = mutual_information(Bipartition(apply_local_measurement(rho, meas), (0,), (1,)))
     assert 1e-4 < best.value - value < OPTIMIZATION_SLACK
     shortfall = dataclasses.replace(best, value=value, argmax=meas, angles=tilted)

@@ -149,10 +149,17 @@ def test_audit_requires_positive_trials(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["audit", "--suite", "kw", "--trials", "2", "--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_exit_code_flags_violations(tmp_path, capsys, monkeypatch):
     import qcorr.cli as cli_mod
 
-    def fake_suite_audit(suite, trial, seed, opts):
+    def fake_suite_audit(suite, trial, seed):
         return make_audit("kw", 1.0, 0.0, 1e-6)
 
     monkeypatch.setattr(cli_mod, "_suite_audit", fake_suite_audit)

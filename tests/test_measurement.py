@@ -14,7 +14,6 @@ from qcorr import (
     Bipartition,
     BlochAngles,
     DensityMatrix,
-    OptimizerSettings,
     ProjectiveMeasurement,
     UnsupportedDimensionError,
     apply_local_measurement,
@@ -44,8 +43,7 @@ def _mutual_info(rho: DensityMatrix) -> float:
 
 def _measured_mutual_info(rho: DensityMatrix, theta: float, phi: float) -> float:
     """Post-measurement mutual information straight from the definition."""
-    meas = qubit_projectors(BlochAngles(theta, phi))
-    meas = ProjectiveMeasurement(meas.projectors, len(rho.dims) - 1)
+    meas = qubit_projectors(BlochAngles(theta, phi), len(rho.dims) - 1)
     return _mutual_info(apply_local_measurement(rho, meas))
 
 
@@ -109,14 +107,13 @@ def test_projective_measurement_rejects_incomplete_sets():
 
 def test_apply_local_measurement_fixes_block_diagonal_states():
     rho = DensityMatrix(np.diag([0.4, 0.1, 0.2, 0.3]).astype(complex), (2, 2))
-    meas = qubit_projectors(BlochAngles(0.0, 0.0))
-    meas = ProjectiveMeasurement(meas.projectors, 1)
+    meas = qubit_projectors(BlochAngles(0.0, 0.0), 1)
     assert_allclose(apply_local_measurement(rho, meas).mat, rho.mat, atol=1e-14)
 
 
 def test_apply_local_measurement_decoheres_bell_state():
     rho = density_from_pure(bell_state())
-    meas = ProjectiveMeasurement(qubit_projectors(BlochAngles(0.0, 0.0)).projectors, 1)
+    meas = qubit_projectors(BlochAngles(0.0, 0.0), 1)
     expected = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
     assert_allclose(apply_local_measurement(rho, meas).mat, expected, atol=1e-14)
 
@@ -126,7 +123,7 @@ def test_apply_local_measurement_is_idempotent():
     for _ in range(10):
         rho = random_density_matrix((2, 2), 4, int(rng.integers(1 << 30)))
         angles = BlochAngles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
-        meas = ProjectiveMeasurement(qubit_projectors(angles).projectors, 1)
+        meas = qubit_projectors(angles, 1)
         once = apply_local_measurement(rho, meas)
         twice = apply_local_measurement(once, meas)
         assert np.max(np.abs(twice.mat - once.mat)) <= 1e-12
@@ -137,7 +134,7 @@ def test_apply_local_measurement_satisfies_pinching_identity():
     for _ in range(10):
         rho = random_density_matrix((2, 2), 4, int(rng.integers(1 << 30)))
         angles = BlochAngles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
-        meas = ProjectiveMeasurement(qubit_projectors(angles).projectors, 1)
+        meas = qubit_projectors(angles, 1)
         pinched = apply_local_measurement(rho, meas)
         gap = relative_entropy(rho, pinched) - (
             von_neumann_entropy(pinched) - von_neumann_entropy(rho)
@@ -150,14 +147,14 @@ def test_apply_local_measurement_never_increases_mutual_information():
     for _ in range(10):
         rho = random_density_matrix((2, 2), 4, int(rng.integers(1 << 30)))
         angles = BlochAngles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi))
-        meas = ProjectiveMeasurement(qubit_projectors(angles).projectors, 1)
+        meas = qubit_projectors(angles, 1)
         pinched = apply_local_measurement(rho, meas)
         assert _mutual_info(pinched) <= _mutual_info(rho) + 1e-10
 
 
 def test_apply_local_measurement_rejects_dimension_mismatch():
     rho = random_density_matrix((2, 3), 6, 21)
-    meas = ProjectiveMeasurement(qubit_projectors(BlochAngles(0.0, 0.0)).projectors, 1)
+    meas = qubit_projectors(BlochAngles(0.0, 0.0), 1)
     with pytest.raises(ValueError, match="dimension"):
         apply_local_measurement(rho, meas)
 
@@ -220,12 +217,14 @@ def test_classical_correlations_invariant_under_local_unitaries():
         assert abs(a - b) <= 2e-6
 
 
-def test_classical_correlations_stable_under_denser_grid():
+def test_classical_correlations_stable_under_denser_grid(monkeypatch):
     rng = np.random.default_rng(43)
     for _ in range(5):
         rho = random_density_matrix((2, 2), 4, int(rng.integers(1 << 30)))
-        coarse = classical_correlations(rho, 1, OptimizerSettings(grid=24)).value
-        fine = classical_correlations(rho, 1, OptimizerSettings(grid=48)).value
+        monkeypatch.setattr(measurement, "_GRID", 24)
+        coarse = classical_correlations(rho, 1).value
+        monkeypatch.setattr(measurement, "_GRID", 48)
+        fine = classical_correlations(rho, 1).value
         assert abs(coarse - fine) < 1e-6
 
 
@@ -293,7 +292,7 @@ def test_classical_correlations_dominate_dense_definition_grid():
             assert best.value >= dense - 1e-12
 
 
-def test_search_diagnostics_count_evaluations_and_convergence():
+def test_search_diagnostics_count_evaluations_and_convergence(monkeypatch):
     # At a = 1 the star marginal is a product state and the objective is flat.
     flat = classical_correlations(analytic_marginals(StarConfig(10, 1.0))[1], 1)
     interior = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
@@ -301,9 +300,8 @@ def test_search_diagnostics_count_evaluations_and_convergence():
     assert flat.starts_used == interior.starts_used == 5
     # The flat objective moves no start, so each reaches tol after 8 failed steps (/8 each).
     assert flat.evaluations == 24 * 24 + 8 * 8 * 5
-    capped = classical_correlations(
-        analytic_marginals(StarConfig(10, 0.5))[1], 1, OptimizerSettings(maxiter=3)
-    )
+    monkeypatch.setattr(measurement, "_MAX_STEPS", 3)
+    capped = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
     assert not capped.converged
     # The grid, one step of 8 per start, then two steps of the one start left
     # once the other four are retired onto it.
