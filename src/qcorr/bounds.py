@@ -22,12 +22,15 @@ quantifiers to bipartite discord and entanglement of formation:
 Every audit is reported as a `BoundAudit` carrying lhs, rhs, slack and the
 tolerance that decided `satisfied`, so reports serialize uniformly.
 
-Wherever a marginal needs D, or J together with E, they come from one
-`correlations.quantum_discord` record. `consensus_delta`,
+Wherever a marginal needs D, or J together with E, they come from the
+stacked form of `correlations.quantum_discord`, which refines the J of every
+marginal it is given in one `measurement.sphere_search`. `consensus_delta`,
 `discord_bound_audit` and `eof_bound_audit` share one per-site pass that
-forms H(rho_S) and each marginal once. Code that needs J alone or J's
-optimal direction (trade-off, continuity, f-function, environment
-consensus) calls `classical_correlations` directly.
+forms H(rho_S) and each marginal once and searches all sites together; the
+conservation audit stacks its two marginals the same way. Environment
+consensus stacks every pairwise J it needs into one search. Code that needs
+the J of one state or its optimal direction (trade-off, continuity,
+f-function) calls `classical_correlations`, the stack of one.
 """
 
 from __future__ import annotations
@@ -51,12 +54,14 @@ from .core import (
 from .correlations import (
     Bipartition,
     CorrelationRecord,
+    _discord_stack,
     eof_two_qubit,
     mutual_information,
     quantum_discord,
 )
 from .measurement import (
     UnsupportedDimensionError,
+    _classical_stack,
     _direction,
     _measured_last,
     _pauli_dot,
@@ -157,11 +162,15 @@ def _pos_in_sorted(pair, x) -> int:
     return sorted(pair).index(x)
 
 
-def _site_record(psi: PureState, s_idx: int, site: int) -> CorrelationRecord:
-    """`quantum_discord` of the (system, site) marginal with the site measured."""
-    marg = reduced_density_matrix(psi, (s_idx, site))
-    measured = "ab"[_pos_in_sorted((s_idx, site), site)]
-    return quantum_discord(Bipartition(marg, (0,), (1,)), measured)
+def _site_records(psi: PureState, s_idx: int, sites) -> tuple[CorrelationRecord, ...]:
+    """Records of each (system, site) marginal with the site measured, from one J search."""
+    return tuple(_discord_stack(
+        (
+            Bipartition(reduced_density_matrix(psi, (s_idx, site)), (0,), (1,)),
+            "ab"[_pos_in_sorted((s_idx, site), site)],
+        )
+        for site in sites
+    ))
 
 
 def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
@@ -237,8 +246,8 @@ def _site_pass(psi: PureState, s) -> tuple[ConsensusReport, tuple[CorrelationRec
     """The consensus report of a pure universe and the record of each (S, site) marginal.
 
     Forms H(rho_S) and each system-site marginal once; every D, J and E the
-    consensus functions use comes from `quantum_discord` on those marginals,
-    measured on the site.
+    consensus functions use comes from the stacked `quantum_discord` records of
+    those marginals, measured on the site, with one J search over all sites.
     """
     _require_pure(psi, "consensus parameters")
     s_idx = _single_qubit_index(psi, s, "system block")
@@ -247,7 +256,7 @@ def _site_pass(psi: PureState, s) -> tuple[ConsensusReport, tuple[CorrelationRec
         if psi.dims[i] != 2:
             raise UnsupportedDimensionError(f"environment site {i} has dimension {psi.dims[i]}")
     h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
-    records = tuple(_site_record(psi, s_idx, i) for i in sites)
+    records = _site_records(psi, s_idx, sites)
     report = consensus_from_marginals(
         h_s, sites, [r.classical for r in records], [h_s - r.eof for r in records]
     )
@@ -345,9 +354,7 @@ def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
     other = next(i for i in range(3) if i not in (s_idx, site))
 
     terms = {}
-    sides = {"site": site, "other": other}
-    for name, idx in sides.items():
-        record = _site_record(psi, s_idx, idx)
+    for name, record in zip(("site", "other"), _site_records(psi, s_idx, (site, other))):
         terms[f"eof_{name}"] = record.eof
         terms[f"discord_{name}"] = record.discord
     lhs_sum = terms["eof_other"] + terms["eof_site"]
@@ -423,7 +430,7 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     discord = mutual_information(Bipartition(rho, rest, (measured,))) - best.value
 
     ev = _PinchEvaluator(rho, measured)
-    m2_best = sphere_search(lambda n: ev(n)[0])
+    m2_best = sphere_search(lambda rows, n: ev(n.reshape(-1, 3))[0].reshape(n.shape[:2]), 1)[0]
     r_full, r_marg = ev(np.vstack([_direction(best.angles), _direction(m2_best.angles)]))
     m1 = float(np.min(r_full - r_marg))
 
@@ -492,22 +499,27 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
     undefined instead of raising.
     """
     n = len(env.dims)
+    if n < 2:
+        raise ValueError(f"environment consensus needs at least 2 sites, got dims {env.dims}")
     if any(d != 2 for d in env.dims):
         raise UnsupportedDimensionError(f"all environment sites must be qubits, got {env.dims}")
     entropies = tuple(
         von_neumann_entropy(_marginal(env, (i,))) for i in range(n)
     )
     live = [h > H_S_CUTOFF for h in entropies]
-    j_matrix = [[None] * n for _ in range(n)]
+    searches = []  # ((i, j), the pair's marginal, index of site j in it): J measured on j
     for i in range(n):
         for jj in range(i + 1, n):
             if not (live[i] or live[jj]):
                 continue
             marg = _marginal(env, (i, jj))
             if live[i]:
-                j_matrix[i][jj] = classical_correlations(marg, measured=1).value
+                searches.append(((i, jj), marg, 1))
             if live[jj]:
-                j_matrix[jj][i] = classical_correlations(marg, measured=0).value
+                searches.append(((jj, i), marg, 0))
+    j_matrix = [[None] * n for _ in range(n)]
+    for ((i, jj), _, _), best in zip(searches, _classical_stack((m, k) for _, m, k in searches)):
+        j_matrix[i][jj] = best.value
     delta = []
     defined = []
     for i in range(n):

@@ -26,10 +26,9 @@ from .core import (
     von_neumann_entropy,
 )
 from .measurement import (
-    MeasurementOptimum,
     ProjectiveMeasurement,
     UnsupportedDimensionError,
-    classical_correlations,
+    _classical_stack,
 )
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -112,12 +111,38 @@ def _measured_subsystem(b: Bipartition, measured: str) -> int:
     return side[0]
 
 
+def _discord_stack(pairs) -> list[CorrelationRecord]:
+    """`quantum_discord` of each (bipartition, measured side) pair, all J from one search.
+
+    The one place that forms D and pairs it with E: the star-network sweep, the
+    consensus parameters and the discord, EoF, remark and conservation audits
+    all read their J, D and E from these records.
+    """
+    pairs = list(pairs)
+    for _, measured in pairs:
+        if measured not in ("a", "b"):
+            raise ValueError(f"measured must be 'a' or 'b', got {measured!r}")
+    best = _classical_stack((b.rho, _measured_subsystem(b, measured)) for b, measured in pairs)
+    records = []
+    for (b, measured), j in zip(pairs, best):
+        info, h_a, h_b = _info_terms(b)
+        records.append(CorrelationRecord(
+            mutual_info=info,
+            classical=j.value,
+            discord=info - j.value,
+            eof=eof_two_qubit(b.rho) if b.rho.dims == (2, 2) else None,
+            entropy_a=h_a if measured == "b" else h_b,
+            measured_side=measured,
+            optimal_measurement=j.argmax,
+        ))
+    return records
+
+
 def quantum_discord(b: Bipartition, measured: str = "b") -> CorrelationRecord:
     """Discord D = I - J with J maximized over measurements on one side.
 
-    The one place that forms D and pairs it with E for a two-qubit marginal:
-    the star-network sweep, the consensus parameters and the discord, EoF,
-    remark and conservation audits all read their J, D and E from this record.
+    The one-bipartition case of the stacked records that the star-network
+    sweep, the consensus parameters and the bound audits read J, D and E from.
 
     Parameters
     ----------
@@ -130,21 +155,7 @@ def quantum_discord(b: Bipartition, measured: str = "b") -> CorrelationRecord:
     CorrelationRecord
         With the entanglement of formation filled in for 2x2 bipartitions.
     """
-    if measured not in ("a", "b"):
-        raise ValueError(f"measured must be 'a' or 'b', got {measured!r}")
-    idx = _measured_subsystem(b, measured)
-    best: MeasurementOptimum = classical_correlations(b.rho, idx)
-    info, h_a, h_b = _info_terms(b)
-    eof = eof_two_qubit(b.rho) if b.rho.dims == (2, 2) else None
-    return CorrelationRecord(
-        mutual_info=info,
-        classical=best.value,
-        discord=info - best.value,
-        eof=eof,
-        entropy_a=h_a if measured == "b" else h_b,
-        measured_side=measured,
-        optimal_measurement=best.argmax,
-    )
+    return _discord_stack([(b, measured)])[0]
 
 
 def entanglement_entropy(psi: PureState, side_a) -> float:

@@ -9,15 +9,15 @@ measurement on side B the post-measurement mutual information reduces to
     I(rho_meas) = H(rho_A) - sum_a p_a H(rho_A | outcome a),
 
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho].
-`sphere_search` minimizes it (and the pinching objectives in `bounds`) with
-fixed settings: a _GRID x _GRID angle grid, _STARTS refined directions, a step
+`sphere_search` minimizes it for a whole stack of states in one loop (and the
+pinching objective in `bounds` as a stack of one) with fixed settings: a
+_GRID x _GRID angle grid, _STARTS refined directions per state, a step
 tolerance of _TOL radians and at most _MAX_STEPS refinement steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -135,27 +135,6 @@ def qubit_projectors(angles: BlochAngles, subsystem: int = 0) -> ProjectiveMeasu
     return ProjectiveMeasurement(((_PAULI[0] + flip) / 2.0, (_PAULI[0] - flip) / 2.0), subsystem)
 
 
-def apply_local_measurement(rho: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:
-    """Post-measurement (pinched) state sum_a (I x P_a x I) rho (I x P_a x I)."""
-    n = len(rho.dims)
-    if not 0 <= m.subsystem < n:
-        raise ValueError(f"subsystem {m.subsystem} out of range for dims {rho.dims}")
-    d_sub = rho.dims[m.subsystem]
-    if m.projectors[0].shape[0] != d_sub:
-        raise ValueError(
-            f"projector dimension {m.projectors[0].shape[0]} does not match "
-            f"subsystem dimension {d_sub}"
-        )
-    left = np.eye(prod(rho.dims[: m.subsystem]))
-    right = np.eye(prod(rho.dims[m.subsystem + 1 :]))
-    out = np.zeros_like(rho.mat)
-    for p in m.projectors:
-        full = np.kron(np.kron(left, p), right)
-        out += full @ rho.mat @ full
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix(out, rho.dims)
-
-
 def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
     """Tensor view (d_rest, 2, d_rest, 2) with the measured qubit as the last factor."""
     n = len(rho.dims)
@@ -196,41 +175,62 @@ class SphereMinimum:
     evaluations: int
 
 
-def sphere_search(objective) -> SphereMinimum:
-    """Minimize ``objective`` (G unit vectors (G, 3) -> G values, equal at n and -n).
+def sphere_search(objective, states: int) -> list[SphereMinimum]:
+    """Minimize a stack of ``states`` objectives on the Bloch sphere, one search each.
 
-    Every `angle_grid` point is evaluated and ranked (stable sort, so ties keep
-    grid order). The _STARTS best directions that differ up to sign are
-    refined together by a compass search in (theta, phi): each step probes the
-    8 neighbours at the start's step length and moves to the best one if it is
-    strictly lower, or else divides the step by 8. After each step a start is
-    retired (its step set to 0) when it lies within max(step_i, step_j) of an
-    earlier start j up to sign, |n_i . n_j| > cos(max(step_i, step_j)), and is
-    no better than it, f_i >= f_j. A start has converged once its step is below
-    _TOL; the loop stops after _MAX_STEPS steps.
+    ``objective(rows, n)`` maps the state index of each of K rows (K,) and each
+    row's unit vectors n (K, G, 3) to that state's values (K, G); every state's
+    objective is equal at n and -n.
+
+    Every `angle_grid` point is evaluated for every state and ranked (stable
+    sort, so ties keep grid order). Each state's _STARTS best directions that
+    differ up to sign become rows, and all rows are refined together by a
+    compass search in (theta, phi): each step probes the 8 neighbours at the
+    row's step length and moves to the best one if it is strictly lower, or else
+    divides the step by 8. After each step a row is retired (its step set to 0)
+    when it lies within max(step_i, step_j) of an earlier row j of the same state
+    up to sign, |n_i . n_j| > cos(max(step_i, step_j)), and is no better than it,
+    f_i >= f_j. A row has converged once its step is below _TOL; the loop stops
+    after _MAX_STEPS steps. Rows of different states never meet, so each state's
+    result and its counts are those of a search over that state alone.
     """
     grid = angle_grid()
     n = _bloch_directions(grid)
-    values = np.concatenate(
-        [objective(n[i : i + _GRID_CHUNK]) for i in range(0, len(n), _GRID_CHUNK)]
-    )
-    ranked = np.argsort(values, kind="stable")
-    picked: list[int] = []
-    for idx in ranked:
-        if len(picked) == _STARTS:
-            break
-        if not picked or np.max(np.abs(n[picked] @ n[idx])) < _SAME_AXIS:
-            picked.append(int(idx))
-    x, f = grid[picked], values[picked]
+    # One state per grid call, in slices of _GRID_CHUNK directions: bounds
+    # stacked-block memory.
+    values = np.array([
+        np.concatenate([
+            objective(np.array([s]), n[None, i : i + _GRID_CHUNK])[0]
+            for i in range(0, len(n), _GRID_CHUNK)
+        ])
+        for s in range(states)
+    ])
+    ranked = np.argsort(values, axis=1, kind="stable")
+    starts: list[tuple[int, int]] = []  # (state, grid point) of each row
+    for s, order in enumerate(ranked):
+        mine: list[int] = []
+        for idx in order:
+            if len(mine) == _STARTS:
+                break
+            if not mine or np.max(np.abs(n[mine] @ n[idx])) < _SAME_AXIS:
+                mine.append(int(idx))
+        starts += [(s, idx) for idx in mine]
+    owner, picked = np.array(starts).T
+    x, f = grid[picked], values[owner, picked]
     step = np.full(len(x), np.pi / (_GRID - 1))
-    evaluations = len(grid)
+    probes = np.zeros(len(x), dtype=int)  # compass directions evaluated per row
+    # Row pairs (i < j) of one state. Their |n_i . n_j| come from batched 1x3 @ 3x1
+    # matmuls, which round as the BLAS d @ d.T of one state's rows (an elementwise
+    # product-sum rounds differently) without forming every row pair's product.
+    pi, pj = np.nonzero(np.triu(owner[:, None] == owner, 1))
     for _ in range(_MAX_STEPS):
         live = np.flatnonzero(step >= _TOL)
         if live.size == 0:
             break
         trial = x[live, None, :] + step[live, None, None] * _COMPASS
-        ft = objective(_bloch_directions(trial.reshape(-1, 2))).reshape(live.size, len(_COMPASS))
-        evaluations += ft.size
+        n_trial = _bloch_directions(trial.reshape(-1, 2)).reshape(*trial.shape[:2], 3)
+        ft = objective(owner[live], n_trial)
+        probes[live] += len(_COMPASS)
         k = np.argmin(ft, axis=1)
         best = ft[np.arange(live.size), k]
         moved = best < f[live]
@@ -238,47 +238,85 @@ def sphere_search(objective) -> SphereMinimum:
         f[live[moved]] = best[moved]
         step[live[~moved]] /= _SHRINK
         d = _bloch_directions(x)
-        near = np.abs(d @ d.T) > np.cos(np.maximum.outer(step, step))
-        step[np.triu(near & (f[:, None] <= f), 1).any(axis=0)] = 0.0
-    s = int(np.argmin(f))  # the first of equal values, i.e. the best-ranked start
-    return SphereMinimum(
-        angles=_canonical_angles(x[s, 0], x[s, 1]),
-        value=float(f[s]),
-        starts_used=len(picked),
-        converged=bool(np.all(step < _TOL)),
-        evaluations=evaluations,
-    )
+        dots = np.abs(d[pi, None, :] @ d[pj, :, None])[:, 0, 0]
+        near = dots > np.cos(np.maximum(step[pi], step[pj]))
+        step[pj[near & (f[pi] <= f[pj])]] = 0.0
+    found = []
+    edges = np.searchsorted(owner, np.arange(states + 1))
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        i = lo + int(np.argmin(f[lo:hi]))  # the first of equal values: the best-ranked start
+        found.append(SphereMinimum(
+            angles=_canonical_angles(x[i, 0], x[i, 1]),
+            value=float(f[i]),
+            starts_used=int(hi - lo),
+            converged=bool(np.all(step[lo:hi] < _TOL)),
+            evaluations=len(grid) + int(probes[lo:hi].sum()),
+        ))
+    return found
 
 
-def _conditional_entropy(t: np.ndarray, d_rest: int):
+def _conditional_entropy(ts: np.ndarray, d_rest: int):
     """Objective sum_a p_a H(rest | a) of the measurement along each direction n.
 
-    Outcome +-n leaves the unnormalized block B(+-n) = (T_0 +- n.T)/2 on the
-    unmeasured side, with T_s = Tr_meas[(1 x sigma_s) rho] formed once here.
-    For d_rest = 2 a block b_0 + b.sigma has eigenvalues b_0 +- |b|; larger
-    blocks go through one stacked eigvalsh.
+    ``ts`` stacks the T_s = Tr_meas[(1 x sigma_s) rho] (S, 4, d_rest, d_rest)
+    of S states. Outcome +-n leaves the unnormalized block B(+-n) = (T_0 +- n.T)/2
+    on the unmeasured side. The objective maps row states (K,) and directions
+    n (K, G, 3) to values (K, G): each row's n.T is one batched matmul against
+    its own state's T_s. For d_rest = 2 a block b_0 + b.sigma has eigenvalues
+    b_0 +- |b|; larger blocks of every row go through one stacked eigvalsh.
     """
-    ts = np.einsum("skj,ajbk->sab", _PAULI, t)
-    signs = np.array([1.0, -1.0])[:, None, None]
+    signs = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
     if d_rest == 2:
-        coef = np.einsum("sab,rba->sr", ts, _PAULI).real / 2.0
+        coef = np.einsum("xsab,rba->xsr", ts, _PAULI).real / 2.0
 
-        def block_eigs(n):
-            b = (coef[0] + signs * (n @ coef[1:])) / 2.0
+        def block_eigs(rows, n):
+            b = (coef[rows, None, 0] + signs * (n @ coef[rows, 1:])) / 2.0
             r = np.sqrt(np.sum(b[..., 1:] ** 2, axis=-1))
             return np.stack([b[..., 0] - r, b[..., 0] + r], axis=-1)
 
     else:
+        flat = ts.reshape(len(ts), 4, -1)
 
-        def block_eigs(n):
-            nt = (n @ ts[1:].reshape(3, -1)).reshape(-1, d_rest, d_rest)
-            return np.linalg.eigvalsh((ts[0] + signs[..., None] * nt) / 2.0)
+        def block_eigs(rows, n):
+            nt = (n @ flat[rows, 1:]).reshape(*n.shape[:2], d_rest, d_rest)
+            return np.linalg.eigvalsh((ts[rows, None, 0] + signs[..., None] * nt) / 2.0)
 
-    def objective(n):
-        w = np.clip(block_eigs(n), 0.0, 1.0)
+    def objective(rows, n):
+        w = np.clip(block_eigs(rows, n), 0.0, 1.0)
         return np.sum(_xlog2x_sum(w.sum(axis=-1, keepdims=True)) - _xlog2x_sum(w), axis=0)
 
     return objective
+
+
+def _classical_stack(pairs) -> list[MeasurementOptimum]:
+    """`classical_correlations` of each (rho, measured) pair, from one stacked search.
+
+    Each state's result equals its own search: the states share the search's
+    steps, not its starts. All unmeasured sides must share one dimension.
+    """
+    pairs = list(pairs)
+    views = [_measured_last(rho, measured) for rho, measured in pairs]
+    d_rests = sorted({d for _, d in views})
+    if len(d_rests) > 1:
+        raise ValueError(
+            f"a stacked J search needs one unmeasured dimension, got d_rest {d_rests}"
+        )
+    if not views:
+        return []
+    tensors = np.stack([t for t, _ in views])
+    ts = np.einsum("skj,xajbk->xsab", _PAULI, tensors)
+    found = sphere_search(_conditional_entropy(ts, d_rests[0]), len(views))
+    return [
+        MeasurementOptimum(
+            value=entropy_of(np.trace(t, axis1=1, axis2=3)) - best.value,
+            argmax=qubit_projectors(best.angles, measured),
+            angles=best.angles,
+            starts_used=best.starts_used,
+            converged=best.converged,
+            evaluations=best.evaluations,
+        )
+        for t, (_, measured), best in zip(tensors, pairs, found)
+    ]
 
 
 def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOptimum:
@@ -297,14 +335,4 @@ def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOpti
     MeasurementOptimum
         Best value J in bits, the measurement attaining it, and search stats.
     """
-    t, d_rest = _measured_last(rho, measured)
-    h_a = entropy_of(np.trace(t, axis1=1, axis2=3))
-    best = sphere_search(_conditional_entropy(t, d_rest))
-    return MeasurementOptimum(
-        value=h_a - best.value,
-        argmax=qubit_projectors(best.angles, measured),
-        angles=best.angles,
-        starts_used=best.starts_used,
-        converged=best.converged,
-        evaluations=best.evaluations,
-    )
+    return _classical_stack([(rho, measured)])[0]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import H_S_CUTOFF, consensus_from_marginals
 from .core import DensityMatrix, PureState, von_neumann_entropy
-from .correlations import Bipartition, quantum_discord
+from .correlations import Bipartition, CorrelationRecord, _discord_stack
 
 BRUTE_MAX_SITES = 12
 
@@ -139,10 +139,8 @@ def analytic_marginals(
     return DensityMatrix(rho_s, (2,)), DensityMatrix(rho_se, (2, 2)), rho_pair
 
 
-def _sweep_point(cfg: StarConfig) -> SweepRow:
-    rho_s, rho_se, _ = analytic_marginals(cfg)
+def _sweep_row(cfg: StarConfig, rho_s: DensityMatrix, record: CorrelationRecord) -> SweepRow:
     h_s = von_neumann_entropy(rho_s)
-    record = quantum_discord(Bipartition(rho_se, (0,), (1,)), measured="b")
     eof, j, discord = record.eof, record.classical, record.discord
 
     if h_s > H_S_CUTOFF:
@@ -168,5 +166,14 @@ def _sweep_point(cfg: StarConfig) -> SweepRow:
 
 
 def run_sweep(n_list, a_grid) -> list[SweepRow]:
-    """Sweep quantities over the (N, a) grid, in grid order (N outer, a inner)."""
-    return [_sweep_point(StarConfig(n, a)) for n in n_list for a in a_grid]
+    """Sweep quantities over the (N, a) grid, in grid order (N outer, a inner).
+
+    The J searches of all grid points run as one stacked search.
+    """
+    configs = [StarConfig(n, a) for n in n_list for a in a_grid]
+    marginals = [analytic_marginals(cfg)[:2] for cfg in configs]
+    records = _discord_stack((Bipartition(rho_se, (0,), (1,)), "b") for _, rho_se in marginals)
+    return [
+        _sweep_row(cfg, rho_s, record)
+        for cfg, (rho_s, _), record in zip(configs, marginals, records)
+    ]

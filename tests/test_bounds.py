@@ -14,7 +14,6 @@ from qcorr import (
     StarConfig,
     UndefinedConsensusError,
     UnsupportedDimensionError,
-    apply_local_measurement,
     bell_state,
     binary_entropy,
     build_universe_brute,
@@ -45,6 +44,8 @@ from qcorr import (
     w_state,
 )
 from qcorr.bounds import OPTIMIZATION_SLACK, make_audit
+
+from definitions import apply_local_measurement
 
 
 def _full_rank(dims, seed: int, eps: float = 1e-6) -> DensityMatrix:
@@ -508,6 +509,11 @@ def test_env_consensus_flags_product_environment_undefined():
     report = env_consensus(PureState(vec, (2, 2, 2)))
     assert not any(report.defined)
     assert all(d is None for d in report.delta_eps_i)
+
+
+def test_env_consensus_needs_two_sites():
+    with pytest.raises(ValueError, match="at least 2 sites"):
+        env_consensus(random_density_matrix((2,), 2, 3))
 
 
 def test_env_consensus_symmetric_on_w_state():

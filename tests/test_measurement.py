@@ -16,7 +16,6 @@ from qcorr import (
     DensityMatrix,
     ProjectiveMeasurement,
     UnsupportedDimensionError,
-    apply_local_measurement,
     bell_state,
     binary_entropy,
     classical_correlations,
@@ -32,6 +31,8 @@ from qcorr import (
 )
 from qcorr import measurement
 from qcorr.measurement import _canonical_angles
+
+from definitions import apply_local_measurement
 
 
 def _mutual_info(rho: DensityMatrix) -> float:
@@ -312,12 +313,12 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
     batches = []
     conditional_entropy = measurement._conditional_entropy
 
-    def counting(t, d_rest):
-        objective = conditional_entropy(t, d_rest)
+    def counting(ts, d_rest):
+        objective = conditional_entropy(ts, d_rest)
 
-        def wrapped(n):
-            batches.append(len(n))
-            return objective(n)
+        def wrapped(rows, n):
+            batches.append(n.shape[0] * n.shape[1])
+            return objective(rows, n)
 
         return wrapped
 
@@ -332,6 +333,27 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
     assert min(live[:9]) < 5
     post = apply_local_measurement(rho, best.argmax)
     assert abs(mutual_information(Bipartition(post, (1,), (0,))) - best.value) <= 1e-12
+
+
+def test_stacked_search_keeps_states_independent():
+    # The flat a = 1 marginal converges after 8 steps while the others keep
+    # moving; a retirement that matched rows of different states would change
+    # the duplicated state's counts or one state's argmax.
+    twice = analytic_marginals(StarConfig(10, 0.5))[1]
+    flat = analytic_marginals(StarConfig(10, 1.0))[1]
+    other = random_density_matrix((2, 2), 2, 1)
+    stack = [(twice, 1), (flat, 1), (twice, 1), (other, 1)]
+
+    def fields(best):
+        return (best.value, best.angles, best.evaluations, best.starts_used, best.converged)
+
+    stacked = [fields(b) for b in measurement._classical_stack(stack)]
+    assert stacked == [fields(classical_correlations(rho, m)) for rho, m in stack]
+    assert stacked[0] == stacked[2]
+    assert measurement._classical_stack([]) == []
+    mixed = [(other, 1), (random_density_matrix((2, 3), 3, 5), 0)]
+    with pytest.raises(ValueError, match=r"d_rest \[2, 3\]"):
+        measurement._classical_stack(mixed)
 
 
 def test_importing_qcorr_leaves_scipy_unloaded():

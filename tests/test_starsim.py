@@ -160,6 +160,14 @@ def test_sweep_emits_rows_in_grid_order():
     ]
 
 
+def test_batched_sweep_matches_point_by_point_sweep():
+    # One stacked J search over every point must give each row its own search's result.
+    a_grid = (0.0, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0)
+    rows = run_sweep((2, 10, 50), a_grid)
+    assert rows == [run_sweep([n], [a])[0] for n in (2, 10, 50) for a in a_grid]
+    assert run_sweep([], a_grid) == []
+
+
 def test_sweep_limits_and_bounds():
     rows = run_sweep((2, 6), (0.0, 0.4, 1.0))
     for row in rows:
