@@ -23,12 +23,12 @@ Every audit is reported as a `BoundAudit` carrying lhs, rhs, slack and the
 tolerance that decided `satisfied`, so reports serialize uniformly.
 
 Wherever a marginal needs D, or J together with E, they come from the
-stacked form of `correlations.quantum_discord`, which refines the J of every
-marginal it is given in one `measurement.sphere_search`. `consensus_delta`,
-`discord_bound_audit` and `eof_bound_audit` share one per-site pass that
-forms H(rho_S) and each marginal once and searches all sites together; the
-conservation audit stacks its two marginals the same way. Environment
-consensus stacks every pairwise J it needs into one search. Code that needs
+stacked form of `correlations.quantum_discord`, which refines the J of the
+marginals it is given together, up to 256 per `measurement.sphere_search`.
+`consensus_delta`, `discord_bound_audit` and `eof_bound_audit` share one
+per-site pass that forms H(rho_S) and each marginal once and searches all
+sites together; the conservation audit stacks its two marginals the same
+way, and environment consensus every pairwise J it needs. Code that needs
 the J of one state or its optimal direction (trade-off, continuity,
 f-function) calls `classical_correlations`, the stack of one.
 """

@@ -112,7 +112,7 @@ def _measured_subsystem(b: Bipartition, measured: str) -> int:
 
 
 def _discord_stack(pairs) -> list[CorrelationRecord]:
-    """`quantum_discord` of each (bipartition, measured side) pair, all J from one search.
+    """`quantum_discord` of each (bipartition, measured side) pair, all J searched together.
 
     The one place that forms D and pairs it with E: the star-network sweep, the
     consensus parameters and the discord, EoF, remark and conservation audits

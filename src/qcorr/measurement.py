@@ -41,6 +41,9 @@ _GRID = 24
 _STARTS = 5
 _TOL = 1e-8
 _MAX_STEPS = 400
+# States per `sphere_search` call in a stacked J search: bounds one call's memory
+# on a long sweep while the call still shares its steps among many states.
+_STACK = 256
 
 
 class UnsupportedDimensionError(ValueError):
@@ -198,15 +201,15 @@ def sphere_search(objective, states: int) -> list[SphereMinimum]:
     n = _bloch_directions(grid)
     # One state per grid call, in slices of _GRID_CHUNK directions: bounds
     # stacked-block memory.
-    values = np.array([
-        np.concatenate([
-            objective(np.array([s]), n[None, i : i + _GRID_CHUNK])[0]
-            for i in range(0, len(n), _GRID_CHUNK)
-        ])
-        for s in range(states)
-    ])
+    values = np.empty((states, len(n)))
+    for s in range(states):
+        for i in range(0, len(n), _GRID_CHUNK):
+            chunk = n[None, i : i + _GRID_CHUNK]
+            values[s, i : i + _GRID_CHUNK] = objective(np.array([s]), chunk)[0]
     ranked = np.argsort(values, axis=1, kind="stable")
     starts: list[tuple[int, int]] = []  # (state, grid point) of each row
+    # Row pairs (i < j) of one state, at most _STARTS^2 / 2 per state.
+    pairs: list[tuple[int, int]] = []
     for s, order in enumerate(ranked):
         mine: list[int] = []
         for idx in order:
@@ -214,15 +217,16 @@ def sphere_search(objective, states: int) -> list[SphereMinimum]:
                 break
             if not mine or np.max(np.abs(n[mine] @ n[idx])) < _SAME_AXIS:
                 mine.append(int(idx))
+        first, m = len(starts), len(mine)
+        pairs += [(first + i, first + j) for i in range(m) for j in range(i + 1, m)]
         starts += [(s, idx) for idx in mine]
     owner, picked = np.array(starts).T
+    # Their |n_i . n_j| come from batched 1x3 @ 3x1 matmuls, which round as the
+    # BLAS d @ d.T of one state's rows (an elementwise product-sum rounds differently).
+    pi, pj = np.array(pairs, dtype=int).reshape(-1, 2).T
     x, f = grid[picked], values[owner, picked]
     step = np.full(len(x), np.pi / (_GRID - 1))
     probes = np.zeros(len(x), dtype=int)  # compass directions evaluated per row
-    # Row pairs (i < j) of one state. Their |n_i . n_j| come from batched 1x3 @ 3x1
-    # matmuls, which round as the BLAS d @ d.T of one state's rows (an elementwise
-    # product-sum rounds differently) without forming every row pair's product.
-    pi, pj = np.nonzero(np.triu(owner[:, None] == owner, 1))
     for _ in range(_MAX_STEPS):
         live = np.flatnonzero(step >= _TOL)
         if live.size == 0:
@@ -289,10 +293,11 @@ def _conditional_entropy(ts: np.ndarray, d_rest: int):
 
 
 def _classical_stack(pairs) -> list[MeasurementOptimum]:
-    """`classical_correlations` of each (rho, measured) pair, from one stacked search.
+    """`classical_correlations` of each (rho, measured) pair, from stacked searches.
 
-    Each state's result equals its own search: the states share the search's
-    steps, not its starts. All unmeasured sides must share one dimension.
+    One `sphere_search` runs per block of _STACK states. Each state's result
+    equals its own search: the states share the search's steps, not its starts.
+    All unmeasured sides must share one dimension.
     """
     pairs = list(pairs)
     views = [_measured_last(rho, measured) for rho, measured in pairs]
@@ -305,7 +310,10 @@ def _classical_stack(pairs) -> list[MeasurementOptimum]:
         return []
     tensors = np.stack([t for t, _ in views])
     ts = np.einsum("skj,xajbk->xsab", _PAULI, tensors)
-    found = sphere_search(_conditional_entropy(ts, d_rests[0]), len(views))
+    found: list[SphereMinimum] = []
+    for i in range(0, len(ts), _STACK):
+        block = ts[i : i + _STACK]
+        found += sphere_search(_conditional_entropy(block, d_rests[0]), len(block))
     return [
         MeasurementOptimum(
             value=entropy_of(np.trace(t, axis1=1, axis2=3)) - best.value,

@@ -168,7 +168,7 @@ def _sweep_row(cfg: StarConfig, rho_s: DensityMatrix, record: CorrelationRecord)
 def run_sweep(n_list, a_grid) -> list[SweepRow]:
     """Sweep quantities over the (N, a) grid, in grid order (N outer, a inner).
 
-    The J searches of all grid points run as one stacked search.
+    The J searches of all grid points run stacked, up to 256 points per search.
     """
     configs = [StarConfig(n, a) for n in n_list for a in a_grid]
     marginals = [analytic_marginals(cfg)[:2] for cfg in configs]

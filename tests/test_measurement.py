@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -335,10 +336,12 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
     assert abs(mutual_information(Bipartition(post, (1,), (0,))) - best.value) <= 1e-12
 
 
-def test_stacked_search_keeps_states_independent():
+def test_stacked_search_keeps_states_independent(monkeypatch):
     # The flat a = 1 marginal converges after 8 steps while the others keep
     # moving; a retirement that matched rows of different states would change
-    # the duplicated state's counts or one state's argmax.
+    # the duplicated state's counts or one state's argmax. Three states per
+    # search split the stack into two searches.
+    monkeypatch.setattr(measurement, "_STACK", 3)
     twice = analytic_marginals(StarConfig(10, 0.5))[1]
     flat = analytic_marginals(StarConfig(10, 1.0))[1]
     other = random_density_matrix((2, 2), 2, 1)
@@ -354,6 +357,24 @@ def test_stacked_search_keeps_states_independent():
     mixed = [(other, 1), (random_density_matrix((2, 3), 3, 5), 0)]
     with pytest.raises(ValueError, match=r"d_rest \[2, 3\]"):
         measurement._classical_stack(mixed)
+
+
+def test_stacked_search_memory_grows_linearly_with_the_stack():
+    # A sweep over a fine a grid is one stack of thousands of states. The grid
+    # values take about 16 KB per state; pairing rows through a K x K mask of
+    # its K = 5 S rows would add at least 25 S^2 bytes (10 KB per state at S = 400).
+    def objective(rows, n):
+        return n[..., 2] ** 2 * (1.0 + 0.01 * rows[:, None])
+
+    states = 400
+    tracemalloc.start()
+    try:
+        found = measurement.sphere_search(objective, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found) == states and all(f.starts_used == 5 for f in found)
+    assert peak < 24_000 * states
 
 
 def test_importing_qcorr_leaves_scipy_unloaded():
