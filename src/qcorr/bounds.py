@@ -126,10 +126,13 @@ class EnvConsensusReport:
     site j; diagonal entries are None. Sites whose marginal entropy is ~0
     carry ``delta_eps_i = None`` and ``defined[i] = False``, and their
     ``j_matrix`` row is left unpopulated (None) since no ratio uses it.
+    ``eof_matrix[i][j] = eof_matrix[j][i]`` holds the EoF of that marginal for
+    every pair with a defined site, and None elsewhere.
     """
 
     entropies: tuple[float, ...]
     j_matrix: tuple[tuple[float | None, ...], ...]
+    eof_matrix: tuple[tuple[float | None, ...], ...]
     delta_eps_i: tuple[float | None, ...]
     defined: tuple[bool, ...]
 
@@ -508,11 +511,13 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
     )
     live = [h > H_S_CUTOFF for h in entropies]
     searches = []  # ((i, j), the pair's marginal, index of site j in it): J measured on j
+    eof_matrix = [[None] * n for _ in range(n)]
     for i in range(n):
         for jj in range(i + 1, n):
             if not (live[i] or live[jj]):
                 continue
             marg = _marginal(env, (i, jj))
+            eof_matrix[i][jj] = eof_matrix[jj][i] = eof_two_qubit(marg)
             if live[i]:
                 searches.append(((i, jj), marg, 1))
             if live[jj]:
@@ -533,6 +538,7 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
     return EnvConsensusReport(
         entropies=entropies,
         j_matrix=tuple(tuple(row) for row in j_matrix),
+        eof_matrix=tuple(tuple(row) for row in eof_matrix),
         delta_eps_i=tuple(delta),
         defined=tuple(defined),
     )
@@ -543,8 +549,8 @@ def env_eof_bound_audit(
 ) -> BoundAudit:
     """Audit E(rho_site_i,site_j) <= delta^e_i * H(rho_site_i) for one site pair.
 
-    Pass a precomputed ``report`` to amortize the pairwise-J optimization
-    when auditing many pairs of the same state.
+    Pass a precomputed ``report`` to amortize the pairwise J searches and the
+    pair EoFs, which it holds, when auditing many pairs of the same state.
     """
     if isinstance(env, DensityMatrix):
         raise ValueError(
@@ -557,11 +563,9 @@ def env_eof_bound_audit(
         raise ValueError("need two distinct sites")
     if not report.defined[i]:
         raise UndefinedConsensusError(f"site {i} has ~zero entropy; bound undefined")
-    marg = _marginal(env, (min(i, j), max(i, j)))
-    eof = eof_two_qubit(marg)
     return make_audit(
         "env-bound",
-        eof,
+        report.eof_matrix[i][j],
         report.delta_eps_i[i] * report.entropies[i],
         OPTIMIZATION_SLACK,
         site_i=i,

@@ -10,9 +10,10 @@ measurement on side B the post-measurement mutual information reduces to
 
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho].
 `sphere_search` minimizes it for a whole stack of states in one loop (and the
-pinching objective in `bounds` as a stack of one) with fixed settings: a
-_GRID x _GRID angle grid, _STARTS refined directions per state, a step
-tolerance of _TOL radians and at most _MAX_STEPS refinement steps.
+pinching objective in `bounds` as a stack of one) with fixed settings: one
+point per measurement axis of a _GRID x _GRID angle grid, _STARTS refined
+directions per state, each in its own pole-free chart, a step tolerance of
+_TOL radians and at most _MAX_STEPS refinement steps.
 """
 
 from __future__ import annotations
@@ -28,15 +29,11 @@ COMPLETENESS_TOL = 1e-10
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
 # Neighbours probed by each refinement step, in units of the step length.
 _COMPASS = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j], dtype=float)
-# Directions with |n . m| above this are one measurement (m = n or m = -n).
-_SAME_AXIS = 1.0 - 1e-9
-# Directions per objective call while ranking the grid; bounds stacked-block memory.
-_GRID_CHUNK = 1024
 # Step divisor after a failed compass step; 8 took the fewest batched steps (2-16 tried).
 _SHRINK = 8.0
-# `sphere_search` settings, read at call time: grid points per angle, distinct
-# directions refined, step (radians) below which a start has converged, and the
-# cap on refinement steps.
+# `sphere_search` settings, read at call time: grid points per angle (even, so the
+# full grid is closed under n -> -n), directions refined, step (radians) below
+# which a start has converged, and the cap on refinement steps.
 _GRID = 24
 _STARTS = 5
 _TOL = 1e-8
@@ -156,15 +153,17 @@ def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
 
 
 def angle_grid() -> np.ndarray:
-    """(_GRID^2, 2) array of (theta, phi) search points covering the Bloch sphere.
+    """(1 + (_GRID/2 - 1) * _GRID, 2) array of (theta, phi) points, one per measurement axis.
 
-    theta runs over [0, pi] inclusive, phi over [0, 2*pi) without the
-    endpoint; the optimizers in this package all start from this family.
+    The full grid (theta over [0, pi] inclusive, phi over [0, 2*pi) without the
+    endpoint) is closed under n -> -n, which is one measurement, and its pole rows
+    repeat one point. This keeps the pole once and the theta rows inside the upper
+    hemisphere: every full-grid direction is +- exactly one of these points.
     """
-    thetas = np.linspace(0.0, np.pi, _GRID)
+    thetas = np.linspace(0.0, np.pi, _GRID)[1 : _GRID // 2]
     phis = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return np.column_stack([tt.ravel(), pp.ravel()])
+    return np.vstack([[0.0, 0.0], np.column_stack([tt.ravel(), pp.ravel()])])
 
 
 @dataclass(frozen=True)
@@ -185,46 +184,44 @@ def sphere_search(objective, states: int) -> list[SphereMinimum]:
     row's unit vectors n (K, G, 3) to that state's values (K, G); every state's
     objective is equal at n and -n.
 
-    Every `angle_grid` point is evaluated for every state and ranked (stable
-    sort, so ties keep grid order). Each state's _STARTS best directions that
-    differ up to sign become rows, and all rows are refined together by a
-    compass search in (theta, phi): each step probes the 8 neighbours at the
-    row's step length and moves to the best one if it is strictly lower, or else
-    divides the step by 8. After each step a row is retired (its step set to 0)
-    when it lies within max(step_i, step_j) of an earlier row j of the same state
-    up to sign, |n_i . n_j| > cos(max(step_i, step_j)), and is no better than it,
-    f_i >= f_j. A row has converged once its step is below _TOL; the loop stops
-    after _MAX_STEPS steps. Rows of different states never meet, so each state's
-    result and its counts are those of a search over that state alone.
+    Every `angle_grid` point (one per axis) is evaluated for every state, one
+    objective call per state, and ranked (stable sort, so ties keep grid order).
+    Each state's _STARTS best points become rows, and all rows are refined
+    together by a compass search in (theta, phi) charts rotated per row, so that
+    the row starts at (pi/2, 0), far from its chart's poles. Each step probes the
+    8 neighbours at the row's step length and moves to the best one if it is
+    strictly lower, or else divides the step by 8. After each step a row is
+    retired (its step set to 0) when it lies within max(step_i, step_j) of an
+    earlier row j of the same state up to sign, |n_i . n_j| >
+    cos(max(step_i, step_j)), and is no better than it, f_i >= f_j. A row has
+    converged once its step is below _TOL; the loop stops after _MAX_STEPS
+    steps. Rows of different states never meet, so each state's result and its
+    counts are those of a search over that state alone.
     """
     grid = angle_grid()
     n = _bloch_directions(grid)
-    # One state per grid call, in slices of _GRID_CHUNK directions: bounds
-    # stacked-block memory.
     values = np.empty((states, len(n)))
     for s in range(states):
-        for i in range(0, len(n), _GRID_CHUNK):
-            chunk = n[None, i : i + _GRID_CHUNK]
-            values[s, i : i + _GRID_CHUNK] = objective(np.array([s]), chunk)[0]
-    ranked = np.argsort(values, axis=1, kind="stable")
-    starts: list[tuple[int, int]] = []  # (state, grid point) of each row
-    # Row pairs (i < j) of one state, at most _STARTS^2 / 2 per state.
-    pairs: list[tuple[int, int]] = []
-    for s, order in enumerate(ranked):
-        mine: list[int] = []
-        for idx in order:
-            if len(mine) == _STARTS:
-                break
-            if not mine or np.max(np.abs(n[mine] @ n[idx])) < _SAME_AXIS:
-                mine.append(int(idx))
-        first, m = len(starts), len(mine)
-        pairs += [(first + i, first + j) for i in range(m) for j in range(i + 1, m)]
-        starts += [(s, idx) for idx in mine]
-    owner, picked = np.array(starts).T
-    # Their |n_i . n_j| come from batched 1x3 @ 3x1 matmuls, which round as the
-    # BLAS d @ d.T of one state's rows (an elementwise product-sum rounds differently).
-    pi, pj = np.array(pairs, dtype=int).reshape(-1, 2).T
-    x, f = grid[picked], values[owner, picked]
+        values[s] = objective(np.array([s]), n[None])[0]
+    picked = np.argsort(values, axis=1, kind="stable")[:, :_STARTS].ravel()
+    owner = np.repeat(np.arange(states), _STARTS)
+    # Row pairs (i < j) of one state. Their |n_i . n_j| come from batched
+    # 1x3 @ 3x1 matmuls, which round as the BLAS d @ d.T of one state's rows
+    # (an elementwise product-sum rounds differently).
+    first = _STARTS * np.arange(states)[:, None]
+    pi, pj = ((first + t).ravel() for t in np.triu_indices(_STARTS, 1))
+    f = values[owner, picked]
+    # Each row's chart has rows n, e_phi and -e_theta at its start: a local unit
+    # vector times the chart is a world direction, and local (pi/2, 0) is the start.
+    theta, phi = grid[picked].T
+    ct = np.cos(theta)
+    chart = np.stack([
+        n[picked],
+        np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)]),
+        np.column_stack([-ct * np.cos(phi), -ct * np.sin(phi), np.sin(theta)]),
+    ], axis=1)
+    x = np.tile([np.pi / 2, 0.0], (len(picked), 1))  # chart angles of each row
+    d = n[picked]  # world direction of each row
     step = np.full(len(x), np.pi / (_GRID - 1))
     probes = np.zeros(len(x), dtype=int)  # compass directions evaluated per row
     for _ in range(_MAX_STEPS):
@@ -232,29 +229,31 @@ def sphere_search(objective, states: int) -> list[SphereMinimum]:
         if live.size == 0:
             break
         trial = x[live, None, :] + step[live, None, None] * _COMPASS
-        n_trial = _bloch_directions(trial.reshape(-1, 2)).reshape(*trial.shape[:2], 3)
+        local = _bloch_directions(trial.reshape(-1, 2)).reshape(*trial.shape[:2], 3)
+        n_trial = local @ chart[live]
         ft = objective(owner[live], n_trial)
         probes[live] += len(_COMPASS)
         k = np.argmin(ft, axis=1)
         best = ft[np.arange(live.size), k]
         moved = best < f[live]
         x[live[moved]] = trial[moved, k[moved]]
+        d[live[moved]] = n_trial[moved, k[moved]]
         f[live[moved]] = best[moved]
         step[live[~moved]] /= _SHRINK
-        d = _bloch_directions(x)
         dots = np.abs(d[pi, None, :] @ d[pj, :, None])[:, 0, 0]
         near = dots > np.cos(np.maximum(step[pi], step[pj]))
         step[pj[near & (f[pi] <= f[pj])]] = 0.0
     found = []
-    edges = np.searchsorted(owner, np.arange(states + 1))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        i = lo + int(np.argmin(f[lo:hi]))  # the first of equal values: the best-ranked start
+    for lo in range(0, len(f), _STARTS):
+        rows = slice(lo, lo + _STARTS)
+        i = lo + int(np.argmin(f[rows]))  # the first of equal values: the best-ranked start
+        polar = np.arccos(np.clip(d[i, 2], -1.0, 1.0))
         found.append(SphereMinimum(
-            angles=_canonical_angles(x[i, 0], x[i, 1]),
+            angles=_canonical_angles(polar, np.arctan2(d[i, 1], d[i, 0])),
             value=float(f[i]),
-            starts_used=int(hi - lo),
-            converged=bool(np.all(step[lo:hi] < _TOL)),
-            evaluations=len(grid) + int(probes[lo:hi].sum()),
+            starts_used=_STARTS,
+            converged=bool(np.all(step[rows] < _TOL)),
+            evaluations=len(grid) + int(probes[rows].sum()),
         ))
     return found
 

@@ -100,6 +100,22 @@ def _phi_vector(a: float) -> np.ndarray:
     return np.array([a, np.sqrt(1.0 - a * a)], dtype=complex)
 
 
+def _system_marginals(cfg: StarConfig) -> tuple[DensityMatrix, DensityMatrix]:
+    """Closed-form (rho_S, rho_S-site) of `analytic_marginals`, without the pair."""
+    n, a = cfg.n_env, cfg.a
+    rho_s = 0.5 * np.array([[1.0, a**n], [a**n, 1.0]], dtype=complex)
+
+    zero_zero = np.zeros(4, dtype=complex)
+    zero_zero[0] = 1.0
+    one_phi = np.kron(np.array([0.0, 1.0], dtype=complex), _phi_vector(a))
+    rho_se = 0.5 * (
+        np.outer(zero_zero, zero_zero.conj())
+        + np.outer(one_phi, one_phi.conj())
+        + a ** (n - 1) * (np.outer(zero_zero, one_phi.conj()) + np.outer(one_phi, zero_zero.conj()))
+    )
+    return DensityMatrix(rho_s, (2,)), DensityMatrix(rho_se, (2, 2))
+
+
 def analytic_marginals(
     cfg: StarConfig,
 ) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix | None]:
@@ -116,27 +132,13 @@ def analytic_marginals(
     The pair marginal has no coherence term: tracing out the system kills
     the |0><1|_S cross terms entirely. It is None when N = 1 (no pair).
     """
-    n, a = cfg.n_env, cfg.a
-    phi = _phi_vector(a)
-
-    rho_s = 0.5 * np.array([[1.0, a**n], [a**n, 1.0]], dtype=complex)
-
-    zero_zero = np.zeros(4, dtype=complex)
-    zero_zero[0] = 1.0
-    one_phi = np.kron(np.array([0.0, 1.0], dtype=complex), phi)
-    rho_se = 0.5 * (
-        np.outer(zero_zero, zero_zero.conj())
-        + np.outer(one_phi, one_phi.conj())
-        + a ** (n - 1) * (np.outer(zero_zero, one_phi.conj()) + np.outer(one_phi, zero_zero.conj()))
-    )
-
+    rho_s, rho_se = _system_marginals(cfg)
     rho_pair = None
-    if n >= 2:
-        phi_phi = np.kron(phi, phi)
-        mat = 0.5 * (np.outer(zero_zero, zero_zero.conj()) + np.outer(phi_phi, phi_phi.conj()))
+    if cfg.n_env >= 2:
+        phi_phi = np.kron(_phi_vector(cfg.a), _phi_vector(cfg.a))
+        mat = 0.5 * (np.diag([1.0, 0.0, 0.0, 0.0]) + np.outer(phi_phi, phi_phi.conj()))
         rho_pair = DensityMatrix(mat, (2, 2))
-
-    return DensityMatrix(rho_s, (2,)), DensityMatrix(rho_se, (2, 2)), rho_pair
+    return rho_s, rho_se, rho_pair
 
 
 def _sweep_row(cfg: StarConfig, rho_s: DensityMatrix, record: CorrelationRecord) -> SweepRow:
@@ -171,7 +173,7 @@ def run_sweep(n_list, a_grid) -> list[SweepRow]:
     The J searches of all grid points run stacked, up to 256 points per search.
     """
     configs = [StarConfig(n, a) for n in n_list for a in a_grid]
-    marginals = [analytic_marginals(cfg)[:2] for cfg in configs]
+    marginals = [_system_marginals(cfg) for cfg in configs]
     records = _discord_stack((Bipartition(rho_se, (0,), (1,)), "b") for _, rho_se in marginals)
     return [
         _sweep_row(cfg, rho_s, record)

@@ -509,6 +509,7 @@ def test_env_consensus_flags_product_environment_undefined():
     report = env_consensus(PureState(vec, (2, 2, 2)))
     assert not any(report.defined)
     assert all(d is None for d in report.delta_eps_i)
+    assert all(e is None for row in report.eof_matrix for e in row)
 
 
 def test_env_consensus_needs_two_sites():
@@ -528,6 +529,17 @@ def test_env_consensus_definition_recoverable_from_fields():
     for i, (h, d_eps) in enumerate(zip(report.entropies, report.delta_eps_i)):
         j_min = min(v for j, v in enumerate(report.j_matrix[i]) if j != i)
         assert d_eps == pytest.approx(1.0 - j_min / h, abs=1e-12)
+
+
+def test_env_consensus_eof_matrix_holds_each_pair_eof():
+    psi = random_pure_state((2, 2, 2, 2), 79)
+    report = env_consensus(psi)
+    assert all(report.defined)
+    for i in range(4):
+        assert report.eof_matrix[i][i] is None
+        for j in range(i + 1, 4):
+            eof = eof_two_qubit(reduced_density_matrix(psi, (i, j)))
+            assert report.eof_matrix[i][j] == report.eof_matrix[j][i] == eof
 
 
 def test_env_eof_bound_saturates_on_ghz():

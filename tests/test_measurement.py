@@ -24,6 +24,8 @@ from qcorr import (
     mutual_information,
     partial_trace,
     random_density_matrix,
+    random_pure_state,
+    reduced_density_matrix,
     relative_entropy,
     von_neumann_entropy,
     qubit_projectors,
@@ -294,20 +296,57 @@ def test_classical_correlations_dominate_dense_definition_grid():
             assert best.value >= dense - 1e-12
 
 
+def test_angle_grid_holds_one_point_per_axis_of_the_full_grid():
+    grid = measurement.angle_grid()
+    assert grid.shape == (265, 2)
+    n = measurement._bloch_directions(grid)
+    dots = np.abs(n @ n.T)
+    np.fill_diagonal(dots, 0.0)
+    assert dots.max() < 1.0 - 1e-9
+    thetas = np.linspace(0.0, np.pi, 24)
+    phis = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    full = measurement._bloch_directions(np.array([(t, p) for t in thetas for p in phis]))
+    gap = np.minimum(
+        np.abs(full[:, None] - n[None]).max(axis=-1),
+        np.abs(full[:, None] + n[None]).max(axis=-1),
+    )
+    assert gap.min(axis=1).max() < 1e-12
+
+
+def test_search_converges_on_an_optimum_near_a_pole():
+    # The optimum sits at theta ~ 0.076. A compass in world (theta, phi) crawls
+    # near the pole: this search ran to the 400-step cap with 4248 evaluations.
+    psi = random_pure_state((2, 2, 2, 2), 391238603)
+    best = classical_correlations(reduced_density_matrix(psi, (0, 1)), 0)
+    assert best.converged
+    assert best.evaluations <= 1000
+    assert best.value >= 0.43170306444801043 - 1e-12
+
+
+def test_search_does_not_lose_a_start_on_the_pole():
+    # Trial 17 of `qcorr audit --suite kw`. With the 265-point grid but one
+    # shared (theta, phi) chart, a start on the pole at phi = 0 can only move
+    # along one meridian, and the search stopped 1.8e-4 short, at 0.3004375.
+    psi = random_pure_state((2, 2, 2), 17)
+    best = classical_correlations(reduced_density_matrix(psi, (0, 2)), 1)
+    assert best.value >= 0.300616852412521 - 1e-12
+
+
 def test_search_diagnostics_count_evaluations_and_convergence(monkeypatch):
     # At a = 1 the star marginal is a product state and the objective is flat.
     flat = classical_correlations(analytic_marginals(StarConfig(10, 1.0))[1], 1)
     interior = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
     assert flat.converged and interior.converged
     assert flat.starts_used == interior.starts_used == 5
+    grid = len(measurement.angle_grid())
     # The flat objective moves no start, so each reaches tol after 8 failed steps (/8 each).
-    assert flat.evaluations == 24 * 24 + 8 * 8 * 5
+    assert flat.evaluations == grid + 8 * 8 * 5 == 585
     monkeypatch.setattr(measurement, "_MAX_STEPS", 3)
     capped = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
     assert not capped.converged
-    # The grid, one step of 8 per start, then two steps of the one start left
-    # once the other four are retired onto it.
-    assert capped.evaluations == 24 * 24 + 8 * (5 + 1 + 1)
+    # The grid, one step of 8 per start, then one step of each of the two
+    # starts left once three are retired, then one step of the last start.
+    assert capped.evaluations == grid + 8 * (5 + 2 + 1)
 
 
 def test_search_retires_starts_that_share_a_basin(monkeypatch):
@@ -328,7 +367,7 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
     best = classical_correlations(rho, 1)
     steps, live = len(batches) - 1, [b // 8 for b in batches[1:]]
     assert best.converged and best.starts_used == 5
-    assert best.evaluations == sum(batches) < 24 * 24 + steps * 8 * 5
+    assert best.evaluations == sum(batches) < len(measurement.angle_grid()) + steps * 8 * 5
     # No start reaches tol in fewer than 8 failed steps, so one that leaves the
     # batch within the first 9 steps was retired onto an earlier start.
     assert min(live[:9]) < 5
@@ -361,8 +400,9 @@ def test_stacked_search_keeps_states_independent(monkeypatch):
 
 def test_stacked_search_memory_grows_linearly_with_the_stack():
     # A sweep over a fine a grid is one stack of thousands of states. The grid
-    # values take about 16 KB per state; pairing rows through a K x K mask of
-    # its K = 5 S rows would add at least 25 S^2 bytes (10 KB per state at S = 400).
+    # values and their ranking take about 9 KB per state; pairing rows through a
+    # K x K mask of its K = 5 S rows would add at least 25 S^2 bytes (10 KB per
+    # state at S = 400).
     def objective(rows, n):
         return n[..., 2] ** 2 * (1.0 + 0.01 * rows[:, None])
 
@@ -374,7 +414,7 @@ def test_stacked_search_memory_grows_linearly_with_the_stack():
     finally:
         tracemalloc.stop()
     assert len(found) == states and all(f.starts_used == 5 for f in found)
-    assert peak < 24_000 * states
+    assert peak < 16_000 * states
 
 
 def test_importing_qcorr_leaves_scipy_unloaded():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcorr import (
+    DensityMatrix,
     StarConfig,
     SweepRow,
     analytic_marginals,
@@ -13,6 +14,7 @@ from qcorr import (
     cmaybe_gate,
     reduced_density_matrix,
     run_sweep,
+    starsim,
 )
 
 
@@ -166,6 +168,20 @@ def test_batched_sweep_matches_point_by_point_sweep():
     rows = run_sweep((2, 10, 50), a_grid)
     assert rows == [run_sweep([n], [a])[0] for n in (2, 10, 50) for a in a_grid]
     assert run_sweep([], a_grid) == []
+
+
+def test_sweep_builds_no_pair_marginal(monkeypatch):
+    # The sweep reads rho_S and rho_S,site only; the site-pair marginal of
+    # `analytic_marginals` would cost one more validation eigensolve per point.
+    built = []
+
+    def recording(mat, dims):
+        built.append(dims)
+        return DensityMatrix(mat, dims)
+
+    monkeypatch.setattr(starsim, "DensityMatrix", recording)
+    run_sweep((3,), (0.5,))
+    assert built == [(2,), (2, 2)]
 
 
 def test_sweep_limits_and_bounds():
