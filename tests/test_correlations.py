@@ -22,13 +22,17 @@ from qcorr import (
     eof_two_qubit,
     ghz_state,
     mutual_information,
+    permute_subsystems,
     quantum_discord,
     random_density_matrix,
     random_pure_state,
     reduced_density_matrix,
     w_state,
 )
-from qcorr.correlations import _roof_value_and_gradient
+from qcorr import correlations
+from qcorr.correlations import _member_terms, _roof_value_and_gradient
+
+from definitions import roof_member_terms
 
 
 def _werner(p: float) -> DensityMatrix:
@@ -261,7 +265,7 @@ def test_convex_roof_matches_closed_form_on_random_states():
         exact = eof_two_qubit(rho)
         assert numeric >= exact - 1e-9  # the roof search can only overshoot
         worst = max(worst, abs(numeric - exact))
-    assert worst <= 1e-10  # 2.3e-14 seen
+    assert worst <= 1e-10  # 1.0e-13 seen
 
 
 def test_convex_roof_gradient_matches_finite_differences():
@@ -287,6 +291,69 @@ def test_convex_roof_gradient_matches_finite_differences():
             assert abs((f_plus - f_minus) / (2.0 * h) - analytic) <= 1e-7 * scale
 
 
+def _special_members(dims, rng):
+    """Product, maximally and almost maximally entangled, zero and random members, p <= 1."""
+    d_a, d_b = dims
+    d = min(dims)
+
+    def unitary(n):
+        return np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+
+    members = [np.zeros(dims, dtype=complex)]
+    for _ in range(8):
+        a = rng.standard_normal(d_a) + 1j * rng.standard_normal(d_a)
+        b = rng.standard_normal(d_b) + 1j * rng.standard_normal(d_b)
+        members.append(np.outer(a, b))
+        members.append(unitary(d_a)[:, :d] @ unitary(d_b)[:d, :])
+        # Singular values 3e-9 apart, where c(M) takes the limit of its divided difference.
+        members.append(unitary(d_a)[:, :d] * (1.0 + 3e-9 * np.arange(d)) @ unitary(d_b)[:d, :])
+        members.append(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+    return np.array([w / np.linalg.norm(w) * rng.uniform(0.1, 1.0) if w.any() else w
+                     for w in members])
+
+
+def test_roof_member_kernel_matches_the_svd_definition():
+    rng = np.random.default_rng(1301)
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        w = _special_members(dims, rng)
+        value, g = _member_terms(w)
+        ref_value, ref_g = roof_member_terms(w)
+        # 9.5e-16 (value) and 4.1e-14 |G| (G) apart; a product member's G
+        # vanishes, so G is compared against the norm of the whole stack.
+        assert_allclose(value, ref_value, rtol=0.0, atol=1e-13)
+        assert_allclose(g, ref_g, rtol=0.0, atol=1e-10 * np.linalg.norm(ref_g))
+        assert not g[0].any()  # the zero member
+
+
+def _roof_calls(monkeypatch, rho) -> int:
+    calls = []
+    value_and_gradient = correlations._roof_value_and_gradient
+
+    def counting(*args):
+        calls.append(1)
+        return value_and_gradient(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(correlations, "_roof_value_and_gradient", counting)
+        eof_convex_roof_numeric(rho)
+    return len(calls)
+
+
+def test_convex_roof_stops_once_no_step_can_gain(monkeypatch):
+    # 18 and 15 calls; a start that went on until its step fell below 1e-14
+    # took 44 and 40.
+    assert _roof_calls(monkeypatch, random_density_matrix((2, 2), 2, 1037)) <= 24
+    assert _roof_calls(monkeypatch, random_density_matrix((2, 3), 2, 2001)) <= 20
+
+
+def test_convex_roof_does_not_depend_on_the_qubit_side():
+    for rank, seed in ((2, 2501), (4, 2503)):
+        rho = random_density_matrix((3, 2), rank, seed)
+        swapped = permute_subsystems(rho, (1, 0))
+        # 2.8e-16 and 1.2e-14 apart.
+        assert abs(eof_convex_roof_numeric(rho) - eof_convex_roof_numeric(swapped)) <= 1e-10
+
+
 def test_convex_roof_reaches_below_the_pairwise_search_on_qubit_qutrit():
     # The former pairwise-rotation search stopped at 0.139173841732 on this state.
     assert eof_convex_roof_numeric(random_density_matrix((2, 3), 4, 2003)) <= 0.139173841732 - 1e-4
@@ -300,6 +367,8 @@ def test_convex_roof_is_deterministic():
 def test_convex_roof_rejects_oversized_and_underparametrized_input():
     with pytest.raises(ValueError, match="dimension"):
         eof_convex_roof_numeric(random_density_matrix((4, 5), 1, 43))
+    with pytest.raises(ValueError, match=r"need a bipartite state, got dims \(2, 2, 2\)"):
+        eof_convex_roof_numeric(random_density_matrix((2, 2, 2), 2, 44))
 
 
 def test_pure_state_discord_and_eof_equal_entanglement_entropy():
