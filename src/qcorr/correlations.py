@@ -114,7 +114,7 @@ def _measured_subsystem(b: Bipartition, measured: str) -> int:
 def _discord_stack(pairs) -> list[CorrelationRecord]:
     """`quantum_discord` of each (bipartition, measured side) pair, all J searched together.
 
-    The one place that forms D and pairs it with E: the star-network sweep, the
+    The one place that forms D from a searched J and pairs it with E: the
     consensus parameters and the discord, EoF, remark and conservation audits
     all read their J, D and E from these records.
     """
@@ -141,8 +141,8 @@ def _discord_stack(pairs) -> list[CorrelationRecord]:
 def quantum_discord(b: Bipartition, measured: str = "b") -> CorrelationRecord:
     """Discord D = I - J with J maximized over measurements on one side.
 
-    The one-bipartition case of the stacked records that the star-network
-    sweep, the consensus parameters and the bound audits read J, D and E from.
+    The one-bipartition case of the stacked records that the consensus
+    parameters and the bound audits read J, D and E from.
 
     Parameters
     ----------

@@ -38,9 +38,6 @@ _GRID = 24
 _STARTS = 5
 _TOL = 1e-8
 _MAX_STEPS = 400
-# States per `sphere_search` call in a stacked J search: bounds one call's memory
-# on a long sweep while the call still shares its steps among many states.
-_STACK = 256
 
 
 class UnsupportedDimensionError(ValueError):
@@ -292,11 +289,11 @@ def _conditional_entropy(ts: np.ndarray, d_rest: int):
 
 
 def _classical_stack(pairs) -> list[MeasurementOptimum]:
-    """`classical_correlations` of each (rho, measured) pair, from stacked searches.
+    """`classical_correlations` of each (rho, measured) pair, from one stacked search.
 
-    One `sphere_search` runs per block of _STACK states. Each state's result
-    equals its own search: the states share the search's steps, not its starts.
-    All unmeasured sides must share one dimension.
+    One `sphere_search` runs over the whole stack. Each state's result equals
+    its own search: the states share the search's steps, not its starts. All
+    unmeasured sides must share one dimension.
     """
     pairs = list(pairs)
     views = [_measured_last(rho, measured) for rho, measured in pairs]
@@ -309,10 +306,7 @@ def _classical_stack(pairs) -> list[MeasurementOptimum]:
         return []
     tensors = np.stack([t for t, _ in views])
     ts = np.einsum("skj,xajbk->xsab", _PAULI, tensors)
-    found: list[SphereMinimum] = []
-    for i in range(0, len(ts), _STACK):
-        block = ts[i : i + _STACK]
-        found += sphere_search(_conditional_entropy(block, d_rests[0]), len(block))
+    found = sphere_search(_conditional_entropy(ts, d_rests[0]), len(ts))
     return [
         MeasurementOptimum(
             value=entropy_of(np.trace(t, axis1=1, axis2=3)) - best.value,

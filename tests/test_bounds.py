@@ -341,7 +341,7 @@ def test_fanchini_identity_exact_on_ghz():
 def test_fanchini_identity_on_w_state():
     audit = fanchini_identity_audit(w_state(3), (0,), 2)
     assert audit.satisfied
-    assert audit.lhs <= 5e-3
+    assert audit.lhs <= 1e-12
     assert audit.extras["eof_site"] > 0.1  # W marginals are genuinely entangled
 
 
@@ -349,7 +349,7 @@ def test_fanchini_identity_on_haar_states():
     rng = np.random.default_rng(29)
     for _ in range(10):
         psi = random_pure_state((2, 2, 2), int(rng.integers(1 << 30)))
-        assert fanchini_identity_audit(psi, (0,), 1).lhs <= 5e-3
+        assert fanchini_identity_audit(psi, (0,), 1).lhs <= 1e-12
 
 
 def test_fanchini_identity_rejects_bad_inputs():

@@ -375,12 +375,10 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
     assert abs(mutual_information(Bipartition(post, (1,), (0,))) - best.value) <= 1e-12
 
 
-def test_stacked_search_keeps_states_independent(monkeypatch):
+def test_stacked_search_keeps_states_independent():
     # The flat a = 1 marginal converges after 8 steps while the others keep
     # moving; a retirement that matched rows of different states would change
-    # the duplicated state's counts or one state's argmax. Three states per
-    # search split the stack into two searches.
-    monkeypatch.setattr(measurement, "_STACK", 3)
+    # the duplicated state's counts or one state's argmax.
     twice = analytic_marginals(StarConfig(10, 0.5))[1]
     flat = analytic_marginals(StarConfig(10, 1.0))[1]
     other = random_density_matrix((2, 2), 2, 1)

@@ -12,6 +12,7 @@ from qcorr import (
     binary_entropy,
     build_universe_brute,
     cmaybe_gate,
+    measurement,
     reduced_density_matrix,
     run_sweep,
     starsim,
@@ -132,6 +133,17 @@ def test_analytic_system_entropy_closed_form():
             assert abs(h - binary_entropy((1.0 + a**n) / 2.0)) <= 1e-10
 
 
+def test_fragment_state_ends_and_range():
+    cfg = StarConfig(3, 0.6)
+    rho_s, rho_se, _ = analytic_marginals(cfg)
+    empty = starsim._fragment_state(cfg, 0).mat
+    assert_allclose(empty, np.kron(rho_s.mat, np.diag([1.0, 0.0])), atol=1e-15)
+    assert np.array_equal(starsim._fragment_state(cfg, 1).mat, rho_se.mat)
+    for k in (-1, 4):
+        with pytest.raises(ValueError, match="fragment size"):
+            starsim._fragment_state(cfg, k)
+
+
 def test_analytic_pair_marginal_none_for_single_site():
     _, _, rho_pair = analytic_marginals(StarConfig(1, 0.5))
     assert rho_pair is None
@@ -163,7 +175,7 @@ def test_sweep_emits_rows_in_grid_order():
 
 
 def test_batched_sweep_matches_point_by_point_sweep():
-    # One stacked J search over every point must give each row its own search's result.
+    # A row depends on its own (N, a) only, whatever grid it is swept in.
     a_grid = (0.0, 0.15, 0.3, 0.5, 0.7, 0.85, 1.0)
     rows = run_sweep((2, 10, 50), a_grid)
     assert rows == [run_sweep([n], [a])[0] for n in (2, 10, 50) for a in a_grid]
@@ -171,8 +183,9 @@ def test_batched_sweep_matches_point_by_point_sweep():
 
 
 def test_sweep_builds_no_pair_marginal(monkeypatch):
-    # The sweep reads rho_S and rho_S,site only; the site-pair marginal of
-    # `analytic_marginals` would cost one more validation eigensolve per point.
+    # The sweep reads rho_S, rho_S,site and the fragment state of the other
+    # N - 1 sites only; the site-pair marginal of `analytic_marginals` would
+    # cost one more validation eigensolve per point.
     built = []
 
     def recording(mat, dims):
@@ -181,7 +194,16 @@ def test_sweep_builds_no_pair_marginal(monkeypatch):
 
     monkeypatch.setattr(starsim, "DensityMatrix", recording)
     run_sweep((3,), (0.5,))
-    assert built == [(2,), (2, 2)]
+    assert built == [(2,), (2, 2), (2, 2)]
+
+
+def test_sweep_runs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep ran a measurement search")
+
+    monkeypatch.setattr(measurement, "sphere_search", refuse)
+    rows = run_sweep((1, 2, 10), (0.0, 0.5, 1.0))
+    assert len(rows) == 9
 
 
 def test_sweep_limits_and_bounds():
@@ -199,7 +221,7 @@ def test_sweep_limits_and_bounds():
             assert not row.delta_defined
             assert row.delta is None and row.bound is None
         if row.delta_defined:
-            slack = 1e-6 + 2e-3
+            slack = 1e-12
             assert row.avg_eof <= row.bound + slack
             assert row.avg_discord <= row.bound + slack
             assert row.h_s == pytest.approx(binary_entropy((1.0 + row.a**row.n_env) / 2.0), abs=1e-10)
@@ -220,12 +242,12 @@ def test_sweep_matches_per_site_quantities_from_brute_state():
         eofs.append(eof_two_qubit(marg))
         discords.append(rec.discord)
     assert row.avg_eof == pytest.approx(float(np.mean(eofs)), abs=1e-9)
-    assert row.avg_discord == pytest.approx(float(np.mean(discords)), abs=2e-6)
-    assert row.delta == pytest.approx(report.delta, abs=2e-6)
+    assert row.avg_discord == pytest.approx(float(np.mean(discords)), abs=1e-12)
+    assert row.delta == pytest.approx(report.delta, abs=1e-12)
 
 
 def test_sweep_handles_single_site_environment():
     (row,) = run_sweep((1,), (0.5,))
     # with one site the complement is empty, so observers cannot agree
-    assert row.delta == pytest.approx(1.0, abs=2e-3)
+    assert row.delta == pytest.approx(1.0, abs=1e-12)
     assert row.avg_eof > 0.1  # the lone site is strongly entangled with S
