@@ -42,9 +42,10 @@ for seed in range(5):
 
 # -- 2. The pinching identity --------------------------------------------------
 # For every projective pinching, H(rho||rho_P) = H(rho_P) - H(rho) exactly;
-# the audit tracks the worst deviation it saw while optimizing.
+# the audit reports the worst deviation at the audited directions (J's argmax
+# and m2's minimizer), where it checks the pinching from its definition.
 audit = continuity_chain_audit(full_rank_two_qubit(7), measured=1)
-print(f"\nworst pinching-identity deviation while optimizing: {audit.extras['pinch_dev']:.2e}")
+print(f"\npinching-identity deviation at the audited directions: {audit.extras['pinch_dev']:.2e}")
 
 # -- 3. Spectral upper bound on H(x||y) ----------------------------------------
 # bound = (lmin(y) + d) log2(1 + d/lmin(y)) - lmin(x) log2(1 + d/lmin(x))

@@ -13,7 +13,9 @@ quantifiers to bipartite discord and entanglement of formation:
   discords of a three-qubit pure state;
 * the continuity chain bounding discord by minimized relative entropies of
   pinched states, together with the projective-pinching identity
-  H(rho || rho_P) = H(rho_P) - H(rho);
+  H(rho || rho_P) = H(rho_P) - H(rho): m2's search reads the pinched spectra
+  from J's outcome-block kernel, and the definition route checks the
+  identity only at the audited directions;
 * a spectral upper bound on relative entropy from the trace distance and
   the smallest eigenvalues of the two states;
 * environment-internal consensus over pairwise classical correlations and
@@ -61,6 +63,7 @@ from .correlations import (
 )
 from .measurement import (
     UnsupportedDimensionError,
+    _block_spectra,
     _classical_stack,
     _direction,
     _measured_last,
@@ -151,6 +154,9 @@ def _require_pure(psi, what: str) -> PureState:
 
 def _single_qubit_index(psi: PureState, s, what: str) -> int:
     s = tuple(int(i) for i in (s if hasattr(s, "__iter__") else (s,)))
+    n = len(psi.dims)
+    if len(s) == 1 and not 0 <= s[0] < n:
+        raise ValueError(f"{what} index {s[0]} is out of range [0, {n})")
     if len(s) != 1 or psi.dims[s[0]] != 2:
         raise UnsupportedDimensionError(f"{what} must be a single qubit, got subsystems {s}")
     return s[0]
@@ -372,13 +378,23 @@ def _require_full_rank(mat: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam_min:.3e}")
 
 
+def _pinching_entropy(rho: DensityMatrix, measured: int):
+    """m2's objective H(rho||rho_P) = H(rho_P) - H(rho) for the pinching P of the
+    measured qubit along each direction, from the outcome-block spectra of J's
+    objective (rho_P is B(+n) (+) B(-n)): rows (K,) and n (K, G, 3) to (K, G)."""
+    t, d_rest = _measured_last(rho, measured)
+    spectra = _block_spectra(t[None])
+    h = entropy_of(t.reshape(2 * d_rest, 2 * d_rest))
+    return lambda rows, n: -np.sum(_xlog2x_sum(spectra(rows, n)), axis=0) - h
+
+
 class _PinchEvaluator:
     """Relative entropies of a state against its pinchings along stacks of Bloch directions.
 
-    Works in a basis with the measured qubit as the last tensor factor.
-    Every evaluation computes the relative entropies from the definition and
-    checks them against the pinching identity H(rho||rho_P) = H(rho_P) - H(rho),
-    tracking the worst deviation seen.
+    The definition route that the audits check their audited directions with:
+    works in a basis with the measured qubit as the last tensor factor, builds
+    every pinched matrix, and checks the relative entropies against the
+    pinching identity H(rho||rho_P) = H(rho_P) - H(rho).
     """
 
     def __init__(self, rho: DensityMatrix, measured: int):
@@ -387,7 +403,6 @@ class _PinchEvaluator:
         self.rho_f = np.trace(t, axis1=0, axis2=2)
         self.h_full = entropy_of(self.rho_perm)
         self.h_f = entropy_of(self.rho_f)
-        self.max_identity_dev = 0.0
 
     def pinch(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pinchings of rho and of rho_F along each direction of ``n`` (G, 3)."""
@@ -398,13 +413,13 @@ class _PinchEvaluator:
         sigma = (self.rho_perm + lift @ self.rho_perm @ lift) / 2.0
         return sigma, (self.rho_f + flip @ self.rho_f @ flip) / 2.0
 
-    def __call__(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each direction of ``n`` (G, 3)."""
+    def __call__(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each direction of ``n`` (G, 3), and
+        the worst deviation of either from the pinching identity."""
         sigma, sigma_f = self.pinch(n)
         r_full, dev_full = _against_pinching(self.rho_perm, self.h_full, sigma)
         r_marg, dev_marg = _against_pinching(self.rho_f, self.h_f, sigma_f)
-        self.max_identity_dev = max(self.max_identity_dev, dev_full, dev_marg)
-        return r_full, r_marg
+        return r_full, r_marg, max(dev_full, dev_marg)
 
 
 def _against_pinching(x: np.ndarray, h_x: float, sigma: np.ndarray) -> tuple[np.ndarray, float]:
@@ -422,20 +437,21 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     m2 = min over pinchings of H(rho||rho_P). For a projective pinching of the
     measured qubit F the m1 objective equals I(rho) - I(rho_P), so its minimizer
     is J's argmax and m1 needs no search of its own: it is the smaller of the
-    m1 objective at J's argmax and at m2's minimizer (found by `sphere_search`),
-    which keeps m1 <= m2 structural. D - m1 is then rounding unless m2's
-    minimizer beats J's argmax, i.e. unless the J search fell short, so the
-    audit allows only ``NUMERIC_SLACK``. m2 and the worst pinching-identity
-    deviation ride along in ``extras``.
+    m1 objective at J's argmax and at m2's minimizer, which keeps m1 <= m2
+    structural. D - m1 is then rounding unless m2's minimizer beats J's argmax,
+    i.e. unless the J search fell short, so the audit allows only
+    ``NUMERIC_SLACK``. m2 is searched on J's outcome-block spectra; m1 and the
+    worst pinching-identity deviation (``extras``, with m2) come from the
+    definition route (`_PinchEvaluator`) at the two audited directions.
     """
     _require_full_rank(rho.mat, "continuity audit")
     best = classical_correlations(rho, measured)
     rest = tuple(i for i in range(len(rho.dims)) if i != measured)
     discord = mutual_information(Bipartition(rho, rest, (measured,))) - best.value
 
-    ev = _PinchEvaluator(rho, measured)
-    m2_best = sphere_search(lambda rows, n: ev(n.reshape(-1, 3))[0].reshape(n.shape[:2]), 1)[0]
-    r_full, r_marg = ev(np.vstack([_direction(best.angles), _direction(m2_best.angles)]))
+    m2_best = sphere_search(_pinching_entropy(rho, measured), 1)[0]
+    n = np.vstack([_direction(best.angles), _direction(m2_best.angles)])
+    r_full, r_marg, pinch_dev = _PinchEvaluator(rho, measured)(n)
     m1 = float(np.min(r_full - r_marg))
 
     return make_audit(
@@ -444,7 +460,7 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
         m1,
         NUMERIC_SLACK,
         m2=m2_best.value,
-        pinch_dev=ev.max_identity_dev,
+        pinch_dev=pinch_dev,
         classical=best.value,
     )
 
@@ -487,7 +503,7 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     best = classical_correlations(rho, measured)
     ev = _PinchEvaluator(rho, measured)
     n = _direction(best.angles)
-    r_full, r_marg = (float(r[0]) for r in ev(n))
+    r_full, r_marg = (float(r[0]) for r in ev(n)[:2])
     eps = r_full - r_marg
     f_val = relative_entropy_upper_bound(
         DensityMatrix(ev.rho_f, (2,)), DensityMatrix(ev.pinch(n)[1][0], (2,))
@@ -558,10 +574,12 @@ def env_eof_bound_audit(
             "pairwise entanglement bound is derived for pure environments; "
             "purify or pass a PureState"
         )
-    report = report or env_consensus(env)
     i, j = int(i), int(j)
+    if not (0 <= i < len(env.dims) and 0 <= j < len(env.dims)):
+        raise ValueError(f"site indices ({i}, {j}) must lie in [0, {len(env.dims)})")
     if i == j:
         raise ValueError("need two distinct sites")
+    report = report or env_consensus(env)
     if not report.defined[i]:
         raise UndefinedConsensusError(f"site {i} has ~zero entropy; bound undefined")
     return make_audit(

@@ -22,7 +22,7 @@ import csv
 import json
 import sys
 import time
-from math import floor
+from math import floor, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -189,7 +189,8 @@ def cmd_sweep(args) -> int:
     except ValueError:
         print(f"error: malformed --n list {args.n!r}", file=sys.stderr)
         return 2
-    if not n_list or args.a_step <= 0 or args.a_max < args.a_min:
+    finite = all(isfinite(v) for v in (args.a_min, args.a_max, args.a_step))
+    if not n_list or not finite or args.a_step <= 0 or args.a_max < args.a_min:
         print("error: malformed sweep grid", file=sys.stderr)
         return 2
     count = int(floor((args.a_max - args.a_min) / args.a_step + 1e-9)) + 1

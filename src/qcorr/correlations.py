@@ -25,11 +25,7 @@ from .core import (
     reduced_density_matrix,
     von_neumann_entropy,
 )
-from .measurement import (
-    ProjectiveMeasurement,
-    UnsupportedDimensionError,
-    _classical_stack,
-)
+from .measurement import UnsupportedDimensionError, _classical_stack
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
@@ -86,7 +82,6 @@ class CorrelationRecord:
     eof: float | None
     entropy_a: float
     measured_side: str
-    optimal_measurement: ProjectiveMeasurement
 
 
 def _info_terms(b: Bipartition) -> tuple[float, float, float]:
@@ -133,7 +128,6 @@ def _discord_stack(pairs) -> list[CorrelationRecord]:
             eof=eof_two_qubit(b.rho) if b.rho.dims == (2, 2) else None,
             entropy_a=h_a if measured == "b" else h_b,
             measured_side=measured,
-            optimal_measurement=j.argmax,
         ))
     return records
 

@@ -8,23 +8,23 @@ measurement on side B the post-measurement mutual information reduces to
 
     I(rho_meas) = H(rho_A) - sum_a p_a H(rho_A | outcome a),
 
-with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho].
-`sphere_search` minimizes it for a whole stack of states in one loop (and the
-pinching objective in `bounds` as a stack of one) with fixed settings: one
-point per measurement axis of a _GRID x _GRID angle grid, _STARTS refined
-directions per state, each in its own pole-free chart, a step tolerance of
-_TOL radians and at most _MAX_STEPS refinement steps.
+with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho],
+whose direct sum is the pinching of B along n: their spectra (`_block_spectra`)
+give J's objective and the m2 objective of the continuity audit in `bounds`.
+`sphere_search` minimizes either for a whole stack of states in one loop with
+fixed settings: one point per measurement axis of a _GRID x _GRID angle grid,
+_STARTS refined directions per state, each in its own pole-free chart, a step
+tolerance of _TOL radians and at most _MAX_STEPS refinement steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import DensityMatrix, _xlog2x_sum, entropy_of
 
-COMPLETENESS_TOL = 1e-10
 # sigma_0 = 1 and the Pauli matrices; direction n projects onto (1 +- n.sigma)/2.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
 # Neighbours probed by each refinement step, in units of the step length.
@@ -59,40 +59,13 @@ class BlochAngles:
 
 
 @dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """Complete set of orthogonal projectors acting on one subsystem."""
-
-    projectors: tuple[np.ndarray, ...]
-    subsystem: int
-
-    def __post_init__(self):
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        object.__setattr__(self, "projectors", projs)
-        d = projs[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for i, p in enumerate(projs):
-            if p.shape != (d, d):
-                raise ValueError("projectors must share one square shape")
-            if np.max(np.abs(p - p.conj().T)) > COMPLETENESS_TOL:
-                raise ValueError(f"projector {i} is not Hermitian")
-            if np.max(np.abs(p @ p - p)) > COMPLETENESS_TOL:
-                raise ValueError(f"projector {i} is not idempotent")
-            for q in projs[:i]:
-                if np.max(np.abs(p @ q)) > COMPLETENESS_TOL:
-                    raise ValueError("projectors are not pairwise orthogonal")
-            total += p
-        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
-            raise ValueError("projectors do not sum to the identity")
-
-
-@dataclass(frozen=True)
 class MeasurementOptimum:
-    """Best post-measurement mutual information found, with its maximizer, the
-    distinct directions refined, whether each met ``_TOL`` or was retired onto a
-    no-worse start within ``_MAX_STEPS`` steps, and the directions evaluated."""
+    """Best value found (J for `classical_correlations`, the smallest objective value
+    for `sphere_search`), its direction, the distinct directions refined, whether each
+    met ``_TOL`` or was retired onto a no-worse start within ``_MAX_STEPS`` steps, and
+    the directions evaluated."""
 
     value: float
-    argmax: ProjectiveMeasurement
     angles: BlochAngles
     starts_used: int
     converged: bool
@@ -126,12 +99,6 @@ def _pauli_dot(n: np.ndarray) -> np.ndarray:
     return np.einsum("gk,kij->gij", n, _PAULI[1:])
 
 
-def qubit_projectors(angles: BlochAngles, subsystem: int = 0) -> ProjectiveMeasurement:
-    """Projectors (1 +- n.sigma)/2 on qubit ``subsystem`` onto +n and -n for n(theta, phi)."""
-    flip = _pauli_dot(_direction(angles))[0]
-    return ProjectiveMeasurement(((_PAULI[0] + flip) / 2.0, (_PAULI[0] - flip) / 2.0), subsystem)
-
-
 def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
     """Tensor view (d_rest, 2, d_rest, 2) with the measured qubit as the last factor."""
     n = len(rho.dims)
@@ -163,18 +130,7 @@ def angle_grid() -> np.ndarray:
     return np.vstack([[0.0, 0.0], np.column_stack([tt.ravel(), pp.ravel()])])
 
 
-@dataclass(frozen=True)
-class SphereMinimum:
-    """Smallest objective value `sphere_search` found, where, and at what cost."""
-
-    angles: BlochAngles
-    value: float
-    starts_used: int
-    converged: bool
-    evaluations: int
-
-
-def sphere_search(objective, states: int) -> list[SphereMinimum]:
+def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     """Minimize a stack of ``states`` objectives on the Bloch sphere, one search each.
 
     ``objective(rows, n)`` maps the state index of each of K rows (K,) and each
@@ -245,7 +201,7 @@ def sphere_search(objective, states: int) -> list[SphereMinimum]:
         rows = slice(lo, lo + _STARTS)
         i = lo + int(np.argmin(f[rows]))  # the first of equal values: the best-ranked start
         polar = np.arccos(np.clip(d[i, 2], -1.0, 1.0))
-        found.append(SphereMinimum(
+        found.append(MeasurementOptimum(
             angles=_canonical_angles(polar, np.arctan2(d[i, 1], d[i, 0])),
             value=float(f[i]),
             starts_used=_STARTS,
@@ -255,34 +211,51 @@ def sphere_search(objective, states: int) -> list[SphereMinimum]:
     return found
 
 
-def _conditional_entropy(ts: np.ndarray, d_rest: int):
-    """Objective sum_a p_a H(rest | a) of the measurement along each direction n.
+def _block_spectra(tensors: np.ndarray):
+    """Eigenvalues of the outcome blocks of the measurement along each direction n.
 
-    ``ts`` stacks the T_s = Tr_meas[(1 x sigma_s) rho] (S, 4, d_rest, d_rest)
-    of S states. Outcome +-n leaves the unnormalized block B(+-n) = (T_0 +- n.T)/2
-    on the unmeasured side. The objective maps row states (K,) and directions
-    n (K, G, 3) to values (K, G): each row's n.T is one batched matmul against
-    its own state's T_s. For d_rest = 2 a block b_0 + b.sigma has eigenvalues
-    b_0 +- |b|; larger blocks of every row go through one stacked eigvalsh.
+    ``tensors`` stacks the `_measured_last` views (S, d_rest, 2, d_rest, 2) of S
+    states. With T_s = Tr_meas[(1 x sigma_s) rho], outcome +-n leaves the
+    unnormalized block B(+-n) = (T_0 +- n.T)/2 on the unmeasured side, and the
+    pinching of the measured qubit along n is B(+n) (+) B(-n). The returned
+    function maps row states (K,) and directions n (K, G, 3) to the eigenvalues
+    (2, K, G, d_rest), clipped to [0, 1]: each row's n.T is one batched matmul
+    against its own state's T_s. For d_rest = 2 a block b_0 + b.sigma has
+    eigenvalues b_0 +- |b|; larger blocks of every row go through one stacked
+    eigvalsh.
     """
+    d_rest = tensors.shape[1]
+    ts = np.einsum("skj,xajbk->xsab", _PAULI, tensors)
     signs = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
     if d_rest == 2:
         coef = np.einsum("xsab,rba->xsr", ts, _PAULI).real / 2.0
 
-        def block_eigs(rows, n):
+        def spectra(rows, n):
             b = (coef[rows, None, 0] + signs * (n @ coef[rows, 1:])) / 2.0
             r = np.sqrt(np.sum(b[..., 1:] ** 2, axis=-1))
-            return np.stack([b[..., 0] - r, b[..., 0] + r], axis=-1)
+            return np.stack([b[..., 0] - r, b[..., 0] + r], axis=-1).clip(0.0, 1.0)
 
     else:
         flat = ts.reshape(len(ts), 4, -1)
 
-        def block_eigs(rows, n):
+        def spectra(rows, n):
             nt = (n @ flat[rows, 1:]).reshape(*n.shape[:2], d_rest, d_rest)
-            return np.linalg.eigvalsh((ts[rows, None, 0] + signs[..., None] * nt) / 2.0)
+            blocks = (ts[rows, None, 0] + signs[..., None] * nt) / 2.0
+            return np.linalg.eigvalsh(blocks).clip(0.0, 1.0)
+
+    return spectra
+
+
+def _conditional_entropy(tensors: np.ndarray):
+    """Objective sum_a p_a H(rest | a) of the measurement along each direction n.
+
+    Maps the row states (K,) and directions n (K, G, 3) of `_block_spectra` to
+    values (K, G), with p_a the trace of outcome block a.
+    """
+    spectra = _block_spectra(tensors)
 
     def objective(rows, n):
-        w = np.clip(block_eigs(rows, n), 0.0, 1.0)
+        w = spectra(rows, n)
         return np.sum(_xlog2x_sum(w.sum(axis=-1, keepdims=True)) - _xlog2x_sum(w), axis=0)
 
     return objective
@@ -305,18 +278,10 @@ def _classical_stack(pairs) -> list[MeasurementOptimum]:
     if not views:
         return []
     tensors = np.stack([t for t, _ in views])
-    ts = np.einsum("skj,xajbk->xsab", _PAULI, tensors)
-    found = sphere_search(_conditional_entropy(ts, d_rests[0]), len(ts))
+    found = sphere_search(_conditional_entropy(tensors), len(tensors))
     return [
-        MeasurementOptimum(
-            value=entropy_of(np.trace(t, axis1=1, axis2=3)) - best.value,
-            argmax=qubit_projectors(best.angles, measured),
-            angles=best.angles,
-            starts_used=best.starts_used,
-            converged=best.converged,
-            evaluations=best.evaluations,
-        )
-        for t, (_, measured), best in zip(tensors, pairs, found)
+        replace(best, value=entropy_of(np.trace(t, axis1=1, axis2=3)) - best.value)
+        for t, best in zip(tensors, found)
     ]
 
 
@@ -334,6 +299,6 @@ def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOpti
     Returns
     -------
     MeasurementOptimum
-        Best value J in bits, the measurement attaining it, and search stats.
+        Best value J in bits, the direction attaining it, and search stats.
     """
     return _classical_stack([(rho, measured)])[0]

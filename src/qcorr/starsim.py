@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import H_S_CUTOFF, consensus_from_marginals
-from .core import DensityMatrix, PureState, von_neumann_entropy
-from .correlations import Bipartition, eof_two_qubit, mutual_information
+from .core import DensityMatrix, PureState, binary_entropy, von_neumann_entropy
+from .correlations import eof_two_qubit
 
 BRUTE_MAX_SITES = 12
 
@@ -164,7 +164,10 @@ def _sweep_row(cfg: StarConfig) -> SweepRow:
     # Koashi-Winter: the site's purification is the other N - 1 sites.
     j = h_s - eof_two_qubit(_fragment_state(cfg, cfg.n_env - 1))
     eof = eof_two_qubit(rho_se)
-    discord = mutual_information(Bipartition(rho_se, (0,), (1,))) - j
+    # D = I - J with I = H_S + H_site - H_S,site: the site marginal 1/2 (|0><0| + |phi><phi|)
+    # has spectrum (1 +- a)/2, and rho_S,site shares that of the other N - 1 sites.
+    h_site, h_rest = (binary_entropy((1.0 + cfg.a**k) / 2.0) for k in (1, cfg.n_env - 1))
+    discord = h_s + h_site - h_rest - j
 
     if h_s > H_S_CUTOFF:
         # All sites share one marginal by permutation symmetry, so one site's
@@ -193,6 +196,7 @@ def run_sweep(n_list, a_grid) -> list[SweepRow]:
 
     No point runs a search: J = H_S - E_F(rho_eff(N - 1)) by Koashi-Winter,
     the projective J of the rank-2 rho_S,site (module docstring; 1.1e-15 from
-    the search on the default grid), D = I - J and E = E_F(rho_S,site).
+    the search on the default grid), D = I - J with I from the closed-form
+    spectra of the site and of the other N - 1 sites, and E = E_F(rho_S,site).
     """
     return [_sweep_row(StarConfig(n, a)) for n in n_list for a in a_grid]

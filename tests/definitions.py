@@ -1,10 +1,52 @@
 """Definition-route references that the tests compare the library's fast paths against."""
 
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
-from qcorr import DensityMatrix, ProjectiveMeasurement
+from qcorr import BlochAngles, DensityMatrix
+
+COMPLETENESS_TOL = 1e-10
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@dataclass(frozen=True)
+class ProjectiveMeasurement:
+    """Complete set of orthogonal projectors acting on one subsystem."""
+
+    projectors: tuple[np.ndarray, ...]
+    subsystem: int
+
+    def __post_init__(self):
+        projs = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
+        object.__setattr__(self, "projectors", projs)
+        d = projs[0].shape[0]
+        total = np.zeros((d, d), dtype=complex)
+        for i, p in enumerate(projs):
+            if p.shape != (d, d):
+                raise ValueError("projectors must share one square shape")
+            if np.max(np.abs(p - p.conj().T)) > COMPLETENESS_TOL:
+                raise ValueError(f"projector {i} is not Hermitian")
+            if np.max(np.abs(p @ p - p)) > COMPLETENESS_TOL:
+                raise ValueError(f"projector {i} is not idempotent")
+            for q in projs[:i]:
+                if np.max(np.abs(p @ q)) > COMPLETENESS_TOL:
+                    raise ValueError("projectors are not pairwise orthogonal")
+            total += p
+        if np.max(np.abs(total - np.eye(d))) > COMPLETENESS_TOL:
+            raise ValueError("projectors do not sum to the identity")
+
+
+def qubit_projectors(angles: BlochAngles, subsystem: int = 0) -> ProjectiveMeasurement:
+    """Projectors (1 +- n.sigma)/2 on qubit ``subsystem`` onto +n and -n for n(theta, phi)."""
+    n = (
+        np.sin(angles.theta) * np.cos(angles.phi),
+        np.sin(angles.theta) * np.sin(angles.phi),
+        np.cos(angles.theta),
+    )
+    flip = np.einsum("k,kij->ij", n, _PAULI)
+    return ProjectiveMeasurement(((np.eye(2) + flip) / 2.0, (np.eye(2) - flip) / 2.0), subsystem)
 
 
 def apply_local_measurement(rho: DensityMatrix, m: ProjectiveMeasurement) -> DensityMatrix:

@@ -33,7 +33,6 @@ from qcorr import (
     koashi_winter_audit,
     kw_j_complement,
     mutual_information,
-    qubit_projectors,
     random_density_matrix,
     random_pure_state,
     reduced_density_matrix,
@@ -43,9 +42,10 @@ from qcorr import (
     remark_audit,
     w_state,
 )
-from qcorr.bounds import OPTIMIZATION_SLACK, make_audit
+from qcorr.bounds import OPTIMIZATION_SLACK, _pinching_entropy, make_audit
+from qcorr.measurement import _bloch_directions
 
-from definitions import apply_local_measurement
+from definitions import apply_local_measurement, qubit_projectors
 
 
 def _full_rank(dims, seed: int, eps: float = 1e-6) -> DensityMatrix:
@@ -131,6 +131,8 @@ def test_kw_audit_rejects_invalid_inputs():
         koashi_winter_audit(random_pure_state((2, 2, 2, 2), 7), (0,), (1,))
     with pytest.raises(ValueError, match="pure"):
         koashi_winter_audit(random_density_matrix((2, 2, 2), 8, 9), (0,), (1,))
+    with pytest.raises(ValueError, match=r"system block index 5 is out of range \[0, 3\)"):
+        koashi_winter_audit(random_pure_state((2, 2, 2), 7), 5, 1)
 
 
 def test_kw_j_complement_closed_cases():
@@ -176,6 +178,9 @@ def test_consensus_undefined_for_unentangled_system():
     psi = PureState(vec, (2, 2, 2))
     with pytest.raises(UndefinedConsensusError):
         consensus_delta(psi, (0,))
+    for s in (9, -1):
+        with pytest.raises(ValueError, match=rf"index {s} is out of range \[0, 3\)"):
+            consensus_delta(psi, s)
 
 
 def test_consensus_is_permutation_symmetric_on_star_states():
@@ -407,9 +412,43 @@ def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
     meas = qubit_projectors(tilted, 1)
     value = mutual_information(Bipartition(apply_local_measurement(rho, meas), (0,), (1,)))
     assert 1e-4 < best.value - value < OPTIMIZATION_SLACK
-    shortfall = dataclasses.replace(best, value=value, argmax=meas, angles=tilted)
+    shortfall = dataclasses.replace(best, value=value, angles=tilted)
     monkeypatch.setattr(bounds_mod, "classical_correlations", lambda *args: shortfall)
     assert not continuity_chain_audit(rho, 1).satisfied
+
+
+# Full-rank states with d_rest = 2, 3 and 4 on the unmeasured side.
+_PINCH_CASES = [((2, 2), 1), ((2, 3), 0), ((2, 2, 2), 2)]
+
+
+@pytest.mark.parametrize("dims, measured", _PINCH_CASES)
+def test_m2_objective_matches_the_pinching_definition(dims, measured):
+    rho = _full_rank(dims, 83)
+    rng = np.random.default_rng(89)
+    angles = [
+        BlochAngles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)) for _ in range(50)
+    ]
+    n = _bloch_directions(np.array([[a.theta, a.phi] for a in angles]))
+    values = _pinching_entropy(rho, measured)(np.array([0]), n[None])[0]
+    for a, value in zip(angles, values):
+        pinched = apply_local_measurement(rho, qubit_projectors(a, measured))
+        assert abs(value - relative_entropy(rho, pinched)) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, measured", _PINCH_CASES)
+def test_continuity_chain_pinches_only_the_audited_directions(monkeypatch, dims, measured):
+    # The m2 search reads the outcome-block spectra; only J's argmax and m2's
+    # minimizer are pinched from the definition: one eigh for rho, one for rho_F.
+    eigh = np.linalg.eigh
+    stacks = []
+
+    def counted(a, *args, **kwargs):
+        stacks.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert continuity_chain_audit(_full_rank(dims, 83), measured).satisfied
+    assert (len(stacks), sum(stacks)) == (2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +600,10 @@ def test_env_eof_bound_on_w_state_pairs():
 def test_env_eof_bound_rejects_mixed_environments():
     with pytest.raises(ValueError, match="pure"):
         env_eof_bound_audit(random_density_matrix((2, 2, 2), 8, 71), 0, 1)
+    env = random_pure_state((2, 2, 2, 2), 79)
+    for j in (-1, 7):
+        with pytest.raises(ValueError, match=rf"site indices \(0, {j}\) must lie in \[0, 4\)"):
+            env_eof_bound_audit(env, 0, j, env_consensus(env))
 
 
 def test_env_eof_bound_holds_on_haar_environments():

@@ -88,6 +88,9 @@ def test_sweep_rejects_malformed_grids(tmp_path, capsys):
     assert main(["sweep", "--n", "2", "--a-step", "-0.1", "--out", out]) == 2
     assert main(["sweep", "--n", "2,zap", "--out", out]) == 2
     assert main(["sweep", "--n", "2", "--a-min", "0.8", "--a-max", "0.2", "--out", out]) == 2
+    for flag, value in (("--a-step", "nan"), ("--a-min", "nan"), ("--a-max", "nan"),
+                        ("--a-max", "inf")):
+        assert main(["sweep", "--n", "2", flag, value, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "malformed" in err
 

@@ -15,7 +15,6 @@ from qcorr import (
     Bipartition,
     BlochAngles,
     DensityMatrix,
-    ProjectiveMeasurement,
     UnsupportedDimensionError,
     bell_state,
     binary_entropy,
@@ -28,14 +27,13 @@ from qcorr import (
     reduced_density_matrix,
     relative_entropy,
     von_neumann_entropy,
-    qubit_projectors,
     StarConfig,
     analytic_marginals,
 )
 from qcorr import measurement
 from qcorr.measurement import _canonical_angles
 
-from definitions import apply_local_measurement
+from definitions import ProjectiveMeasurement, apply_local_measurement, qubit_projectors
 
 
 def _mutual_info(rho: DensityMatrix) -> float:
@@ -52,7 +50,7 @@ def _measured_mutual_info(rho: DensityMatrix, theta: float, phi: float) -> float
 
 
 # ---------------------------------------------------------------------------
-# projector construction
+# projector construction (the test-side reference in definitions.py)
 # ---------------------------------------------------------------------------
 
 
@@ -239,7 +237,6 @@ def test_classical_correlations_tie_break_is_deterministic():
     first = classical_correlations(joint, 1)
     second = classical_correlations(joint, 1)
     assert first.angles == second.angles
-    assert_allclose(first.argmax.projectors[0], second.argmax.projectors[0], atol=0)
 
 
 def test_classical_correlations_reject_non_qubit_measured_side():
@@ -274,12 +271,12 @@ def test_classical_correlations_measure_first_subsystem_too():
     "dims, measured", [((2, 2), 0), ((2, 2), 1), ((2, 3), 0), ((2, 2, 2), 0), ((2, 2, 2), 1)]
 )
 def test_reported_argmax_attains_classical_correlations(dims, measured):
-    """Measuring with best.argmax leaves exactly best.value of mutual information."""
+    """Measuring along best.angles leaves exactly best.value of mutual information."""
     rest = tuple(i for i in range(len(dims)) if i != measured)
     for rank in range(1, int(np.prod(dims)) + 1):
         rho = random_density_matrix(dims, rank, 71 + 10 * rank + measured)
         best = classical_correlations(rho, measured)
-        post = apply_local_measurement(rho, best.argmax)
+        post = apply_local_measurement(rho, qubit_projectors(best.angles, measured))
         info = mutual_information(Bipartition(post, (measured,), rest))
         assert abs(info - best.value) <= 1e-12
 
@@ -353,8 +350,8 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
     batches = []
     conditional_entropy = measurement._conditional_entropy
 
-    def counting(ts, d_rest):
-        objective = conditional_entropy(ts, d_rest)
+    def counting(tensors):
+        objective = conditional_entropy(tensors)
 
         def wrapped(rows, n):
             batches.append(n.shape[0] * n.shape[1])
@@ -371,7 +368,7 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
     # No start reaches tol in fewer than 8 failed steps, so one that leaves the
     # batch within the first 9 steps was retired onto an earlier start.
     assert min(live[:9]) < 5
-    post = apply_local_measurement(rho, best.argmax)
+    post = apply_local_measurement(rho, qubit_projectors(best.angles, 1))
     assert abs(mutual_information(Bipartition(post, (1,), (0,))) - best.value) <= 1e-12
 
 
