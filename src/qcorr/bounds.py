@@ -372,36 +372,35 @@ def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
     return make_audit("fanchini", abs(lhs_sum - rhs_sum), 0.0, NUMERIC_SLACK, **terms)
 
 
-def _require_full_rank(mat: np.ndarray, what: str) -> None:
-    lam_min = float(np.linalg.eigvalsh(mat).min())
-    if lam_min <= _FULL_RANK_CUTOFF:
-        raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam_min:.3e}")
-
-
-def _pinching_entropy(rho: DensityMatrix, measured: int):
+def _pinching_entropy(t: np.ndarray, h: float):
     """m2's objective H(rho||rho_P) = H(rho_P) - H(rho) for the pinching P of the
     measured qubit along each direction, from the outcome-block spectra of J's
-    objective (rho_P is B(+n) (+) B(-n)): rows (K,) and n (K, G, 3) to (K, G)."""
-    t, d_rest = _measured_last(rho, measured)
+    objective (rho_P is B(+n) (+) B(-n)), given the `_measured_last` view ``t`` of
+    rho and h = H(rho): rows (K,) and n (K, G, 3) to (K, G)."""
     spectra = _block_spectra(t[None])
-    h = entropy_of(t.reshape(2 * d_rest, 2 * d_rest))
     return lambda rows, n: -np.sum(_xlog2x_sum(spectra(rows, n)), axis=0) - h
 
 
 class _PinchEvaluator:
-    """Relative entropies of a state against its pinchings along stacks of Bloch directions.
+    """Relative entropies of a full-rank state against its pinchings along stacks of
+    Bloch directions.
 
     The definition route that the audits check their audited directions with:
     works in a basis with the measured qubit as the last tensor factor, builds
     every pinched matrix, and checks the relative entropies against the
-    pinching identity H(rho||rho_P) = H(rho_P) - H(rho).
+    pinching identity H(rho||rho_P) = H(rho_P) - H(rho). The one spectrum of
+    rho gives both the full-rank check, which names ``what`` when it fails, and
+    H(rho).
     """
 
-    def __init__(self, rho: DensityMatrix, measured: int):
-        t, d_rest = _measured_last(rho, measured)
-        self.rho_perm = t.reshape(d_rest * 2, d_rest * 2)
-        self.rho_f = np.trace(t, axis1=0, axis2=2)
-        self.h_full = entropy_of(self.rho_perm)
+    def __init__(self, rho: DensityMatrix, measured: int, what: str):
+        self.tensor, d_rest = _measured_last(rho, measured)
+        self.rho_perm = self.tensor.reshape(d_rest * 2, d_rest * 2)
+        lam = np.linalg.eigvalsh(self.rho_perm)
+        if lam[0] <= _FULL_RANK_CUTOFF:
+            raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
+        self.rho_f = np.trace(self.tensor, axis1=0, axis2=2)
+        self.h_full = float(-_xlog2x_sum(lam))
         self.h_f = entropy_of(self.rho_f)
 
     def pinch(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,10 +412,9 @@ class _PinchEvaluator:
         sigma = (self.rho_perm + lift @ self.rho_perm @ lift) / 2.0
         return sigma, (self.rho_f + flip @ self.rho_f @ flip) / 2.0
 
-    def __call__(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each direction of ``n`` (G, 3), and
+    def __call__(self, sigma, sigma_f) -> tuple[np.ndarray, np.ndarray, float]:
+        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each pair of `pinch` results, and
         the worst deviation of either from the pinching identity."""
-        sigma, sigma_f = self.pinch(n)
         r_full, dev_full = _against_pinching(self.rho_perm, self.h_full, sigma)
         r_marg, dev_marg = _against_pinching(self.rho_f, self.h_f, sigma_f)
         return r_full, r_marg, max(dev_full, dev_marg)
@@ -444,14 +442,14 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     worst pinching-identity deviation (``extras``, with m2) come from the
     definition route (`_PinchEvaluator`) at the two audited directions.
     """
-    _require_full_rank(rho.mat, "continuity audit")
+    ev = _PinchEvaluator(rho, measured, "continuity audit")
     best = classical_correlations(rho, measured)
     rest = tuple(i for i in range(len(rho.dims)) if i != measured)
     discord = mutual_information(Bipartition(rho, rest, (measured,))) - best.value
 
-    m2_best = sphere_search(_pinching_entropy(rho, measured), 1)[0]
+    m2_best = sphere_search(_pinching_entropy(ev.tensor, ev.h_full), 1)[0]
     n = np.vstack([_direction(best.angles), _direction(m2_best.angles)])
-    r_full, r_marg, pinch_dev = _PinchEvaluator(rho, measured)(n)
+    r_full, r_marg, pinch_dev = ev(*ev.pinch(n))
     m1 = float(np.min(r_full - r_marg))
 
     return make_audit(
@@ -499,14 +497,13 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     f is the spectral relative-entropy bound evaluated on the measured
     marginal, so the audit closes the loop between the two.
     """
-    _require_full_rank(rho.mat, "f-function audit")
+    ev = _PinchEvaluator(rho, measured, "f-function audit")
     best = classical_correlations(rho, measured)
-    ev = _PinchEvaluator(rho, measured)
-    n = _direction(best.angles)
-    r_full, r_marg = (float(r[0]) for r in ev(n)[:2])
+    sigma, sigma_f = ev.pinch(_direction(best.angles))
+    r_full, r_marg = (float(r[0]) for r in ev(sigma, sigma_f)[:2])
     eps = r_full - r_marg
     f_val = relative_entropy_upper_bound(
-        DensityMatrix(ev.rho_f, (2,)), DensityMatrix(ev.pinch(n)[1][0], (2,))
+        DensityMatrix(ev.rho_f, (2,)), DensityMatrix(sigma_f[0], (2,))
     )
     return make_audit("f-bound", r_full, eps + f_val, NUMERIC_SLACK, eps=eps, f=f_val)
 

@@ -64,6 +64,10 @@ class Bipartition:
         object.__setattr__(self, "side_a", side_a)
         object.__setattr__(self, "side_b", side_b)
         n = len(self.rho.dims)
+        for name, side in (("side_a", side_a), ("side_b", side_b)):
+            repeated = [i for i, j in zip(side, side[1:]) if i == j]
+            if repeated:
+                raise ValueError(f"{name} {side} repeats subsystem {repeated[0]}")
         if set(side_a) & set(side_b):
             raise ValueError(f"sides overlap: {side_a} and {side_b}")
         if set(side_a) | set(side_b) != set(range(n)):

@@ -40,10 +40,11 @@ from qcorr import (
     relative_entropy_bound_audit,
     relative_entropy_upper_bound,
     remark_audit,
+    von_neumann_entropy,
     w_state,
 )
 from qcorr.bounds import OPTIMIZATION_SLACK, _pinching_entropy, make_audit
-from qcorr.measurement import _bloch_directions
+from qcorr.measurement import _bloch_directions, _measured_last
 
 from definitions import apply_local_measurement, qubit_projectors
 
@@ -429,7 +430,8 @@ def test_m2_objective_matches_the_pinching_definition(dims, measured):
         BlochAngles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)) for _ in range(50)
     ]
     n = _bloch_directions(np.array([[a.theta, a.phi] for a in angles]))
-    values = _pinching_entropy(rho, measured)(np.array([0]), n[None])[0]
+    t, _ = _measured_last(rho, measured)
+    values = _pinching_entropy(t, von_neumann_entropy(rho))(np.array([0]), n[None])[0]
     for a, value in zip(angles, values):
         pinched = apply_local_measurement(rho, qubit_projectors(a, measured))
         assert abs(value - relative_entropy(rho, pinched)) <= 1e-12
@@ -449,6 +451,51 @@ def test_continuity_chain_pinches_only_the_audited_directions(monkeypatch, dims,
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert continuity_chain_audit(_full_rank(dims, 83), measured).satisfied
     assert (len(stacks), sum(stacks)) == (2, 4)
+
+
+def _count_eigensolves(monkeypatch) -> list:
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+
+        def counted(*args, _solve=solve, **kwargs):
+            calls.append(args)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_continuity_and_f_bound_form_the_spectrum_of_rho_once(monkeypatch):
+    # One spectrum of rho gives the full-rank check and H(rho); H(rho_F) and J's
+    # unmeasured entropy add 2, and the definition route pinches once (eigh for
+    # rho and for rho_F). Continuity adds I's three entropies and the validations
+    # of its two partial traces: 1 + 2 + 2 + 5 = 10. The f bound adds the
+    # validations of rho_F and its pinching, their two smallest eigenvalues and
+    # the trace distance: 1 + 2 + 2 + 5 = 10.
+    rho = _full_rank((2, 2), 11)
+    calls = _count_eigensolves(monkeypatch)
+    continuity_chain_audit(rho, 1)
+    assert len(calls) == 10
+    calls.clear()
+    f_bound_audit(rho, 1)
+    assert len(calls) == 10
+
+
+def test_m2_search_never_loses_to_the_compass_search():
+    # m2 of full-rank states with d_rest = 2, 3, 4 and 8, as reached under the
+    # compass search that only shrank its step by 8.
+    compass_m2 = {
+        ((2, 2), 1): 0.21557472622260532,
+        ((2, 3), 0): 0.1965455924343793,
+        ((2, 2, 2), 2): 0.2634199629972733,
+        ((2, 2, 2, 2), 3): 0.3216033484042087,
+    }
+    for (dims, measured), m2 in compass_m2.items():
+        d = int(np.prod(dims))
+        audit = continuity_chain_audit(random_density_matrix(dims, d, 1400 + 2 * d), measured)
+        assert audit.satisfied
+        assert audit.extras["m2"] <= m2 + 1e-12
 
 
 # ---------------------------------------------------------------------------

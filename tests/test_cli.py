@@ -228,6 +228,8 @@ def test_state_usage_errors(tmp_path, capsys):
     assert main(["state", "--in", str(tmp_path / "nope.json"), "--split", "0|1"]) == 2
     assert main(["state", "--in", str(fixture), "--split", "0|5"]) == 2
     assert main(["state", "--in", str(fixture), "--split", "01"]) == 2
+    assert main(["state", "--in", str(fixture), "--split", "0|1,1"]) == 2
+    assert "side_b (1, 1) repeats subsystem 1" in capsys.readouterr().err
     broken = tmp_path / "broken.json"
     broken.write_text("{", encoding="utf-8")
     assert main(["state", "--in", str(broken), "--split", "0|1"]) == 2

@@ -84,6 +84,11 @@ def test_bipartition_rejects_overlap_and_gaps():
         Bipartition(rho, (0, 1), (1, 2))
     with pytest.raises(ValueError):
         Bipartition(rho, (0,), (2,))
+    two = random_density_matrix((2, 2), 4, 3)
+    with pytest.raises(ValueError, match=r"side_a \(0, 0\) repeats subsystem 0"):
+        Bipartition(two, (0, 0), (1,))
+    with pytest.raises(ValueError, match=r"side_b \(1, 1\) repeats subsystem 1"):
+        Bipartition(two, (0,), (1, 1))
 
 
 def test_mutual_information_of_product_state_is_zero():

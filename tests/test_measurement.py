@@ -336,17 +336,19 @@ def test_search_diagnostics_count_evaluations_and_convergence(monkeypatch):
     assert flat.converged and interior.converged
     assert flat.starts_used == interior.starts_used == 5
     grid = len(measurement.angle_grid())
-    # The flat objective moves no start, so each reaches tol after 8 failed steps (/8 each).
-    assert flat.evaluations == grid + 8 * 8 * 5 == 585
+    # The flat objective moves no start and its Hessian is 0, so each start takes
+    # 8 failed compass steps of 9 probes (/8 each) to reach tol.
+    assert flat.evaluations == grid + 9 * 8 * 5 == 625
     monkeypatch.setattr(measurement, "_MAX_STEPS", 3)
     capped = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
     assert not capped.converged
-    # The grid, one step of 8 per start, then one step of each of the two
-    # starts left once three are retired, then one step of the last start.
-    assert capped.evaluations == grid + 8 * (5 + 2 + 1)
+    # The grid, one step of 9 per start, then two steps of each of the two
+    # starts left once three are retired.
+    assert capped.evaluations == grid + 9 * (5 + 2 + 2)
 
 
-def test_search_retires_starts_that_share_a_basin(monkeypatch):
+def _counting_objective(monkeypatch):
+    """Record the (rows, points) shape of every J objective call."""
     batches = []
     conditional_entropy = measurement._conditional_entropy
 
@@ -354,22 +356,61 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
         objective = conditional_entropy(tensors)
 
         def wrapped(rows, n):
-            batches.append(n.shape[0] * n.shape[1])
+            batches.append(n.shape[:2])
             return objective(rows, n)
 
         return wrapped
 
     monkeypatch.setattr(measurement, "_conditional_entropy", counting)
+    return batches
+
+
+def test_search_retires_starts_that_share_a_basin(monkeypatch):
+    batches = _counting_objective(monkeypatch)
     rho = random_density_matrix((2, 2), 2, 1)
     best = classical_correlations(rho, 1)
-    steps, live = len(batches) - 1, [b // 8 for b in batches[1:]]
+    steps = len(batches) - 1
     assert best.converged and best.starts_used == 5
-    assert best.evaluations == sum(batches) < len(measurement.angle_grid()) + steps * 8 * 5
-    # No start reaches tol in fewer than 8 failed steps, so one that leaves the
-    # batch within the first 9 steps was retired onto an earlier start.
-    assert min(live[:9]) < 5
+    assert best.evaluations == sum(r * g for r, g in batches)
+    assert best.evaluations < len(measurement.angle_grid()) + steps * 9 * 5
     post = apply_local_measurement(rho, qubit_projectors(best.angles, 1))
     assert abs(mutual_information(Bipartition(post, (1,), (0,))) - best.value) <= 1e-12
+    # A Newton step shrinks a step to its reach at once, so a start that leaves
+    # the batch early may have converged. Under a tolerance of 1e-300 that takes a
+    # reach below 1e-299 steps, and every start here has a first reach above 0.1:
+    # only a retirement, which sets the step to 0, ends one after the first step.
+    batches.clear()
+    monkeypatch.setattr(measurement, "_TOL", 1e-300)
+    monkeypatch.setattr(measurement, "_MAX_STEPS", 2)
+    assert not classical_correlations(rho, 1).converged
+    assert [r for r, _ in batches[1:]] == [5, 3]
+
+
+def test_newton_steps_refine_a_search_in_few_objective_calls(monkeypatch):
+    # Seeded states with d_rest = 2, 3, 4 and 8, of rank 1, 2, mid and full, with
+    # the J each reached under the compass search that only shrank its step by 8
+    # (a median of 24 objective calls after the grid pass on these states).
+    batches = _counting_objective(monkeypatch)
+    compass_j = {
+        ((2, 2), 1): 0.559929430579508, ((2, 2), 2): 0.6837409568976895,
+        ((2, 2), 3): 0.24782365645463128, ((2, 2), 4): 0.29060860620479334,
+        ((2, 3), 1): 0.8864900756082038, ((2, 3), 2): 0.5848155704677763,
+        ((2, 3), 4): 0.41211982034122796, ((2, 3), 6): 0.2990277566707733,
+        ((2, 2, 2), 1): 0.7330437980298281, ((2, 2, 2), 2): 0.7069650817322523,
+        ((2, 2, 2), 5): 0.36000748622375833, ((2, 2, 2), 8): 0.262491115678644,
+        ((2, 2, 2, 2), 1): 0.7928617886983882, ((2, 2, 2, 2), 2): 0.8131482173282831,
+        ((2, 2, 2, 2), 9): 0.3650036231142111, ((2, 2, 2, 2), 16): 0.23534897342825545,
+    }
+    measured = {(2, 2): 1, (2, 3): 0, (2, 2, 2): 2, (2, 2, 2, 2): 3}
+    calls = []
+    for (dims, rank), j in compass_j.items():
+        rho = random_density_matrix(dims, rank, 1400 + int(np.prod(dims)) + rank)
+        batches.clear()
+        best = classical_correlations(rho, measured[dims])
+        calls.append(len(batches) - 1)
+        assert best.converged
+        assert best.value >= j - 1e-12
+    assert np.median(calls) <= 8
 
 
 def test_stacked_search_keeps_states_independent():
