@@ -26,13 +26,15 @@ tolerance that decided `satisfied`, so reports serialize uniformly.
 
 Wherever a marginal needs D, or J together with E, they come from the
 stacked form of `correlations.quantum_discord`, which refines the J of the
-marginals it is given together in one `measurement.sphere_search`.
-`consensus_delta`, `discord_bound_audit` and `eof_bound_audit` share one
-per-site pass that forms H(rho_S) and each marginal once and searches all
-sites together; the conservation audit stacks its two marginals the same
-way, and environment consensus every pairwise J it needs. Code that needs
-the J of one state or its optimal direction (trade-off, continuity,
-f-function) calls `classical_correlations`, the stack of one.
+marginals it is given together in one `measurement.sphere_search` and takes
+I from the entropies of J's view. `consensus_delta`, `discord_bound_audit`
+and `eof_bound_audit` share one per-site pass that forms each marginal once,
+searches all sites together and reads H(rho_S) from the records; the
+conservation audit stacks its two marginals the same way, and environment
+consensus every pairwise J it needs. Code that needs the J of one state or
+its optimal direction (trade-off, continuity, f-function) calls
+`classical_correlations`, the stack of one; the continuity D and the f bound
+read H(rho), H(rho_F) and the pinched spectra from `_PinchEvaluator`.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ import numpy as np
 from .core import (
     DensityMatrix,
     PureState,
+    _group_entropy,
+    _half_trace_norm,
     _relative_entropy_spectral,
     _xlog2x_sum,
-    entropy_of,
     partial_trace,
     reduced_density_matrix,
     relative_entropy,
-    trace_distance_half,
     von_neumann_entropy,
 )
 from .correlations import (
@@ -58,7 +60,6 @@ from .correlations import (
     CorrelationRecord,
     _discord_stack,
     eof_two_qubit,
-    mutual_information,
     quantum_discord,
 )
 from .measurement import (
@@ -162,22 +163,14 @@ def _single_qubit_index(psi: PureState, s, what: str) -> int:
     return s[0]
 
 
-def _pos_in_sorted(pair, x) -> int:
-    """Position of subsystem ``x`` inside the marginal kept over ``pair``.
-
-    Partial traces order kept subsystems ascending, so the measured index
-    into the marginal is x's rank within the pair.
-    """
-    return sorted(pair).index(x)
-
-
 def _site_records(psi: PureState, s_idx: int, sites) -> tuple[CorrelationRecord, ...]:
-    """Records of each (system, site) marginal with the site measured, from one J search."""
+    """Records of each (system, site) marginal with the site measured, from one J search.
+
+    Marginals keep their subsystems in ascending order, so the site is side b
+    exactly when its index exceeds the system's.
+    """
     return tuple(_discord_stack(
-        (
-            Bipartition(reduced_density_matrix(psi, (s_idx, site)), (0,), (1,)),
-            "ab"[_pos_in_sorted((s_idx, site), site)],
-        )
+        (Bipartition(reduced_density_matrix(psi, (s_idx, site)), (0,), (1,)), "ab"[site > s_idx])
         for site in sites
     ))
 
@@ -195,6 +188,8 @@ def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
     _require_pure(psi, "trade-off audit")
     s_idx = _single_qubit_index(psi, s, "system block")
     f_idx = _single_qubit_index(psi, f, "fragment block")
+    if f_idx == s_idx:
+        raise ValueError(f"fragment block index {f_idx} is the system block index {s_idx}")
     rest = tuple(i for i in range(len(psi.dims)) if i not in (s_idx, f_idx))
     if len(rest) != 1 or psi.dims[rest[0]] != 2:
         raise UnsupportedDimensionError(
@@ -203,7 +198,7 @@ def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
     h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
     eof = eof_two_qubit(reduced_density_matrix(psi, (s_idx, f_idx)))
     comp = reduced_density_matrix(psi, (s_idx, rest[0]))
-    j = classical_correlations(comp, measured=_pos_in_sorted((s_idx, rest[0]), rest[0]))
+    j = classical_correlations(comp, measured=int(rest[0] > s_idx))
     return make_audit("kw", eof, h_s - j.value, NUMERIC_SLACK, gap=abs(h_s - j.value - eof))
 
 
@@ -216,6 +211,8 @@ def kw_j_complement(psi: PureState, s, site: int) -> float:
     """
     _require_pure(psi, "complement classical correlations")
     s_idx = _single_qubit_index(psi, s, "system block")
+    if int(site) == s_idx:
+        raise ValueError(f"site index {int(site)} is the system block index {s_idx}")
     marg = reduced_density_matrix(psi, (s_idx, int(site)))
     if marg.dims != (2, 2):
         raise UnsupportedDimensionError(f"system-site marginal has dims {marg.dims}, need (2, 2)")
@@ -254,9 +251,11 @@ def consensus_from_marginals(
 def _site_pass(psi: PureState, s) -> tuple[ConsensusReport, tuple[CorrelationRecord, ...]]:
     """The consensus report of a pure universe and the record of each (S, site) marginal.
 
-    Forms H(rho_S) and each system-site marginal once; every D, J and E the
-    consensus functions use comes from the stacked `quantum_discord` records of
+    Forms each system-site marginal once; H(rho_S) and every D, J and E the
+    consensus functions use come from the stacked `quantum_discord` records of
     those marginals, measured on the site, with one J search over all sites.
+    S is the unmeasured side of each record, so H(rho_S) is its ``entropy_a``;
+    with no sites, S is pure.
     """
     _require_pure(psi, "consensus parameters")
     s_idx = _single_qubit_index(psi, s, "system block")
@@ -264,8 +263,8 @@ def _site_pass(psi: PureState, s) -> tuple[ConsensusReport, tuple[CorrelationRec
     for i in sites:
         if psi.dims[i] != 2:
             raise UnsupportedDimensionError(f"environment site {i} has dimension {psi.dims[i]}")
-    h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
     records = _site_records(psi, s_idx, sites)
+    h_s = records[0].entropy_a if records else 0.0
     report = consensus_from_marginals(
         h_s, sites, [r.classical for r in records], [h_s - r.eof for r in records]
     )
@@ -390,7 +389,7 @@ class _PinchEvaluator:
     every pinched matrix, and checks the relative entropies against the
     pinching identity H(rho||rho_P) = H(rho_P) - H(rho). The one spectrum of
     rho gives both the full-rank check, which names ``what`` when it fails, and
-    H(rho).
+    H(rho); the spectrum ``lam_f`` of rho_F gives H(rho_F).
     """
 
     def __init__(self, rho: DensityMatrix, measured: int, what: str):
@@ -400,8 +399,9 @@ class _PinchEvaluator:
         if lam[0] <= _FULL_RANK_CUTOFF:
             raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
         self.rho_f = np.trace(self.tensor, axis1=0, axis2=2)
+        self.lam_f = np.linalg.eigvalsh(self.rho_f)
         self.h_full = float(-_xlog2x_sum(lam))
-        self.h_f = entropy_of(self.rho_f)
+        self.h_f = float(-_xlog2x_sum(self.lam_f))
 
     def pinch(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pinchings of rho and of rho_F along each direction of ``n`` (G, 3)."""
@@ -412,20 +412,20 @@ class _PinchEvaluator:
         sigma = (self.rho_perm + lift @ self.rho_perm @ lift) / 2.0
         return sigma, (self.rho_f + flip @ self.rho_f @ flip) / 2.0
 
-    def __call__(self, sigma, sigma_f) -> tuple[np.ndarray, np.ndarray, float]:
-        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each pair of `pinch` results, and
-        the worst deviation of either from the pinching identity."""
-        r_full, dev_full = _against_pinching(self.rho_perm, self.h_full, sigma)
-        r_marg, dev_marg = _against_pinching(self.rho_f, self.h_f, sigma_f)
-        return r_full, r_marg, max(dev_full, dev_marg)
+    def __call__(self, sigma, sigma_f):
+        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each pair of `pinch` results, the
+        worst deviation of either from the pinching identity, and rho_F,P's spectra."""
+        r_full, dev_full, _ = _against_pinching(self.rho_perm, self.h_full, sigma)
+        r_marg, dev_marg, vals_f = _against_pinching(self.rho_f, self.h_f, sigma_f)
+        return r_full, r_marg, max(dev_full, dev_marg), vals_f
 
 
-def _against_pinching(x: np.ndarray, h_x: float, sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    """H(x||sigma) from the definition for a stack of pinchings ``sigma`` of x, and the
-    worst deviation from the identity H(x||sigma) = H(sigma) - H(x); one eigensolve."""
+def _against_pinching(x: np.ndarray, h_x: float, sigma: np.ndarray):
+    """H(x||sigma) from the definition for a stack of pinchings ``sigma`` of x, the
+    worst deviation from the identity H(x||sigma) = H(sigma) - H(x), and sigma's spectra."""
     vals, vecs = np.linalg.eigh(sigma)
     rel = _relative_entropy_spectral(x, -h_x, vals, vecs)
-    return rel, float(np.max(np.abs(rel - (-_xlog2x_sum(vals) - h_x))))
+    return rel, float(np.max(np.abs(rel - (-_xlog2x_sum(vals) - h_x)))), vals
 
 
 def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
@@ -444,12 +444,11 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     """
     ev = _PinchEvaluator(rho, measured, "continuity audit")
     best = classical_correlations(rho, measured)
-    rest = tuple(i for i in range(len(rho.dims)) if i != measured)
-    discord = mutual_information(Bipartition(rho, rest, (measured,))) - best.value
+    discord = _group_entropy(ev.tensor, 0) + ev.h_f - ev.h_full - best.value
 
     m2_best = sphere_search(_pinching_entropy(ev.tensor, ev.h_full), 1)[0]
     n = np.vstack([_direction(best.angles), _direction(m2_best.angles)])
-    r_full, r_marg, pinch_dev = ev(*ev.pinch(n))
+    r_full, r_marg, pinch_dev, _ = ev(*ev.pinch(n))
     m1 = float(np.min(r_full - r_marg))
 
     return make_audit(
@@ -473,11 +472,17 @@ def relative_entropy_upper_bound(x: DensityMatrix, y: DensityMatrix) -> float:
     """
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    lmin_y = float(np.linalg.eigvalsh(y.mat).min())
+    lmin_x, lmin_y = (float(np.linalg.eigvalsh(m.mat)[0]) for m in (x, y))
+    return _relative_entropy_bound_spectral(x.mat, y.mat, lmin_x, lmin_y)
+
+
+def _relative_entropy_bound_spectral(x: np.ndarray, y: np.ndarray, lmin_x, lmin_y) -> float:
+    """`relative_entropy_upper_bound` of raw arrays x and y given their smallest
+    eigenvalues: a caller that holds both spectra runs only the trace distance's."""
     if lmin_y <= 0.0:
         raise ValueError(f"second argument must be full rank, min eigenvalue {lmin_y:.3e}")
-    lmin_x = max(0.0, float(np.linalg.eigvalsh(x.mat).min()))
-    d = trace_distance_half(x, y)
+    lmin_x = max(0.0, lmin_x)
+    d = _half_trace_norm(x - y)
     if d == 0.0:
         return 0.0
     first = (lmin_y + d) * np.log2(1.0 + d / lmin_y)
@@ -500,11 +505,10 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     ev = _PinchEvaluator(rho, measured, "f-function audit")
     best = classical_correlations(rho, measured)
     sigma, sigma_f = ev.pinch(_direction(best.angles))
-    r_full, r_marg = (float(r[0]) for r in ev(sigma, sigma_f)[:2])
+    r_full, r_marg, _, vals_f = ev(sigma, sigma_f)
+    r_full, r_marg = float(r_full[0]), float(r_marg[0])
     eps = r_full - r_marg
-    f_val = relative_entropy_upper_bound(
-        DensityMatrix(ev.rho_f, (2,)), DensityMatrix(sigma_f[0], (2,))
-    )
+    f_val = _relative_entropy_bound_spectral(ev.rho_f, sigma_f[0], ev.lam_f[0], vals_f[0, 0])
     return make_audit("f-bound", r_full, eps + f_val, NUMERIC_SLACK, eps=eps, f=f_val)
 
 
@@ -537,7 +541,8 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
             if live[jj]:
                 searches.append(((jj, i), marg, 0))
     j_matrix = [[None] * n for _ in range(n)]
-    for ((i, jj), _, _), best in zip(searches, _classical_stack((m, k) for _, m, k in searches)):
+    found = _classical_stack((m, k) for _, m, k in searches)
+    for ((i, jj), _, _), (_, _, best) in zip(searches, found):
         j_matrix[i][jj] = best.value
     delta = []
     defined = []

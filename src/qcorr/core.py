@@ -11,7 +11,7 @@ explicit seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -24,11 +24,12 @@ NORM_TOL = 1e-12
 # Eigenvalues below this count as zero when deciding support membership.
 SUPPORT_CUTOFF = 1e-12
 
-_LOG2 = np.log(2.0)
-
 
 def _as_dims(dims) -> tuple[int, ...]:
+    dims = tuple(dims)
     out = tuple(int(d) for d in dims)
+    if out != dims:
+        raise ValueError(f"subsystem dimensions must be integers, got {dims}")
     if not out or any(d < 2 for d in out):
         raise ValueError(f"subsystem dimensions must all be >= 2, got {out}")
     return out
@@ -102,6 +103,20 @@ def _keep_indices(dims, keep) -> tuple[int, ...]:
     return keep
 
 
+def _grouped_view(rho: DensityMatrix, first, second) -> np.ndarray:
+    """Tensor view (d_1, d_2, d_1, d_2) of rho with its subsystems grouped into the
+    ``first`` then the ``second`` block, each in the order given."""
+    order = (*first, *second)
+    t = rho.mat.reshape(rho.dims * 2).transpose(order + tuple(len(rho.dims) + i for i in order))
+    d_1 = prod(rho.dims[i] for i in first)
+    return t.reshape(d_1, rho.dim // d_1, d_1, rho.dim // d_1)
+
+
+def _group_entropy(t: np.ndarray, block: int) -> float:
+    """Entropy of block 0 or 1 of a `_grouped_view`, the other block traced out."""
+    return entropy_of(np.trace(t, axis1=1 - block, axis2=3 - block))
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept subsystems (original ordering preserved).
 
@@ -112,16 +127,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         Indices into ``rho.dims`` of the subsystems to retain.
     """
     keep = _keep_indices(rho.dims, keep)
-    n = len(rho.dims)
-    t = rho.mat.reshape(rho.dims + rho.dims)
-    traced = [i for i in range(n) if i not in keep]
-    n_cur = n
-    for ax in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=ax, axis2=ax + n_cur)
-        n_cur -= 1
-    new_dims = tuple(rho.dims[i] for i in keep)
-    d = prod(new_dims)
-    return DensityMatrix(t.reshape(d, d), new_dims)
+    t = _grouped_view(rho, keep, [i for i in range(len(rho.dims)) if i not in keep])
+    return DensityMatrix(np.trace(t, axis1=1, axis2=3), tuple(rho.dims[i] for i in keep))
 
 
 def reduced_density_matrix(psi: PureState, keep) -> DensityMatrix:
@@ -146,10 +153,8 @@ def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
     n = len(rho.dims)
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
-    t = rho.mat.reshape(rho.dims + rho.dims)
-    t = t.transpose(order + tuple(n + i for i in order))
-    new_dims = tuple(rho.dims[i] for i in order)
-    return DensityMatrix(t.reshape(rho.dim, rho.dim), new_dims)
+    t = _grouped_view(rho, order, ())
+    return DensityMatrix(t.reshape(rho.dim, rho.dim), tuple(rho.dims[i] for i in order))
 
 
 def _xlog2x_sum(vals: np.ndarray) -> np.ndarray:
@@ -210,7 +215,12 @@ def trace_distance_half(x: DensityMatrix, y: DensityMatrix) -> float:
     """Half the trace norm of x - y; lies in [0, 1]."""
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    return float(np.sum(np.abs(np.linalg.eigvalsh(x.mat - y.mat))) / 2.0)
+    return _half_trace_norm(x.mat - y.mat)
+
+
+def _half_trace_norm(m: np.ndarray) -> float:
+    """Half the trace norm of a raw Hermitian array."""
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))) / 2.0)
 
 
 def random_pure_state(dims, seed: int) -> PureState:

@@ -19,9 +19,10 @@ import numpy as np
 from .core import (
     DensityMatrix,
     PureState,
+    _group_entropy,
+    _grouped_view,
     _xlog2x_sum,
     binary_entropy,
-    partial_trace,
     reduced_density_matrix,
     von_neumann_entropy,
 )
@@ -33,10 +34,8 @@ _RANK_CUTOFF = 1e-12
 
 # Numeric convex-roof search (a validation oracle, not the default path): random
 # isometries started besides the eigendecomposition and their seed, then the
-# step and stopping rules of `_roof_descent`. A start stops at a squared
-# gradient norm of _ROOF_GRAD_TOL, once the gain its step predicts falls below
-# _ROOF_GAIN_TOL * max(1, |f|), or after _ROOF_STALL_STEPS accepted steps in a
-# row that each gain less than that.
+# step and stopping rules of `_roof_descent`. A start stops once the gain its
+# step predicts falls below _ROOF_GAIN_TOL * max(1, |f|).
 _ROOF_RESTARTS = 20
 _ROOF_SEED = 7
 _ROOF_FIRST_STEP = 1.0
@@ -44,9 +43,7 @@ _ROOF_ARMIJO = 1e-4
 _ROOF_SHRINK = 4.0
 _ROOF_PRUNE_AFTER = 10
 _ROOF_KEEP = 2
-_ROOF_GRAD_TOL = 1e-28
 _ROOF_GAIN_TOL = 1e-15
-_ROOF_STALL_STEPS = 3
 _ROOF_MAX_STEPS = 3000
 
 
@@ -88,19 +85,15 @@ class CorrelationRecord:
     measured_side: str
 
 
-def _info_terms(b: Bipartition) -> tuple[float, float, float]:
-    """I(A:B), H(rho_A) and H(rho_B) in bits, each marginal formed once."""
-    h_a = von_neumann_entropy(partial_trace(b.rho, b.side_a))
-    h_b = von_neumann_entropy(partial_trace(b.rho, b.side_b))
-    return h_a + h_b - von_neumann_entropy(b.rho), h_a, h_b
-
-
 def mutual_information(b: Bipartition) -> float:
     """I = H(rho_A) + H(rho_B) - H(rho_AB) in bits."""
-    return _info_terms(b)[0]
+    t = _grouped_view(b.rho, b.side_a, b.side_b)
+    return _group_entropy(t, 0) + _group_entropy(t, 1) - von_neumann_entropy(b.rho)
 
 
 def _measured_subsystem(b: Bipartition, measured: str) -> int:
+    if measured not in ("a", "b"):
+        raise ValueError(f"measured must be 'a' or 'b', got {measured!r}")
     side = b.side_b if measured == "b" else b.side_a
     if len(side) != 1 or b.rho.dims[side[0]] != 2:
         dims = tuple(b.rho.dims[i] for i in side)
@@ -115,22 +108,21 @@ def _discord_stack(pairs) -> list[CorrelationRecord]:
 
     The one place that forms D from a searched J and pairs it with E: the
     consensus parameters and the discord, EoF, remark and conservation audits
-    all read their J, D and E from these records.
+    all read their J, D and E from these records. I = H(rest) + H(measured) -
+    H(rho) takes H(rest), the unmeasured side's entropy, from J and H(measured)
+    from J's view.
     """
     pairs = list(pairs)
-    for _, measured in pairs:
-        if measured not in ("a", "b"):
-            raise ValueError(f"measured must be 'a' or 'b', got {measured!r}")
-    best = _classical_stack((b.rho, _measured_subsystem(b, measured)) for b, measured in pairs)
+    searched = _classical_stack((b.rho, _measured_subsystem(b, measured)) for b, measured in pairs)
     records = []
-    for (b, measured), j in zip(pairs, best):
-        info, h_a, h_b = _info_terms(b)
+    for (b, measured), (t, h_rest, j) in zip(pairs, searched):
+        info = h_rest + _group_entropy(t, 1) - von_neumann_entropy(b.rho)
         records.append(CorrelationRecord(
             mutual_info=info,
             classical=j.value,
             discord=info - j.value,
             eof=eof_two_qubit(b.rho) if b.rho.dims == (2, 2) else None,
-            entropy_a=h_a if measured == "b" else h_b,
+            entropy_a=h_rest,
             measured_side=measured,
         ))
     return records
@@ -255,28 +247,25 @@ def _roof_descent(q: np.ndarray, basis: np.ndarray, d_a: int, d_b: int) -> float
     with QR, so every iterate is a valid decomposition. A step that fails the
     Armijo check is undone and the start divides its length by
     ``_ROOF_SHRINK``. After ``_ROOF_PRUNE_AFTER`` steps only the best
-    ``_ROOF_KEEP`` starts go on. A start stops at a vanishing gradient, after
-    ``_ROOF_STALL_STEPS`` accepted steps in a row that gain next to nothing,
-    once the gain its step predicts falls below ``_ROOF_GAIN_TOL`` *
-    max(1, |f|), or after ``_ROOF_MAX_STEPS`` steps. That last test stops a
-    converged start at once, where its Armijo checks fail on rounding noise.
+    ``_ROOF_KEEP`` starts go on. A start stops once the gain its step
+    predicts, 2 step |xi|^2, falls below ``_ROOF_GAIN_TOL`` * max(1, |f|), or
+    after ``_ROOF_MAX_STEPS`` steps. The first test stops a converged start at
+    once, where its Armijo checks fail on rounding noise.
     """
     f, xi = _roof_value_and_gradient(q, basis, d_a, d_b)
     step = np.full(len(f), _ROOF_FIRST_STEP)
-    stalled = np.zeros(len(f), dtype=int)
     best = f.min()
     for it in range(_ROOF_MAX_STEPS):
         g2 = _real_inner(xi, xi)
         # f changes by 2 Re tr(xi^dag dq), so its slope along -xi is -2|xi|^2.
-        live = ((g2 > _ROOF_GRAD_TOL) & (stalled < _ROOF_STALL_STEPS)
-                & (2.0 * step * g2 >= _ROOF_GAIN_TOL * np.maximum(1.0, np.abs(f))))
+        live = 2.0 * step * g2 >= _ROOF_GAIN_TOL * np.maximum(1.0, np.abs(f))
         if it == _ROOF_PRUNE_AFTER:
             live[np.argsort(f, kind="stable")[_ROOF_KEEP:]] = False
         if not live.all():
             best = min(best, f.min())
             if not live.any():
                 return float(best)
-            q, xi, f, g2, step, stalled = (a[live] for a in (q, xi, f, g2, step, stalled))
+            q, xi, f, g2, step = (a[live] for a in (q, xi, f, g2, step))
         trial = _retract(q - step[:, None, None] * xi)
         f_t, xi_t = _roof_value_and_gradient(trial, basis, d_a, d_b)
         gain = f - f_t
@@ -286,8 +275,6 @@ def _roof_descent(q: np.ndarray, basis: np.ndarray, d_a: int, d_b: int) -> float
         # The long (|s|^2 / s.y) and short (s.y / |y|^2) lengths in turn.
         num, den = (_real_inner(s_k, s_k), sy) if it % 2 == 0 else (sy, _real_inner(y_k, y_k))
         bb = np.where(sy > 0.0, num / np.where(sy > 0.0, den, 1.0), step)
-        small = gain < _ROOF_GAIN_TOL * np.maximum(1.0, np.abs(f_t))
-        stalled = np.where(ok, np.where(small, stalled + 1, 0), stalled)
         step = np.where(ok, bb, step / _ROOF_SHRINK)
         f = np.where(ok, f_t, f)
         q = np.where(ok[:, None, None], trial, q)

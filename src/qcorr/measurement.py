@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DensityMatrix, _xlog2x_sum, entropy_of
+from .core import DensityMatrix, _group_entropy, _grouped_view, _xlog2x_sum
 
 # sigma_0 = 1 and the Pauli matrices; direction n projects onto (1 +- n.sigma)/2.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
@@ -120,11 +120,8 @@ def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
             f"direct optimization needs a qubit on the measured side, got dimension "
             f"{rho.dims[measured]}; group through the Koashi-Winter route in `bounds`"
         )
-    order = tuple(i for i in range(n) if i != measured) + (measured,)
-    t = rho.mat.reshape(rho.dims + rho.dims)
-    t = t.transpose(order + tuple(n + i for i in order))
-    d_rest = rho.dim // 2
-    return t.reshape(d_rest, 2, d_rest, 2), d_rest
+    t = _grouped_view(rho, [i for i in range(n) if i != measured], [measured])
+    return t, t.shape[0]
 
 
 def angle_grid() -> np.ndarray:
@@ -296,8 +293,9 @@ def _conditional_entropy(tensors: np.ndarray):
     return objective
 
 
-def _classical_stack(pairs) -> list[MeasurementOptimum]:
-    """`classical_correlations` of each (rho, measured) pair, from one stacked search.
+def _classical_stack(pairs) -> list[tuple[np.ndarray, float, MeasurementOptimum]]:
+    """`classical_correlations` of each (rho, measured) pair, from one stacked search,
+    with the pair's `_measured_last` view and the entropy of its unmeasured side.
 
     One `sphere_search` runs over the whole stack. Each state's result equals
     its own search: the states share the search's steps, not its starts. All
@@ -314,10 +312,8 @@ def _classical_stack(pairs) -> list[MeasurementOptimum]:
         return []
     tensors = np.stack([t for t, _ in views])
     found = sphere_search(_conditional_entropy(tensors), len(tensors))
-    return [
-        replace(best, value=entropy_of(np.trace(t, axis1=1, axis2=3)) - best.value)
-        for t, best in zip(tensors, found)
-    ]
+    h_rest = [_group_entropy(t, 0) for t in tensors]
+    return [(t, h, replace(b, value=h - b.value)) for t, h, b in zip(tensors, h_rest, found)]
 
 
 def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOptimum:
@@ -336,4 +332,4 @@ def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOpti
     MeasurementOptimum
         Best value J in bits, the direction attaining it, and search stats.
     """
-    return _classical_stack([(rho, measured)])[0]
+    return _classical_stack([(rho, measured)])[0][2]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import H_S_CUTOFF, consensus_from_marginals
-from .core import DensityMatrix, PureState, binary_entropy, von_neumann_entropy
+from .core import DensityMatrix, PureState, binary_entropy
 from .correlations import eof_two_qubit
 
 BRUTE_MAX_SITES = 12
@@ -128,12 +128,6 @@ def _fragment_state(cfg: StarConfig, k: int) -> DensityMatrix:
     return DensityMatrix(_two_branches([1.0, 0.0, 0.0, 0.0], one_phi, a ** (n - k)), (2, 2))
 
 
-def _system_marginals(cfg: StarConfig) -> tuple[DensityMatrix, DensityMatrix]:
-    """Closed-form (rho_S, rho_S-site) of `analytic_marginals`, without the pair."""
-    rho_s = _two_branches([1.0, 0.0], [0.0, 1.0], cfg.a**cfg.n_env)
-    return DensityMatrix(rho_s, (2,)), _fragment_state(cfg, 1)
-
-
 def analytic_marginals(
     cfg: StarConfig,
 ) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix | None]:
@@ -150,23 +144,23 @@ def analytic_marginals(
     The pair marginal has no coherence term: tracing out the system kills
     the |0><1|_S cross terms entirely. It is None when N = 1 (no pair).
     """
-    rho_s, rho_se = _system_marginals(cfg)
+    rho_s = DensityMatrix(_two_branches([1.0, 0.0], [0.0, 1.0], cfg.a**cfg.n_env), (2,))
     rho_pair = None
     if cfg.n_env >= 2:
         phi_phi = np.kron(_phi_vector(cfg.a), _phi_vector(cfg.a))
         rho_pair = DensityMatrix(_two_branches([1.0, 0.0, 0.0, 0.0], phi_phi, 0.0), (2, 2))
-    return rho_s, rho_se, rho_pair
+    return rho_s, _fragment_state(cfg, 1), rho_pair
 
 
 def _sweep_row(cfg: StarConfig) -> SweepRow:
-    rho_s, rho_se = _system_marginals(cfg)
-    h_s = von_neumann_entropy(rho_s)
+    # Spectra (1 +- a^k)/2: rho_S (k = N), the site marginal 1/2 (|0><0| + |phi><phi|)
+    # (k = 1), and rho_S,site, which shares that of the other N - 1 sites.
+    n = cfg.n_env
+    h_s, h_site, h_rest = (binary_entropy((1.0 + cfg.a**k) / 2.0) for k in (n, 1, n - 1))
     # Koashi-Winter: the site's purification is the other N - 1 sites.
-    j = h_s - eof_two_qubit(_fragment_state(cfg, cfg.n_env - 1))
-    eof = eof_two_qubit(rho_se)
-    # D = I - J with I = H_S + H_site - H_S,site: the site marginal 1/2 (|0><0| + |phi><phi|)
-    # has spectrum (1 +- a)/2, and rho_S,site shares that of the other N - 1 sites.
-    h_site, h_rest = (binary_entropy((1.0 + cfg.a**k) / 2.0) for k in (1, cfg.n_env - 1))
+    j = h_s - eof_two_qubit(_fragment_state(cfg, n - 1))
+    eof = eof_two_qubit(_fragment_state(cfg, 1))
+    # D = I - J with I = H_S + H_site - H_S,site.
     discord = h_s + h_site - h_rest - j
 
     if h_s > H_S_CUTOFF:
@@ -196,7 +190,8 @@ def run_sweep(n_list, a_grid) -> list[SweepRow]:
 
     No point runs a search: J = H_S - E_F(rho_eff(N - 1)) by Koashi-Winter,
     the projective J of the rank-2 rho_S,site (module docstring; 1.1e-15 from
-    the search on the default grid), D = I - J with I from the closed-form
-    spectra of the site and of the other N - 1 sites, and E = E_F(rho_S,site).
+    the search on the default grid), D = I - J with H_S and I from the
+    closed-form spectra of S, the site and the other N - 1 sites, and E =
+    E_F(rho_S,site).
     """
     return [_sweep_row(StarConfig(n, a)) for n in n_list for a in a_grid]

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DensityMatrix, PureState
+from .core import DensityMatrix, PureState, _as_dims
 
 
 def _pairs(values) -> list:
@@ -58,9 +58,11 @@ def load_state(path) -> DensityMatrix | PureState:
     if "dims" not in payload:
         raise ValueError(f"state file {path} is missing 'dims'")
     try:
-        dims = tuple(int(d) for d in payload["dims"])
+        dims = _as_dims(payload["dims"])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"state file {path} has malformed dims {payload['dims']!r}") from exc
+        raise ValueError(
+            f"state file {path} has malformed dims {payload['dims']!r}: {exc}"
+        ) from exc
     if "vector" in payload:
         return PureState(_complex_array(payload["vector"], "vector", 1), dims)
     if "matrix" in payload:

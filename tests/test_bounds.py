@@ -33,6 +33,7 @@ from qcorr import (
     koashi_winter_audit,
     kw_j_complement,
     mutual_information,
+    quantum_discord,
     random_density_matrix,
     random_pure_state,
     reduced_density_matrix,
@@ -134,6 +135,11 @@ def test_kw_audit_rejects_invalid_inputs():
         koashi_winter_audit(random_density_matrix((2, 2, 2), 8, 9), (0,), (1,))
     with pytest.raises(ValueError, match=r"system block index 5 is out of range \[0, 3\)"):
         koashi_winter_audit(random_pure_state((2, 2, 2), 7), 5, 1)
+    psi = random_pure_state((2, 2, 2), 1)
+    with pytest.raises(ValueError, match="fragment block index 0 is the system block index 0"):
+        koashi_winter_audit(psi, (0,), (0,))
+    with pytest.raises(ValueError, match="site index 0 is the system block index 0"):
+        kw_j_complement(psi, (0,), 0)
 
 
 def test_kw_j_complement_closed_cases():
@@ -276,29 +282,39 @@ def test_consensus_audits_form_each_site_marginal_once(monkeypatch):
     psi = random_pure_state((2, 2, 2, 2), 5)
     marginals = _count_calls(monkeypatch, reduced_density_matrix)
     eofs = _count_calls(monkeypatch, eof_two_qubit)
-    # rho_S plus one marginal per site, and one EoF per site.
+    # One marginal and one EoF per site; H(rho_S) comes from the records.
     eof_bound_audit(psi, (0,))
-    assert (len(marginals), len(eofs)) == (4, 3)
+    assert (len(marginals), len(eofs)) == (3, 3)
     marginals.clear()
     eofs.clear()
     discord_bound_audit(psi, (0,))
-    assert (len(marginals), len(eofs)) == (4, 3)
+    assert (len(marginals), len(eofs)) == (3, 3)
 
 
-def test_consensus_delta_forms_each_site_entropy_once(monkeypatch):
-    # H(rho_S) and its validation (2), then per site the marginal's validation,
-    # J's unmeasured entropy, and I's three entropies plus the validations of its
-    # two partial traces: 2 + 3 * (1 + 1 + 5) = 23 eigensolves.
-    eigvalsh = np.linalg.eigvalsh
-    calls = []
+def test_consensus_delta_forms_each_site_entropy_once(eigensolves):
+    # Per site: the marginal's validation, H(rho_S), which J and I share, I's
+    # H(site) and H(rho_S,site), and the EoF's eigh and svd: 3 * (1 + 3 + 2) = 18.
+    psi = random_pure_state((2, 2, 2, 2), 5)
+    consensus_delta(psi, (0,))
+    assert len(eigensolves) == 18
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return eigvalsh(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    consensus_delta(random_pure_state((2, 2, 2, 2), 5), (0,))
-    assert len(calls) == 23
+def test_records_form_each_entropy_once(eigensolves):
+    # A record of a 2x2 state: J's H(rest), I's H(measured) and H(rho), and the
+    # EoF's eigh and svd (5). The conservation audit adds one validation per
+    # marginal (2 + 2 * 5). On a 0,1|2 split, J's d_rest = 4 search takes 6
+    # stacked eigvalsh calls, and there is no EoF (6 + 3).
+    rho = _full_rank((2, 2), 11)
+    psi = random_pure_state((2, 2, 2), 4)
+    split = Bipartition(random_density_matrix((2, 2, 2), 8, 6), (0, 1), (2,))
+    for call, count in [
+        (lambda: remark_audit(rho), 5),
+        (lambda: fanchini_identity_audit(psi, (0,), 1), 12),
+        (lambda: quantum_discord(split), 9),
+    ]:
+        eigensolves.clear()
+        call()
+        assert len(eigensolves) == count
 
 
 # ---------------------------------------------------------------------------
@@ -438,48 +454,29 @@ def test_m2_objective_matches_the_pinching_definition(dims, measured):
 
 
 @pytest.mark.parametrize("dims, measured", _PINCH_CASES)
-def test_continuity_chain_pinches_only_the_audited_directions(monkeypatch, dims, measured):
+def test_continuity_chain_pinches_only_the_audited_directions(eigensolves, dims, measured):
     # The m2 search reads the outcome-block spectra; only J's argmax and m2's
     # minimizer are pinched from the definition: one eigh for rho, one for rho_F.
-    eigh = np.linalg.eigh
-    stacks = []
-
-    def counted(a, *args, **kwargs):
-        stacks.append(int(np.prod(np.shape(a)[:-2])))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    assert continuity_chain_audit(_full_rank(dims, 83), measured).satisfied
+    rho = _full_rank(dims, 83)
+    eigensolves.clear()
+    assert continuity_chain_audit(rho, measured).satisfied
+    stacks = [k for name, k in eigensolves if name == "eigh"]
     assert (len(stacks), sum(stacks)) == (2, 4)
 
 
-def _count_eigensolves(monkeypatch) -> list:
-    calls = []
-    for name in ("eigvalsh", "eigh"):
-        solve = getattr(np.linalg, name)
-
-        def counted(*args, _solve=solve, **kwargs):
-            calls.append(args)
-            return _solve(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
-def test_continuity_and_f_bound_form_the_spectrum_of_rho_once(monkeypatch):
+def test_continuity_and_f_bound_form_the_spectrum_of_rho_once(eigensolves):
     # One spectrum of rho gives the full-rank check and H(rho); H(rho_F) and J's
     # unmeasured entropy add 2, and the definition route pinches once (eigh for
-    # rho and for rho_F). Continuity adds I's three entropies and the validations
-    # of its two partial traces: 1 + 2 + 2 + 5 = 10. The f bound adds the
-    # validations of rho_F and its pinching, their two smallest eigenvalues and
-    # the trace distance: 1 + 2 + 2 + 5 = 10.
+    # rho and for rho_F): 1 + 2 + 2 = 5. Continuity adds H(rest) for D, the f
+    # bound the trace distance, whose smallest eigenvalues come from the spectra
+    # of rho_F and its pinching: 6 each.
     rho = _full_rank((2, 2), 11)
-    calls = _count_eigensolves(monkeypatch)
+    eigensolves.clear()
     continuity_chain_audit(rho, 1)
-    assert len(calls) == 10
-    calls.clear()
+    assert len(eigensolves) == 6
+    eigensolves.clear()
     f_bound_audit(rho, 1)
-    assert len(calls) == 10
+    assert len(eigensolves) == 6
 
 
 def test_m2_search_never_loses_to_the_compass_search():

@@ -62,6 +62,8 @@ def test_pure_state_rejects_unnormalized_vector():
 def test_dims_must_be_at_least_two():
     with pytest.raises(ValueError, match="dimensions"):
         PureState(np.array([1.0]), (1,))
+    with pytest.raises(ValueError, match=r"integers, got \(2.9, 2\)"):
+        DensityMatrix(np.eye(4) / 4.0, (2.9, 2))
 
 
 def test_random_outputs_pass_constructor_invariants():

@@ -425,7 +425,7 @@ def test_stacked_search_keeps_states_independent():
     def fields(best):
         return (best.value, best.angles, best.evaluations, best.starts_used, best.converged)
 
-    stacked = [fields(b) for b in measurement._classical_stack(stack)]
+    stacked = [fields(b) for _, _, b in measurement._classical_stack(stack)]
     assert stacked == [fields(classical_correlations(rho, m)) for rho, m in stack]
     assert stacked[0] == stacked[2]
     assert measurement._classical_stack([]) == []

@@ -182,10 +182,11 @@ def test_batched_sweep_matches_point_by_point_sweep():
     assert run_sweep([], a_grid) == []
 
 
-def test_sweep_builds_no_pair_marginal(monkeypatch):
-    # The sweep reads rho_S, rho_S,site and the fragment state of the other
-    # N - 1 sites only; the site-pair marginal of `analytic_marginals` would
-    # cost one more validation eigensolve per point.
+def test_sweep_builds_no_pair_marginal(monkeypatch, eigensolves):
+    # The sweep builds rho_S,site and the fragment state of the other N - 1
+    # sites only, and takes H_S from a closed form; the site-pair marginal of
+    # `analytic_marginals` would cost one more validation eigensolve per point.
+    # Each state's validation and EoF (eigh and svd) make 2 * (1 + 2) eigensolves.
     built = []
 
     def recording(mat, dims):
@@ -194,7 +195,8 @@ def test_sweep_builds_no_pair_marginal(monkeypatch):
 
     monkeypatch.setattr(starsim, "DensityMatrix", recording)
     run_sweep((3,), (0.5,))
-    assert built == [(2,), (2, 2), (2, 2)]
+    assert built == [(2, 2), (2, 2)]
+    assert len(eigensolves) == 6
 
 
 def test_sweep_runs_no_search(monkeypatch):

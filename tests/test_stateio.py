@@ -66,6 +66,14 @@ def test_load_rejects_missing_fields(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_non_integral_dims(tmp_path):
+    path = tmp_path / "fractional.json"
+    payload = {"dims": [2.9, 2], "vector": [[1.0, 0.0]] + [[0.0, 0.0]] * 3}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="2.9"):
+        load_state(path)
+
+
 def test_load_rejects_malformed_entries(tmp_path):
     path = tmp_path / "badentry.json"
     path.write_text(json.dumps({"dims": [2], "vector": [1.0, 0.0]}), encoding="utf-8")
