@@ -68,6 +68,7 @@ from .measurement import (
     _classical_stack,
     _direction,
     _measured_last,
+    _pauli_blocks,
     _pauli_dot,
     classical_correlations,
     sphere_search,
@@ -376,7 +377,7 @@ def _pinching_entropy(t: np.ndarray, h: float):
     measured qubit along each direction, from the outcome-block spectra of J's
     objective (rho_P is B(+n) (+) B(-n)), given the `_measured_last` view ``t`` of
     rho and h = H(rho): rows (K,) and n (K, G, 3) to (K, G)."""
-    spectra = _block_spectra(t[None])
+    spectra = _block_spectra(_pauli_blocks(t[None]))
     return lambda rows, n: -np.sum(_xlog2x_sum(spectra(rows, n)), axis=0) - h
 
 
@@ -387,15 +388,15 @@ class _PinchEvaluator:
     The definition route that the audits check their audited directions with:
     works in a basis with the measured qubit as the last tensor factor, builds
     every pinched matrix, and checks the relative entropies against the
-    pinching identity H(rho||rho_P) = H(rho_P) - H(rho). The one spectrum of
-    rho gives both the full-rank check, which names ``what`` when it fails, and
-    H(rho); the spectrum ``lam_f`` of rho_F gives H(rho_F).
+    pinching identity H(rho||rho_P) = H(rho_P) - H(rho). The validated spectrum
+    of rho gives both the full-rank check, which names ``what`` when it fails,
+    and H(rho); the spectrum ``lam_f`` of rho_F gives H(rho_F).
     """
 
     def __init__(self, rho: DensityMatrix, measured: int, what: str):
         self.tensor, d_rest = _measured_last(rho, measured)
         self.rho_perm = self.tensor.reshape(d_rest * 2, d_rest * 2)
-        lam = np.linalg.eigvalsh(self.rho_perm)
+        lam = rho.spectrum
         if lam[0] <= _FULL_RANK_CUTOFF:
             raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
         self.rho_f = np.trace(self.tensor, axis1=0, axis2=2)

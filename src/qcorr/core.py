@@ -11,7 +11,7 @@ explicit seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 
 import numpy as np
@@ -37,13 +37,20 @@ def _as_dims(dims) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD matrix with a subsystem dimension list."""
+    """Hermitian, unit-trace, PSD matrix with a subsystem dimension list.
+
+    Keeps the ascending ``spectrum`` of ``mat`` that its PSD check computes, so
+    the entropy and the rank of a validated state cost no further eigensolve.
+    ``mat`` is a read-only copy of the input, so the spectrum cannot go stale.
+    """
 
     mat: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = np.array(self.mat, dtype=complex)
+        mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _as_dims(self.dims))
         d = prod(self.dims)
@@ -55,7 +62,9 @@ class DensityMatrix:
         tr_err = abs(mat.trace() - 1.0)
         if tr_err > TRACE_TOL:
             raise ValueError(f"trace differs from 1 by {tr_err:.3e}")
-        lam_min = float(np.linalg.eigvalsh(mat)[0])
+        spectrum = np.linalg.eigvalsh(mat)
+        object.__setattr__(self, "spectrum", spectrum)
+        lam_min = float(spectrum[0])
         if lam_min < -PSD_TOL:
             raise ValueError(f"not positive semidefinite: lambda_min = {lam_min:.3e}")
 
@@ -168,7 +177,7 @@ def _xlog2x_sum(vals: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0*log 0 = 0."""
-    return entropy_of(rho.mat)
+    return float(-_xlog2x_sum(rho.spectrum))
 
 
 def entropy_of(mat: np.ndarray) -> float:

@@ -11,6 +11,20 @@ measurement on side B the post-measurement mutual information reduces to
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho],
 whose direct sum is the pinching of B along n: their spectra (`_block_spectra`)
 give J's objective and the m2 objective of the continuity audit in `bounds`.
+A state of rank r < d_rest = dim(A) has smaller blocks with the same nonzero
+spectra: with rho = Psi Psi^dag, Psi = V sqrt(Lambda) (2 d_rest x r), the block
+of outcome +-n has the nonzero spectrum of (G_0 +- n.G)/2, G_s = Psi^dag (1 x
+sigma_s) Psi, which is r x r. J's search reads k x k blocks, k = min(d_rest,
+max(2, r)), with r the number of eigenvalues of rho above dim(rho) times
+machine epsilon (at most 3.6e-15 for dim(rho) <= 16), so a rank-1 or rank-2
+state takes the closed-form 2 x 2 spectra whatever d_rest is. The eigenvalues
+left out weigh eps_0 <= (dim(rho) - 1) dim(rho) epsilon <= 5.3e-14 on a PSD
+state (validation admits eigenvalues down to -1e-10; those are left out too).
+Each outcome block then loses eigenvalue weight summing to at most eps_0, which
+moves J by at most 2 eps_0 log2(2 d_rest / eps_0) < 6e-12 bits; on 240 seeded
+states of rank r < d_rest, J moved by at most 8.4e-15. Where k = d_rest the
+search reads the T_s blocks, as m2 always does.
+
 `sphere_search` minimizes either for a whole stack of states in one loop with
 fixed settings: one point per measurement axis of a _GRID x _GRID angle grid,
 _STARTS refined directions per state, each in its own pole-free chart, a step
@@ -243,24 +257,58 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     return found
 
 
-def _block_spectra(tensors: np.ndarray):
+def _pauli_blocks(tensors: np.ndarray) -> np.ndarray:
+    """T_s = Tr_meas[(1 x sigma_s) rho] (S, 4, d_rest, d_rest) of stacked
+    `_measured_last` views (S, d_rest, 2, d_rest, 2)."""
+    return np.einsum("skj,xajbk->xsab", _PAULI, tensors)
+
+
+def _support(spectra: np.ndarray, dim: int) -> np.ndarray:
+    """Mask of the eigenvalues of a dim x dim state that count as nonzero: those
+    above dim times machine epsilon (at most 3.6e-15 for dim <= 16)."""
+    return spectra > dim * np.finfo(float).eps
+
+
+def _factor_blocks(tensors: np.ndarray, k: int) -> np.ndarray:
+    """G_s = Psi^dag (1 x sigma_s) Psi (S, 4, k, k) of stacked `_measured_last` views,
+    with Psi = V sqrt(Lambda) from the k largest eigenpairs of each rho (one
+    stacked eigh) and a zero column for each of them outside the `_support`."""
+    s, d_rest = tensors.shape[:2]
+    vals, vecs = np.linalg.eigh(tensors.reshape(s, 2 * d_rest, 2 * d_rest))
+    vals = vals[:, None, -k:]
+    psi = vecs[..., -k:] * np.sqrt(np.where(_support(vals, 2 * d_rest), vals, 0.0))
+    psi = psi.reshape(s, d_rest, 2, k)
+    return np.einsum("xaip,sij,xajq->xspq", psi.conj(), _PAULI, psi)
+
+
+def _outcome_blocks(tensors: np.ndarray, k: int) -> np.ndarray:
+    """The k x k blocks J's search reads for stacked `_measured_last` views: the
+    `_factor_blocks` where k < d_rest, the `_pauli_blocks` otherwise."""
+    return _factor_blocks(tensors, k) if k < tensors.shape[1] else _pauli_blocks(tensors)
+
+
+def _block_spectra(blocks: np.ndarray):
     """Eigenvalues of the outcome blocks of the measurement along each direction n.
 
-    ``tensors`` stacks the `_measured_last` views (S, d_rest, 2, d_rest, 2) of S
-    states. With T_s = Tr_meas[(1 x sigma_s) rho], outcome +-n leaves the
-    unnormalized block B(+-n) = (T_0 +- n.T)/2 on the unmeasured side, and the
-    pinching of the measured qubit along n is B(+n) (+) B(-n). The returned
-    function maps row states (K,) and directions n (K, G, 3) to the eigenvalues
-    (2, K, G, d_rest), clipped to [0, 1]: each row's n.T is one batched matmul
-    against its own state's T_s. For d_rest = 2 a block b_0 + b.sigma has
+    ``blocks`` stacks four k x k Hermitian blocks (S, 4, k, k) per state whose
+    outcome +-n has the block (X_0 +- n.X)/2. With the `_pauli_blocks` T_s of
+    the `_measured_last` view, that is the unnormalized block B(+-n) =
+    Tr_meas[(1 x P+-) rho] on the unmeasured side, P+- = (1 +- n.sigma)/2, and
+    the pinching of the measured qubit along n is B(+n) (+) B(-n). With the
+    `_factor_blocks` G_s of rho = Psi Psi^dag it is K(+-n) = Psi^dag (1 x P+-) Psi,
+    which has the nonzero spectrum of B(+-n) up to the eigenvalues of rho outside
+    its `_support` (at most 3.6e-15 each), which Psi leaves out: that moves J by
+    less than 6e-12 bits in the worst case (see the module docstring). The
+    returned function maps row states (K,) and directions n (K, G, 3) to the
+    eigenvalues (2, K, G, k), clipped to [0, 1]: each row's n.X is one batched
+    matmul against its own state's X_s. For k = 2 a block b_0 + b.sigma has
     eigenvalues b_0 +- |b|; larger blocks of every row go through one stacked
     eigvalsh.
     """
-    d_rest = tensors.shape[1]
-    ts = np.einsum("skj,xajbk->xsab", _PAULI, tensors)
+    k = blocks.shape[-1]
     signs = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
-    if d_rest == 2:
-        coef = np.einsum("xsab,rba->xsr", ts, _PAULI).real / 2.0
+    if k == 2:
+        coef = np.einsum("xsab,rba->xsr", blocks, _PAULI).real / 2.0
 
         def spectra(rows, n):
             b = (coef[rows, None, 0] + signs * (n @ coef[rows, 1:])) / 2.0
@@ -268,23 +316,23 @@ def _block_spectra(tensors: np.ndarray):
             return np.stack([b[..., 0] - r, b[..., 0] + r], axis=-1).clip(0.0, 1.0)
 
     else:
-        flat = ts.reshape(len(ts), 4, -1)
+        flat = blocks.reshape(len(blocks), 4, -1)
 
         def spectra(rows, n):
-            nt = (n @ flat[rows, 1:]).reshape(*n.shape[:2], d_rest, d_rest)
-            blocks = (ts[rows, None, 0] + signs[..., None] * nt) / 2.0
-            return np.linalg.eigvalsh(blocks).clip(0.0, 1.0)
+            nx = (n @ flat[rows, 1:]).reshape(*n.shape[:2], k, k)
+            outcome = (blocks[rows, None, 0] + signs[..., None] * nx) / 2.0
+            return np.linalg.eigvalsh(outcome).clip(0.0, 1.0)
 
     return spectra
 
 
-def _conditional_entropy(tensors: np.ndarray):
+def _conditional_entropy(blocks: np.ndarray):
     """Objective sum_a p_a H(rest | a) of the measurement along each direction n.
 
     Maps the row states (K,) and directions n (K, G, 3) of `_block_spectra` to
     values (K, G), with p_a the trace of outcome block a.
     """
-    spectra = _block_spectra(tensors)
+    spectra = _block_spectra(blocks)
 
     def objective(rows, n):
         w = spectra(rows, n)
@@ -293,13 +341,21 @@ def _conditional_entropy(tensors: np.ndarray):
     return objective
 
 
-def _classical_stack(pairs) -> list[tuple[np.ndarray, float, MeasurementOptimum]]:
-    """`classical_correlations` of each (rho, measured) pair, from one stacked search,
-    with the pair's `_measured_last` view and the entropy of its unmeasured side.
+def _block_size(rho: DensityMatrix) -> int:
+    """Outcome-block size of rho's J search: min(d_rest, max(2, r)), with r the
+    number of eigenvalues of rho in its `_support`."""
+    r = int(np.count_nonzero(_support(rho.spectrum, rho.dim)))
+    return min(rho.dim // 2, max(2, r))
 
-    One `sphere_search` runs over the whole stack. Each state's result equals
-    its own search: the states share the search's steps, not its starts. All
-    unmeasured sides must share one dimension.
+
+def _classical_stack(pairs) -> list[tuple[np.ndarray, float, MeasurementOptimum]]:
+    """`classical_correlations` of each (rho, measured) pair, with the pair's
+    `_measured_last` view and the entropy of its unmeasured side.
+
+    States are searched on their k x k `_outcome_blocks`, k from `_block_size`,
+    and one `sphere_search` runs over the states of each block size. Each state's
+    result equals its own search: the states share the search's steps, not its
+    starts. All unmeasured sides must share one dimension.
     """
     pairs = list(pairs)
     views = [_measured_last(rho, measured) for rho, measured in pairs]
@@ -311,7 +367,13 @@ def _classical_stack(pairs) -> list[tuple[np.ndarray, float, MeasurementOptimum]
     if not views:
         return []
     tensors = np.stack([t for t, _ in views])
-    found = sphere_search(_conditional_entropy(tensors), len(tensors))
+    sizes = [_block_size(rho) for rho, _ in pairs]
+    found = [None] * len(pairs)
+    for k in sorted(set(sizes)):
+        idx = [i for i, size in enumerate(sizes) if size == k]
+        objective = _conditional_entropy(_outcome_blocks(tensors[idx], k))
+        for i, best in zip(idx, sphere_search(objective, len(idx))):
+            found[i] = best
     h_rest = [_group_entropy(t, 0) for t in tensors]
     return [(t, h, replace(b, value=h - b.value)) for t, h, b in zip(tensors, h_rest, found)]
 

@@ -292,25 +292,26 @@ def test_consensus_audits_form_each_site_marginal_once(monkeypatch):
 
 
 def test_consensus_delta_forms_each_site_entropy_once(eigensolves):
-    # Per site: the marginal's validation, H(rho_S), which J and I share, I's
-    # H(site) and H(rho_S,site), and the EoF's eigh and svd: 3 * (1 + 3 + 2) = 18.
+    # Per site: the marginal's validation, which also gives H(rho_S,site), H(rho_S),
+    # which J and I share, I's H(site), and the EoF's eigh and svd: 3 * (1 + 2 + 2).
     psi = random_pure_state((2, 2, 2, 2), 5)
     consensus_delta(psi, (0,))
-    assert len(eigensolves) == 18
+    assert len(eigensolves) == 15
 
 
 def test_records_form_each_entropy_once(eigensolves):
-    # A record of a 2x2 state: J's H(rest), I's H(measured) and H(rho), and the
-    # EoF's eigh and svd (5). The conservation audit adds one validation per
-    # marginal (2 + 2 * 5). On a 0,1|2 split, J's d_rest = 4 search takes 6
-    # stacked eigvalsh calls, and there is no EoF (6 + 3).
+    # A record of a 2x2 state: J's H(rest), I's H(measured), and the EoF's eigh
+    # and svd (4); H(rho) is the validated state's own spectrum. The conservation
+    # audit adds one validation per marginal (2 + 2 * 4). On a 0,1|2 split of a
+    # full-rank state, J's d_rest = 4 search takes 6 stacked eigvalsh calls, and
+    # there is no EoF (6 + 2).
     rho = _full_rank((2, 2), 11)
     psi = random_pure_state((2, 2, 2), 4)
     split = Bipartition(random_density_matrix((2, 2, 2), 8, 6), (0, 1), (2,))
     for call, count in [
-        (lambda: remark_audit(rho), 5),
-        (lambda: fanchini_identity_audit(psi, (0,), 1), 12),
-        (lambda: quantum_discord(split), 9),
+        (lambda: remark_audit(rho), 4),
+        (lambda: fanchini_identity_audit(psi, (0,), 1), 10),
+        (lambda: quantum_discord(split), 8),
     ]:
         eigensolves.clear()
         call()
@@ -465,18 +466,18 @@ def test_continuity_chain_pinches_only_the_audited_directions(eigensolves, dims,
 
 
 def test_continuity_and_f_bound_form_the_spectrum_of_rho_once(eigensolves):
-    # One spectrum of rho gives the full-rank check and H(rho); H(rho_F) and J's
-    # unmeasured entropy add 2, and the definition route pinches once (eigh for
-    # rho and for rho_F): 1 + 2 + 2 = 5. Continuity adds H(rest) for D, the f
-    # bound the trace distance, whose smallest eigenvalues come from the spectra
-    # of rho_F and its pinching: 6 each.
+    # The validated spectrum of rho gives the full-rank check and H(rho); H(rho_F)
+    # and J's unmeasured entropy take 2, and the definition route pinches once
+    # (eigh for rho and for rho_F): 2 + 2 = 4. Continuity adds H(rest) for D, the
+    # f bound the trace distance, whose smallest eigenvalues come from the spectra
+    # of rho_F and its pinching: 5 each.
     rho = _full_rank((2, 2), 11)
     eigensolves.clear()
     continuity_chain_audit(rho, 1)
-    assert len(eigensolves) == 6
+    assert len(eigensolves) == 5
     eigensolves.clear()
     f_bound_audit(rho, 1)
-    assert len(eigensolves) == 6
+    assert len(eigensolves) == 5
 
 
 def test_m2_search_never_loses_to_the_compass_search():

@@ -49,6 +49,16 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(mat, (2,))
 
 
+def test_density_matrix_owns_its_matrix_and_spectrum():
+    source = np.diag([0.5, 0.5]).astype(complex)
+    rho = DensityMatrix(source, (2,))
+    source[:] = np.diag([1.0, 0.0])
+    assert_allclose(rho.mat, np.eye(2) / 2.0)
+    assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        rho.mat[0, 0] = 1.0
+
+
 def test_density_matrix_rejects_dims_mismatch():
     with pytest.raises(ValueError, match="shape"):
         DensityMatrix(np.eye(4, dtype=complex) / 4.0, (2,))

@@ -428,10 +428,57 @@ def test_stacked_search_keeps_states_independent():
     stacked = [fields(b) for _, _, b in measurement._classical_stack(stack)]
     assert stacked == [fields(classical_correlations(rho, m)) for rho, m in stack]
     assert stacked[0] == stacked[2]
+    # d_rest = 4 states of ranks 1, 2, 3 and 8 read 2 x 2, 2 x 2, 3 x 3 and 4 x 4
+    # outcome blocks, each block size in its own search.
+    mixed_rank = [(random_density_matrix((2, 2, 2), r, 30 + r), 2) for r in (2, 8, 1, 3)]
+    mixed_rank.insert(2, mixed_rank[0])
+    sizes = [measurement._block_size(rho) for rho, _ in mixed_rank]
+    assert sizes == [2, 4, 2, 2, 3]
+    stacked = [fields(b) for _, _, b in measurement._classical_stack(mixed_rank)]
+    assert stacked == [fields(classical_correlations(rho, m)) for rho, m in mixed_rank]
+    assert stacked[0] == stacked[2]
     assert measurement._classical_stack([]) == []
     mixed = [(other, 1), (random_density_matrix((2, 3), 3, 5), 0)]
     with pytest.raises(ValueError, match=r"d_rest \[2, 3\]"):
         measurement._classical_stack(mixed)
+
+
+# Unmeasured dimension 3, 3, 4, 8 and 4 with the measured qubit first, last or inside.
+_RANK_CASES = [((2, 3), 0), ((3, 2), 1), ((2, 2, 2), 1), ((2, 2, 2, 2), 3), ((4, 2), 1)]
+
+
+@pytest.mark.parametrize("dims, measured", _RANK_CASES)
+def test_search_objective_matches_the_definition_at_every_rank(dims, measured):
+    # The objective J's search reads, on rank-reduced factor blocks where the
+    # rank is below d_rest, is H(rho_P) - H(rho_P,measured) of the pinched state.
+    d = int(np.prod(dims))
+    rng = np.random.default_rng(d + measured)
+    for rank in range(1, d + 1):
+        for seed in range(3):
+            rho = random_density_matrix(dims, rank, 500 + 10 * rank + seed)
+            k = measurement._block_size(rho)
+            assert k == min(d // 2, max(2, rank))
+            t, _ = measurement._measured_last(rho, measured)
+            objective = measurement._conditional_entropy(measurement._outcome_blocks(t[None], k))
+            n = rng.standard_normal((50, 3))
+            n /= np.linalg.norm(n, axis=1, keepdims=True)
+            values = objective(np.array([0]), n[None])[0]
+            for (x, y, z), value in zip(n, values):
+                angles = _canonical_angles(np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x))
+                post = apply_local_measurement(rho, qubit_projectors(angles, measured))
+                h_measured = von_neumann_entropy(partial_trace(post, (measured,)))
+                assert abs(value - (von_neumann_entropy(post) - h_measured)) <= 1e-12
+
+
+def test_rank_two_search_makes_one_eigh_and_no_search_eigvalsh(eigensolves):
+    # A rank-2 2x2x2x2 state measured on qubit 3 (d_rest = 8) is searched on 2 x 2
+    # factor blocks in closed form: one eigh of rho builds them, and the only
+    # eigvalsh is J's H(rest). Its 8 x 8 blocks took 7 stacked eigvalsh calls.
+    rho = random_density_matrix((2, 2, 2, 2), 2, 1418)
+    eigensolves.clear()
+    best = classical_correlations(rho, 3)
+    assert best.converged
+    assert sorted(eigensolves) == [("eigh", 1), ("eigvalsh", 1)]
 
 
 def test_stacked_search_memory_grows_linearly_with_the_stack():
