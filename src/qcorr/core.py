@@ -2,8 +2,8 @@
 
 All entropic quantities are in bits (base-2 logarithms). States are plain
 numpy arrays wrapped in light containers that carry the subsystem dimension
-list and validate the physical invariants (Hermiticity, unit trace, positive
-semidefiniteness, normalization) at construction time.
+list and validate the physical invariants (finite entries, Hermiticity, unit
+trace, positive semidefiniteness, normalization) at construction time.
 
 Everything here is a pure function of its inputs; random constructors take an
 explicit seed.
@@ -35,6 +35,13 @@ def _as_dims(dims) -> tuple[int, ...]:
     return out
 
 
+def _check_finite(arr: np.ndarray) -> None:
+    # Run before the other checks: NaN passes every tolerance comparison, and
+    # NaN or inf breaks the eigensolver with a message that names no invariant.
+    if not np.isfinite(arr).all():
+        raise ValueError("entries must be finite (no NaN or inf)")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix with a subsystem dimension list.
@@ -51,6 +58,7 @@ class DensityMatrix:
     def __post_init__(self):
         mat = np.array(self.mat, dtype=complex)
         mat.flags.writeable = False
+        _check_finite(mat)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", _as_dims(self.dims))
         d = prod(self.dims)
@@ -82,6 +90,7 @@ class PureState:
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=complex).reshape(-1)
+        _check_finite(vec)
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", _as_dims(self.dims))
         d = prod(self.dims)

@@ -12,6 +12,7 @@ iterate is a valid decomposition, so its value upper-bounds the true roof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,10 +170,14 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
+def _eof_from_concurrence(c: float) -> float:
+    """Wootters' E_F = h((1 + sqrt(1 - C^2)) / 2) of a two-qubit concurrence C."""
+    return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+
+
 def eof_two_qubit(rho: DensityMatrix) -> float:
     """Entanglement of formation of a two-qubit state via the concurrence closed form."""
-    c = concurrence_two_qubit(rho)
-    return binary_entropy((1.0 + np.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
+    return _eof_from_concurrence(concurrence_two_qubit(rho))
 
 
 def _member_terms(w: np.ndarray):

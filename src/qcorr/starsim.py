@@ -15,23 +15,26 @@ so every marginal needed by the correlation sweep has a small closed form
 valid for any N. The brute-force statevector path exists to validate those
 closed forms at small N.
 
-The sweep runs no measurement search: rho_S,site has rank 2 and its
-purification, the other N - 1 sites, spans one effective qubit, so the
-Koashi-Winter equality (PRA 69, 022309 (2004)) gives J(S|site) = H_S -
-E_F(S : other sites) by Wootters' formula. Projective measurements reach
-this POVM value on rank-2 two-qubit states (Galve, Giorgi & Zambrini, EPL 96,
-40005 (2011)); it is within 1.1e-15 of the search on the default sweep.
+The sweep runs no measurement search and builds no state: rho_S,site has
+rank 2 and its purification, the other N - 1 sites, spans one effective
+qubit, so the Koashi-Winter equality (PRA 69, 022309 (2004)) gives J(S|site)
+= H_S - E_F(S : other sites). Projective measurements reach this POVM value
+on rank-2 two-qubit states (Galve, Giorgi & Zambrini, EPL 96, 40005 (2011));
+it is within 1.1e-15 of the search on the default sweep. Both E_F values
+come from the fragment concurrence C_k = a^(N-k) sqrt(1 - a^(2k)) of S and k
+sites (`_fragment_concurrence`) through Wootters' E_F(C).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import H_S_CUTOFF, consensus_from_marginals
 from .core import DensityMatrix, PureState, binary_entropy
-from .correlations import eof_two_qubit
+from .correlations import _eof_from_concurrence
 
 BRUTE_MAX_SITES = 12
 
@@ -113,6 +116,11 @@ def _two_branches(first, second, overlap: float) -> np.ndarray:
     return v.T @ (0.5 * np.array([[1.0, overlap], [overlap, 1.0]])) @ v.conj()
 
 
+def _check_fragment_size(cfg: StarConfig, k: int) -> None:
+    if not 0 <= k <= cfg.n_env:
+        raise ValueError(f"fragment size k must lie in [0, {cfg.n_env}], got {k}")
+
+
 def _fragment_state(cfg: StarConfig, k: int) -> DensityMatrix:
     """State of S and its first k sites, the sites on one effective qubit.
 
@@ -122,10 +130,24 @@ def _fragment_state(cfg: StarConfig, k: int) -> DensityMatrix:
     support. k = 1 is rho_S,site, and k = 0 is rho_S (x) |0><0|.
     """
     n, a = cfg.n_env, cfg.a
-    if not 0 <= k <= n:
-        raise ValueError(f"fragment size k must lie in [0, {n}], got {k}")
+    _check_fragment_size(cfg, k)
     one_phi = np.concatenate([[0.0, 0.0], _phi_vector(a**k)])  # |1> (x) phi'
     return DensityMatrix(_two_branches([1.0, 0.0, 0.0, 0.0], one_phi, a ** (n - k)), (2, 2))
+
+
+def _fragment_concurrence(cfg: StarConfig, k: int) -> float:
+    """Wootters concurrence C_k = a^(N-k) sqrt(1 - a^(2k)) of `_fragment_state(cfg, k)`.
+
+    rho_eff is 1/2 (|u><u| + |v><v| + x (|u><v| + h.c.)) with u = |00>, v =
+    |1 phi'>, x = a^(N-k) and <0|phi'> = c = a^k. Its eigenvectors are
+    (u +- v)/sqrt(2) with weights (1 +- x)/2, and on them sigma_y (x) sigma_y
+    restricts to [[0, -s], [-s, 0]], s = sqrt(1 - c^2). So Wootters' tau is
+    diag(-s (1 + x)/2, s (1 - x)/2), and C = s (1 + x)/2 - s (1 - x)/2 = x s.
+    """
+    n, a = cfg.n_env, cfg.a
+    _check_fragment_size(cfg, k)
+    c = a**k
+    return a ** (n - k) * math.sqrt(1.0 - c * c)
 
 
 def analytic_marginals(
@@ -153,13 +175,15 @@ def analytic_marginals(
 
 
 def _sweep_row(cfg: StarConfig) -> SweepRow:
+    """One sweep point from closed-form scalars; it builds no state and makes no eigensolve."""
     # Spectra (1 +- a^k)/2: rho_S (k = N), the site marginal 1/2 (|0><0| + |phi><phi|)
     # (k = 1), and rho_S,site, which shares that of the other N - 1 sites.
     n = cfg.n_env
     h_s, h_site, h_rest = (binary_entropy((1.0 + cfg.a**k) / 2.0) for k in (n, 1, n - 1))
-    # Koashi-Winter: the site's purification is the other N - 1 sites.
-    j = h_s - eof_two_qubit(_fragment_state(cfg, n - 1))
-    eof = eof_two_qubit(_fragment_state(cfg, 1))
+    # Koashi-Winter: the site's purification is the other N - 1 sites. E_F from
+    # the fragment concurrences C_(N-1) (S and the other sites) and C_1 (rho_S,site).
+    j = h_s - _eof_from_concurrence(_fragment_concurrence(cfg, n - 1))
+    eof = _eof_from_concurrence(_fragment_concurrence(cfg, 1))
     # D = I - J with I = H_S + H_site - H_S,site.
     discord = h_s + h_site - h_rest - j
 
@@ -188,10 +212,11 @@ def _sweep_row(cfg: StarConfig) -> SweepRow:
 def run_sweep(n_list, a_grid) -> list[SweepRow]:
     """Sweep quantities over the (N, a) grid, in grid order (N outer, a inner).
 
-    No point runs a search: J = H_S - E_F(rho_eff(N - 1)) by Koashi-Winter,
-    the projective J of the rank-2 rho_S,site (module docstring; 1.1e-15 from
-    the search on the default grid), D = I - J with H_S and I from the
-    closed-form spectra of S, the site and the other N - 1 sites, and E =
-    E_F(rho_S,site).
+    No point runs a search or builds a state: J = H_S - E_F(rho_eff(N - 1))
+    by Koashi-Winter, the projective J of the rank-2 rho_S,site (module
+    docstring; 1.1e-15 from the search on the default grid), D = I - J with
+    H_S and I from the closed-form spectra of S, the site and the other N - 1
+    sites, and E = E_F(rho_S,site). Both E_F values are Wootters' E_F(C) of
+    the closed-form concurrence C_k = a^(N-k) sqrt(1 - a^(2k)), k = N - 1 and 1.
     """
     return [_sweep_row(StarConfig(n, a)) for n in n_list for a in a_grid]

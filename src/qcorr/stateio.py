@@ -45,8 +45,8 @@ def load_state(path) -> DensityMatrix | PureState:
     """Read a state file back into a PureState or DensityMatrix.
 
     Raises ValueError with the failing check for malformed files, including
-    violations of the state invariants (trace, Hermiticity, positivity,
-    normalization) enforced by the returned types.
+    violations of the state invariants (finite entries, trace, Hermiticity,
+    positivity, normalization) enforced by the returned types.
     """
     path = Path(path)
     try:

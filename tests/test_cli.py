@@ -241,6 +241,15 @@ def test_state_usage_errors(tmp_path, capsys):
     assert "error" in err
 
 
+def test_state_reports_non_finite_entries(tmp_path, capsys):
+    # JSON allows NaN; the state check names it instead of the eigensolver failing.
+    fixture = tmp_path / "nan.json"
+    fixture.write_text('{"dims": [2, 2], "vector": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}',
+                       encoding="utf-8")
+    assert main(["state", "--in", str(fixture), "--split", "0|1"]) == 2
+    assert "error: entries must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------

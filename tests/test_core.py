@@ -64,6 +64,23 @@ def test_density_matrix_rejects_dims_mismatch():
         DensityMatrix(np.eye(4, dtype=complex) / 4.0, (2,))
 
 
+def test_constructors_reject_non_finite_entries():
+    # NaN slips past every tolerance comparison, so it is checked first.
+    with pytest.raises(ValueError, match="entries must be finite"):
+        PureState(np.array([np.nan, 0.0]), (2,))
+    with pytest.raises(ValueError, match="entries must be finite"):
+        PureState(np.array([np.inf, 0.0]), (2,))
+    for bad in (np.nan, np.inf):
+        mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        mat[2, 2] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            DensityMatrix(mat, (2, 2))
+    mat = np.eye(2, dtype=complex) / 2.0
+    mat[0, 1] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        DensityMatrix(mat, (2,))
+
+
 def test_pure_state_rejects_unnormalized_vector():
     with pytest.raises(ValueError, match="norm"):
         PureState(np.array([1.0, 1.0]), (2,))

@@ -1,5 +1,7 @@
 """Tests for the star-network dynamics and the sweep pipeline."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +14,7 @@ from qcorr import (
     binary_entropy,
     build_universe_brute,
     cmaybe_gate,
+    concurrence_two_qubit,
     measurement,
     reduced_density_matrix,
     run_sweep,
@@ -142,6 +145,39 @@ def test_fragment_state_ends_and_range():
     for k in (-1, 4):
         with pytest.raises(ValueError, match="fragment size"):
             starsim._fragment_state(cfg, k)
+        with pytest.raises(ValueError, match="fragment size"):
+            starsim._fragment_concurrence(cfg, k)
+
+
+_FRAGMENT_GRID = [(n, a, k) for n in (1, 2, 3, 5, 10, 20, 50, 59)
+                  for a in np.linspace(0.0, 1.0, 101) for k in range(n + 1)]
+
+
+def test_fragment_concurrence_matches_wootters_on_fragment_state():
+    # The closed form a^(N-k) sqrt(1 - a^(2k)) against Wootters' numeric route
+    # on the fragment state it describes, for every fragment size. The worst
+    # gap, 1.08e-14 at N = 50, a = 0.33, k = 21, is the numeric route's: it
+    # returns 1.1e-16 where the exact C is 1.089e-14 (next test).
+    worst = 0.0
+    for n, a, k in _FRAGMENT_GRID:
+        cfg = StarConfig(n, a)
+        numeric = concurrence_two_qubit(starsim._fragment_state(cfg, k))
+        worst = max(worst, abs(starsim._fragment_concurrence(cfg, k) - numeric))
+    assert worst <= 2e-14
+
+
+def test_fragment_concurrence_matches_50_digit_values():
+    # Same grid against a^(N-k) sqrt(1 - a^(2k)) in 50-digit decimal arithmetic
+    # from the same binary a: the closed form is within a few ulps (6.4e-16 relative).
+    one = Decimal(1)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for n, a, k in _FRAGMENT_GRID:
+            exact_a = Decimal(float(a))
+            tail = exact_a ** (n - k) if k < n else one
+            exact = tail * (one - (exact_a ** (2 * k) if k else one)).sqrt()
+            closed = Decimal(starsim._fragment_concurrence(StarConfig(n, a), k))
+            assert abs(closed - exact) <= Decimal("1e-15") * exact
 
 
 def test_analytic_pair_marginal_none_for_single_site():
@@ -183,10 +219,10 @@ def test_batched_sweep_matches_point_by_point_sweep():
 
 
 def test_sweep_builds_no_pair_marginal(monkeypatch, eigensolves):
-    # The sweep builds rho_S,site and the fragment state of the other N - 1
-    # sites only, and takes H_S from a closed form; the site-pair marginal of
-    # `analytic_marginals` would cost one more validation eigensolve per point.
-    # Each state's validation and EoF (eigh and svd) make 2 * (1 + 2) eigensolves.
+    # A sweep point is closed-form scalars only: H_S, the site and rest
+    # entropies, and the concurrences of rho_S,site and of the fragment of the
+    # other N - 1 sites. It builds no state (not the site-pair marginal of
+    # `analytic_marginals`, nor either fragment state) and makes no eigensolve.
     built = []
 
     def recording(mat, dims):
@@ -194,9 +230,9 @@ def test_sweep_builds_no_pair_marginal(monkeypatch, eigensolves):
         return DensityMatrix(mat, dims)
 
     monkeypatch.setattr(starsim, "DensityMatrix", recording)
-    run_sweep((3,), (0.5,))
-    assert built == [(2, 2), (2, 2)]
-    assert len(eigensolves) == 6
+    run_sweep((1, 3), (0.0, 0.5, 1.0))
+    assert built == []
+    assert eigensolves == []
 
 
 def test_sweep_runs_no_search(monkeypatch):

@@ -96,6 +96,14 @@ def test_load_reports_invariant_violations(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_non_finite_entries(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"dims": [2], "matrix": [[[NaN, 0], [0, 0]], [[0, 0], [0.5, 0]]]}',
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="entries must be finite"):
+        load_state(path)
+
+
 def test_save_rejects_unknown_payloads(tmp_path):
     with pytest.raises(TypeError):
         save_state(tmp_path / "x.json", np.eye(2))
