@@ -64,10 +64,10 @@ from .correlations import (
 )
 from .measurement import (
     UnsupportedDimensionError,
-    _block_spectra,
     _classical_stack,
     _direction,
     _measured_last,
+    _outcome_entropies,
     _pauli_blocks,
     _pauli_dot,
     classical_correlations,
@@ -374,11 +374,11 @@ def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
 
 def _pinching_entropy(t: np.ndarray, h: float):
     """m2's objective H(rho||rho_P) = H(rho_P) - H(rho) for the pinching P of the
-    measured qubit along each direction, from the outcome-block spectra of J's
-    objective (rho_P is B(+n) (+) B(-n)), given the `_measured_last` view ``t`` of
-    rho and h = H(rho): rows (K,) and n (K, G, 3) to (K, G)."""
-    spectra = _block_spectra(_pauli_blocks(t[None]))
-    return lambda rows, n: -np.sum(_xlog2x_sum(spectra(rows, n)), axis=0) - h
+    measured qubit along each direction, from the outcome-block entropy terms of
+    J's objective (rho_P is B(+n) (+) B(-n)), given the `_measured_last` view ``t``
+    of rho and h = H(rho): rows (K,) and n (K, G, 3) to (K, G)."""
+    entropies = _outcome_entropies(_pauli_blocks(t[None]))
+    return lambda rows, n: -entropies(rows, n)[1].sum(axis=0) - h
 
 
 class _PinchEvaluator:
@@ -473,7 +473,7 @@ def relative_entropy_upper_bound(x: DensityMatrix, y: DensityMatrix) -> float:
     """
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    lmin_x, lmin_y = (float(np.linalg.eigvalsh(m.mat)[0]) for m in (x, y))
+    lmin_x, lmin_y = float(x.spectrum[0]), float(y.spectrum[0])
     return _relative_entropy_bound_spectral(x.mat, y.mat, lmin_x, lmin_y)
 
 

@@ -175,13 +175,17 @@ def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
     return DensityMatrix(t.reshape(rho.dim, rho.dim), tuple(rho.dims[i] for i in order))
 
 
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x elementwise for x in [0, 1], with 0 log 0 = 0."""
+    return x * np.log2(np.where(x > 0.0, x, 1.0))
+
+
 def _xlog2x_sum(vals: np.ndarray) -> np.ndarray:
     """sum_i x_i log2 x_i over the last axis of a stack, with 0 log 0 = 0."""
     # Clamp to [0, 1] to absorb -1e-10-scale negativity before the log. The
     # method forms of clip and sum skip numpy's dispatch wrappers, which cost
     # more than the arithmetic on the few-element arrays of the search loops.
-    x = np.real(vals).clip(0.0, 1.0)
-    return (x * np.log2(np.where(x > 0.0, x, 1.0))).sum(axis=-1)
+    return _xlog2x(np.real(vals).clip(0.0, 1.0)).sum(axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -195,9 +199,14 @@ def entropy_of(mat: np.ndarray) -> float:
 
 
 def binary_entropy(p: float) -> float:
-    """h(p) = -p log2 p - (1-p) log2 (1-p)."""
+    """h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0 and p clipped to [0, 1].
+
+    Works on scalars, and gives the bits of ``-_xlog2x_sum([p, 1 - p])`` at about
+    a sixth of its cost. numpy's log2 is kept: ``math.log2`` rounds differently.
+    """
     p = min(max(float(p), 0.0), 1.0)
-    return float(-_xlog2x_sum(np.array([p, 1.0 - p])))
+    q = 1.0 - p
+    return -float((p * np.log2(p) if p > 0.0 else 0.0) + (q * np.log2(q) if q > 0.0 else 0.0))
 
 
 def _relative_entropy_spectral(x: np.ndarray, tr_x_log_x, yvals: np.ndarray, yvecs: np.ndarray):
@@ -225,7 +234,7 @@ def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
     yvals, yvecs = np.linalg.eigh(y.mat)
-    tr_x_log_x = _xlog2x_sum(np.linalg.eigvalsh(x.mat))
+    tr_x_log_x = _xlog2x_sum(x.spectrum)
     return float(_relative_entropy_spectral(x.mat, tr_x_log_x, yvals, yvecs))
 
 

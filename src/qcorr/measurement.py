@@ -9,8 +9,9 @@ measurement on side B the post-measurement mutual information reduces to
     I(rho_meas) = H(rho_A) - sum_a p_a H(rho_A | outcome a),
 
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho],
-whose direct sum is the pinching of B along n: their spectra (`_block_spectra`)
-give J's objective and the m2 objective of the continuity audit in `bounds`.
+whose direct sum is the pinching of B along n: the entropy terms of their
+spectra (`_outcome_entropies`) give J's objective and the m2 objective of the
+continuity audit in `bounds`.
 A state of rank r < d_rest = dim(A) has smaller blocks with the same nonzero
 spectra: with rho = Psi Psi^dag, Psi = V sqrt(Lambda) (2 d_rest x r), the block
 of outcome +-n has the nonzero spectrum of (G_0 +- n.G)/2, G_s = Psi^dag (1 x
@@ -39,17 +40,18 @@ evaluated directions in all.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .core import DensityMatrix, _group_entropy, _grouped_view, _xlog2x_sum
+from .core import DensityMatrix, _group_entropy, _grouped_view, _xlog2x, _xlog2x_sum
 
 # sigma_0 = 1 and the Pauli matrices; direction n projects onto (1 +- n.sigma)/2.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
-# The 3 x 3 stencil probed by each refinement step, in units of the step length,
-# row-major in (i, j) so that a (3, 3) view of its values holds f(c + step (i, j))
-# at [i + 1, j + 1]; _CENTRE indexes (0, 0).
-_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
+# The 3 x 3 stencil probed by each refinement step holds the points c + step (i, j)
+# for i, j in _OFFSETS, row-major in (i, j) so that a (3, 3) view of its values
+# holds f(c + step (i, j)) at [i + 1, j + 1]; _CENTRE indexes (0, 0).
+_OFFSETS = np.array([-1.0, 0.0, 1.0])
 _CENTRE = 4
 # Step divisor after a failed compass step, and the least one after a Newton step;
 # 8 took the fewest batched steps of the plain compass search (2-16 tried).
@@ -138,18 +140,28 @@ def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
     return t, t.shape[0]
 
 
+@lru_cache(maxsize=None)
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `angle_grid` points and their Bloch directions for a _GRID of ``size``."""
+    thetas = np.linspace(0.0, np.pi, size)[1 : size // 2]
+    phis = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    points = np.vstack([[0.0, 0.0], np.column_stack([tt.ravel(), pp.ravel()])])
+    n = _bloch_directions(points)
+    points.flags.writeable = n.flags.writeable = False
+    return points, n
+
+
 def angle_grid() -> np.ndarray:
-    """(1 + (_GRID/2 - 1) * _GRID, 2) array of (theta, phi) points, one per measurement axis.
+    """(1 + (_GRID/2 - 1) * _GRID, 2) read-only array of (theta, phi) points, one per
+    measurement axis, computed once per _GRID value.
 
     The full grid (theta over [0, pi] inclusive, phi over [0, 2*pi) without the
     endpoint) is closed under n -> -n, which is one measurement, and its pole rows
     repeat one point. This keeps the pole once and the theta rows inside the upper
     hemisphere: every full-grid direction is +- exactly one of these points.
     """
-    thetas = np.linspace(0.0, np.pi, _GRID)[1 : _GRID // 2]
-    phis = np.linspace(0.0, 2.0 * np.pi, _GRID, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return np.vstack([[0.0, 0.0], np.column_stack([tt.ravel(), pp.ravel()])])
+    return _grid(_GRID)[0]
 
 
 def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
@@ -159,8 +171,9 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     row's unit vectors n (K, G, 3) to that state's values (K, G); every state's
     objective is equal at n and -n.
 
-    Every `angle_grid` point (one per axis) is evaluated for every state, one
-    objective call per state, and ranked (stable sort, so ties keep grid order).
+    Every `angle_grid` point (one per axis) is evaluated for every state, in one
+    objective call for the whole stack, and ranked (stable sort, so ties keep
+    grid order).
     Each state's _STARTS best points become rows, and all rows are refined
     together in (theta, phi) charts rotated per row, so that the row starts at
     (pi/2, 0), far from its chart's poles. Each step probes a 3 x 3 stencil, a
@@ -179,11 +192,8 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     after _MAX_STEPS steps. Rows of different states never meet, so each
     state's result and its counts are those of a search over that state alone.
     """
-    grid = angle_grid()
-    n = _bloch_directions(grid)
-    values = np.empty((states, len(n)))
-    for s in range(states):
-        values[s] = objective(np.array([s]), n[None])[0]
+    grid, n = _grid(_GRID)
+    values = objective(np.arange(states), np.broadcast_to(n, (states, *n.shape)))
     picked = np.argsort(values, axis=1, kind="stable")[:, :_STARTS].ravel()
     owner = np.repeat(np.arange(states), _STARTS)
     # Row pairs (i < j) of one state. Their |n_i . n_j| come from batched
@@ -207,21 +217,35 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     step = np.full(len(x), np.pi / (_GRID - 1))
     probes = np.zeros(len(x), dtype=int)  # stencil points evaluated per row
     for _ in range(_MAX_STEPS):
-        live = np.flatnonzero(step >= _TOL)
+        live = (step >= _TOL).nonzero()[0]
         if live.size == 0:
             break
+        if live.size == len(step):
+            live = slice(None)  # basic indexing: views instead of gathers
         s = step[live]
-        trial = c[live, None, :] + s[:, None, None] * _STENCIL
-        local = _bloch_directions(trial.reshape(-1, 2)).reshape(*trial.shape[:2], 3)
-        n_trial = local @ chart[live]
+        size = len(s)
+        # The stencil's 3 thetas and 3 phis of each row (L, 2, 3): its point (i, j)
+        # is (theta_i, phi_j), so 3 + 3 sines and cosines give its 9 directions.
+        ang = c[live, :, None] + s[:, None, None] * _OFFSETS
+        sin, cos = np.sin(ang), np.cos(ang)
+        local = np.empty((size, 3, 3, 3))
+        np.multiply(sin[:, 0, :, None], cos[:, 1, None, :], out=local[..., 0])
+        np.multiply(sin[:, 0, :, None], sin[:, 1, None, :], out=local[..., 1])
+        local[..., 2] = cos[:, 0, :, None]
+        n_trial = local.reshape(size, 9, 3) @ chart[live]
         ft = objective(owner[live], n_trial)
-        probes[live] += len(_STENCIL)
-        k = np.argmin(ft, axis=1)
-        best = ft[np.arange(live.size), k]
+        probes[live] += 9
+        k = ft.argmin(axis=1)
+        best = ft[np.arange(size), k]
         moved = best < f[live]
-        x[live[moved]] = trial[moved, k[moved]]
-        d[live[moved]] = n_trial[moved, k[moved]]
-        f[live[moved]] = best[moved]
+        movers = moved.nonzero()[0]
+        if movers.size:
+            at = movers if isinstance(live, slice) else live[movers]
+            i, j = np.divmod(k[movers], 3)
+            x[at, 0] = ang[movers, 0, i]
+            x[at, 1] = ang[movers, 1, j]
+            d[at] = n_trial[movers, k[movers]]
+            f[at] = best[movers]
         # Central differences in units of the step: gradient (gx, gy) and Hessian
         # [[hxx, hxy], [hxy, hyy]]. Where the Hessian is positive definite, the
         # Newton step -H^-1 g is taken if it reaches at most _TRUST steps.
@@ -232,8 +256,10 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
         hxy = (v[:, 2, 2] - v[:, 2, 0] - v[:, 0, 2] + v[:, 0, 0]) / 4.0
         det = hxx * hyy - hxy**2
         convex = (hxx > 0.0) & (det > 0.0)
-        delta = np.stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy], axis=-1)
-        delta /= np.where(convex, det, 1.0)[:, None]
+        den = np.where(convex, det, 1.0)
+        delta = np.empty((size, 2))
+        np.divide(hxy * gy - hyy * gx, den, out=delta[:, 0])
+        np.divide(hxy * gx - hxx * gy, den, out=delta[:, 1])
         reach = np.hypot(delta[:, 0], delta[:, 1])
         newton = convex & (reach <= _TRUST)
         c[live] = np.where(newton[:, None], c[live] + s[:, None] * delta, x[live])
@@ -287,8 +313,8 @@ def _outcome_blocks(tensors: np.ndarray, k: int) -> np.ndarray:
     return _factor_blocks(tensors, k) if k < tensors.shape[1] else _pauli_blocks(tensors)
 
 
-def _block_spectra(blocks: np.ndarray):
-    """Eigenvalues of the outcome blocks of the measurement along each direction n.
+def _outcome_entropies(blocks: np.ndarray):
+    """Entropy terms of the outcome blocks of the measurement along each direction n.
 
     ``blocks`` stacks four k x k Hermitian blocks (S, 4, k, k) per state whose
     outcome +-n has the block (X_0 +- n.X)/2. With the `_pauli_blocks` T_s of
@@ -299,44 +325,51 @@ def _block_spectra(blocks: np.ndarray):
     which has the nonzero spectrum of B(+-n) up to the eigenvalues of rho outside
     its `_support` (at most 3.6e-15 each), which Psi leaves out: that moves J by
     less than 6e-12 bits in the worst case (see the module docstring). The
-    returned function maps row states (K,) and directions n (K, G, 3) to the
-    eigenvalues (2, K, G, k), clipped to [0, 1]: each row's n.X is one batched
-    matmul against its own state's X_s. For k = 2 a block b_0 + b.sigma has
-    eigenvalues b_0 +- |b|; larger blocks of every row go through one stacked
-    eigvalsh.
+    returned function maps row states (K,) and directions n (K, G, 3) to each
+    outcome's p log2 p and sum_i lambda_i log2 lambda_i (2, K, G), with the
+    eigenvalues lambda_i clipped to [0, 1] and p = sum_i lambda_i: each row's n.X
+    is one batched matmul against its own state's X_s. For k = 2 a block
+    b_0 + b.sigma has eigenvalues b_0 -+ |b|, and this closed form is the one
+    k = 2 entropy kernel: both terms come from the two eigenvalue arrays, with no
+    stacked spectrum. Larger blocks of every row go through one stacked eigvalsh.
     """
     k = blocks.shape[-1]
     signs = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
     if k == 2:
         coef = np.einsum("xsab,rba->xsr", blocks, _PAULI).real / 2.0
 
-        def spectra(rows, n):
+        def entropies(rows, n):
             b = (coef[rows, None, 0] + signs * (n @ coef[rows, 1:])) / 2.0
-            r = np.sqrt(np.sum(b[..., 1:] ** 2, axis=-1))
-            return np.stack([b[..., 0] - r, b[..., 0] + r], axis=-1).clip(0.0, 1.0)
+            r = np.sqrt(b[..., 1] ** 2 + b[..., 2] ** 2 + b[..., 3] ** 2)
+            lo, hi = (b[..., 0] - r).clip(0.0, 1.0), (b[..., 0] + r).clip(0.0, 1.0)
+            return _xlog2x((lo + hi).clip(0.0, 1.0)), _xlog2x(lo) + _xlog2x(hi)
 
     else:
         flat = blocks.reshape(len(blocks), 4, -1)
 
-        def spectra(rows, n):
+        def entropies(rows, n):
             nx = (n @ flat[rows, 1:]).reshape(*n.shape[:2], k, k)
             outcome = (blocks[rows, None, 0] + signs[..., None] * nx) / 2.0
-            return np.linalg.eigvalsh(outcome).clip(0.0, 1.0)
+            w = np.linalg.eigvalsh(outcome).clip(0.0, 1.0)
+            return _xlog2x(w.sum(axis=-1).clip(0.0, 1.0)), _xlog2x_sum(w)
 
-    return spectra
+    return entropies
 
 
 def _conditional_entropy(blocks: np.ndarray):
-    """Objective sum_a p_a H(rest | a) of the measurement along each direction n.
+    """Objective sum_a p_a H(rest | a) = sum_a (p_a log2 p_a - sum_i lambda_i log2
+    lambda_i) of the measurement along each direction n, from the entropy terms of
+    `_outcome_entropies` (for k = 2 the one k = 2 entropy kernel, which the
+    continuity audit's m2 in `bounds` reads too).
 
-    Maps the row states (K,) and directions n (K, G, 3) of `_block_spectra` to
-    values (K, G), with p_a the trace of outcome block a.
+    Maps the row states (K,) and directions n (K, G, 3) to values (K, G), with p_a
+    the trace of outcome block a.
     """
-    spectra = _block_spectra(blocks)
+    entropies = _outcome_entropies(blocks)
 
     def objective(rows, n):
-        w = spectra(rows, n)
-        return np.sum(_xlog2x_sum(w.sum(axis=-1, keepdims=True)) - _xlog2x_sum(w), axis=0)
+        plogp, spectral = entropies(rows, n)
+        return (plogp - spectral).sum(axis=0)
 
     return objective
 

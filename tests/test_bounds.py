@@ -529,6 +529,16 @@ def test_relative_entropy_bound_rejects_singular_reference():
         relative_entropy_upper_bound(x, _full_rank((3,), 53))
 
 
+def test_relative_entropy_bound_audit_reads_the_validated_spectra(eigensolves):
+    # H(x||y) takes y's eigh and the bound the eigvalsh of x - y for the trace
+    # distance; Tr(x log2 x) and both smallest eigenvalues come from the spectra
+    # that validating x and y computed.
+    x, y = _full_rank((3,), 61), _full_rank((3,), 67)
+    eigensolves.clear()
+    relative_entropy_bound_audit(x, y)
+    assert sorted(eigensolves) == [("eigh", 1), ("eigvalsh", 1)]
+
+
 def test_relative_entropy_bound_dominates_on_random_pairs():
     rng = np.random.default_rng(59)
     for k in range(30):

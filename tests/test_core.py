@@ -21,6 +21,7 @@ from qcorr import (
     von_neumann_entropy,
     w_state,
 )
+from qcorr.core import _xlog2x_sum
 
 
 def _diag_state(*populations):
@@ -184,6 +185,14 @@ def test_entropy_matches_binary_entropy_value():
     assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-12)
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0
+
+
+def test_binary_entropy_matches_the_array_route_bit_for_bit():
+    # Seeded p, their 20th powers (tails near 0), the ends and clipped inputs.
+    u = np.random.default_rng(61).random(2000)
+    for p in [*u, *u**20, 0.0, 0.5, 1.0, -0.1, 1.1]:
+        q = min(max(float(p), 0.0), 1.0)
+        assert binary_entropy(p).hex() == float(-_xlog2x_sum(np.array([q, 1.0 - q]))).hex()
 
 
 def test_entropy_is_additive_over_tensor_products():

@@ -30,7 +30,7 @@ from qcorr import (
     StarConfig,
     analytic_marginals,
 )
-from qcorr import measurement
+from qcorr import bounds, measurement
 from qcorr.measurement import _canonical_angles
 
 from definitions import ProjectiveMeasurement, apply_local_measurement, qubit_projectors
@@ -226,8 +226,10 @@ def test_classical_correlations_stable_under_denser_grid(monkeypatch):
         monkeypatch.setattr(measurement, "_GRID", 24)
         coarse = classical_correlations(rho, 1).value
         monkeypatch.setattr(measurement, "_GRID", 48)
-        fine = classical_correlations(rho, 1).value
-        assert abs(coarse - fine) < 1e-6
+        fine = classical_correlations(rho, 1)
+        # The 48-point grid alone holds 1 + 23 * 48 directions.
+        assert fine.evaluations >= 1105
+        assert abs(coarse - fine.value) < 1e-6
 
 
 def test_classical_correlations_tie_break_is_deterministic():
@@ -401,6 +403,19 @@ def test_newton_steps_refine_a_search_in_few_objective_calls(monkeypatch):
         ((2, 2, 2, 2), 1): 0.7928617886983882, ((2, 2, 2, 2), 2): 0.8131482173282831,
         ((2, 2, 2, 2), 9): 0.3650036231142111, ((2, 2, 2, 2), 16): 0.23534897342825545,
     }
+    # The path of the current search on each: evaluated directions and J.
+    pinned = {
+        ((2, 2), 1): (625, 0.559929430579508), ((2, 2), 2): (445, 0.6837409568976904),
+        ((2, 2), 3): (364, 0.24782365645463178), ((2, 2), 4): (382, 0.29060860620479323),
+        ((2, 3), 1): (625, 0.8864900756082038), ((2, 3), 2): (409, 0.5848155704677769),
+        ((2, 3), 4): (391, 0.4121198203412274), ((2, 3), 6): (409, 0.29902775667077286),
+        ((2, 2, 2), 1): (625, 0.7330437980298299), ((2, 2, 2), 2): (400, 0.7069650817322524),
+        ((2, 2, 2), 5): (355, 0.36000748622375833), ((2, 2, 2), 8): (418, 0.262491115678644),
+        ((2, 2, 2, 2), 1): (625, 0.7928617886983936),
+        ((2, 2, 2, 2), 2): (409, 0.8131482173282865),
+        ((2, 2, 2, 2), 9): (418, 0.365003623114212),
+        ((2, 2, 2, 2), 16): (382, 0.23534897342825722),
+    }
     measured = {(2, 2): 1, (2, 3): 0, (2, 2, 2): 2, (2, 2, 2, 2): 3}
     calls = []
     for (dims, rank), j in compass_j.items():
@@ -410,7 +425,36 @@ def test_newton_steps_refine_a_search_in_few_objective_calls(monkeypatch):
         calls.append(len(batches) - 1)
         assert best.converged
         assert best.value >= j - 1e-12
+        evaluations, value = pinned[dims, rank]
+        assert best.evaluations == evaluations
+        assert abs(best.value - value) <= 1e-15
     assert np.median(calls) <= 8
+
+
+def test_stacked_environment_search_keeps_its_path(monkeypatch):
+    # The 12 pairwise J of a seeded 4-qubit environment, searched in one stack:
+    # evaluated directions, convergence and J of each search are pinned.
+    found = []
+    classical_stack = bounds._classical_stack
+
+    def recording(pairs):
+        stacked = classical_stack(pairs)
+        found.extend(best for _, _, best in stacked)
+        return stacked
+
+    monkeypatch.setattr(bounds, "_classical_stack", recording)
+    bounds.env_consensus(random_pure_state((2, 2, 2, 2), 7))
+    pinned = [
+        (400, 0.12421284932095178), (454, 0.10717875001071508), (391, 0.28101296898547296),
+        (400, 0.270668755319862), (436, 0.09238773707466708), (400, 0.10080870865272917),
+        (418, 0.20832082601817503), (355, 0.21682444611378848), (409, 0.32867737528107993),
+        (382, 0.34473364755266234), (373, 0.21431909380765313), (364, 0.20580230122988818),
+    ]
+    assert len(found) == len(pinned)
+    for best, (evaluations, value) in zip(found, pinned):
+        assert best.converged
+        assert best.evaluations == evaluations
+        assert abs(best.value - value) <= 1e-15
 
 
 def test_stacked_search_keeps_states_independent():
