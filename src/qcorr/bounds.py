@@ -24,29 +24,31 @@ quantifiers to bipartite discord and entanglement of formation:
 Every audit is reported as a `BoundAudit` carrying lhs, rhs, slack and the
 tolerance that decided `satisfied`, so reports serialize uniformly.
 
-Wherever a marginal needs D, or J together with E, they come from the
-stacked form of `correlations.quantum_discord`, which refines the J of the
-marginals it is given together in one `measurement.sphere_search` and takes
-I from the entropies of J's view. `consensus_delta`, `discord_bound_audit`
-and `eof_bound_audit` share one per-site pass that forms each marginal once,
-searches all sites together and reads H(rho_S) from the records; the
-conservation audit stacks its two marginals the same way, and environment
-consensus every pairwise J it needs. Code that needs the J of one state or
-its optimal direction (trade-off, continuity, f-function) calls
-`classical_correlations`, the stack of one; the continuity D and the f bound
-read H(rho), H(rho_F) and the pinched spectra from `_PinchEvaluator`.
+Every J search here runs through `measurement._classical_stack`, and each
+audit reads the entropies that search holds instead of forming them again.
+Wherever a marginal needs D, or J together with E, they come from the stacked
+form of `correlations.quantum_discord`, which takes I from J's view.
+`consensus_delta`, `discord_bound_audit` and `eof_bound_audit` share one
+per-site pass that forms each marginal once, searches all sites together and
+reads H(rho_S) from the records; the conservation audit stacks its two
+marginals the same way. Environment consensus stacks every pairwise J and
+hands the stack its site entropies as each search's H(rest); the trade-off
+audit reads H(rho_S) as the H(rest) of its complement search; the continuity
+and f-bound audits read J, its view and H(rest), with H(rho), H(rho_F) and the
+pinched spectra, from `_PinchEvaluator`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .core import (
+    SUPPORT_CUTOFF,
     DensityMatrix,
     PureState,
-    _group_entropy,
     _half_trace_norm,
     _relative_entropy_spectral,
     _xlog2x_sum,
@@ -66,18 +68,15 @@ from .measurement import (
     UnsupportedDimensionError,
     _classical_stack,
     _direction,
-    _measured_last,
     _outcome_entropies,
     _pauli_blocks,
     _pauli_dot,
-    classical_correlations,
     sphere_search,
 )
 
 H_S_CUTOFF = 1e-9
 OPTIMIZATION_SLACK = 2e-3
 NUMERIC_SLACK = 1e-6
-_FULL_RANK_CUTOFF = 1e-12
 
 
 class UndefinedConsensusError(ValueError):
@@ -196,10 +195,10 @@ def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
         raise UnsupportedDimensionError(
             f"complement {rest} must be a single qubit for direct optimization"
         )
-    h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
     eof = eof_two_qubit(reduced_density_matrix(psi, (s_idx, f_idx)))
     comp = reduced_density_matrix(psi, (s_idx, rest[0]))
-    j = classical_correlations(comp, measured=int(rest[0] > s_idx))
+    # S is the unmeasured side of the complement marginal, so J's H(rest) is H(rho_S).
+    _, h_s, j = _classical_stack([(comp, int(rest[0] > s_idx))])[0]
     return make_audit("kw", eof, h_s - j.value, NUMERIC_SLACK, gap=abs(h_s - j.value - eof))
 
 
@@ -382,23 +381,24 @@ def _pinching_entropy(t: np.ndarray, h: float):
 
 
 class _PinchEvaluator:
-    """Relative entropies of a full-rank state against its pinchings along stacks of
-    Bloch directions.
+    """J of a full-rank state, and its relative entropies against its pinchings
+    along stacks of Bloch directions.
 
-    The definition route that the audits check their audited directions with:
-    works in a basis with the measured qubit as the last tensor factor, builds
-    every pinched matrix, and checks the relative entropies against the
-    pinching identity H(rho||rho_P) = H(rho_P) - H(rho). The validated spectrum
-    of rho gives both the full-rank check, which names ``what`` when it fails,
-    and H(rho); the spectrum ``lam_f`` of rho_F gives H(rho_F).
+    The validated spectrum of rho gives the full-rank check, which names
+    ``what`` and runs before the search, and H(rho); one `_classical_stack`
+    search then gives J's optimum ``best``, its `_measured_last` view ``tensor``
+    of rho and ``h_rest``, and the spectrum ``lam_f`` of rho_F gives H(rho_F).
+    The definition route builds every pinched matrix in that view and checks the
+    relative entropies against the identity H(rho||rho_P) = H(rho_P) - H(rho).
     """
 
     def __init__(self, rho: DensityMatrix, measured: int, what: str):
-        self.tensor, d_rest = _measured_last(rho, measured)
-        self.rho_perm = self.tensor.reshape(d_rest * 2, d_rest * 2)
         lam = rho.spectrum
-        if lam[0] <= _FULL_RANK_CUTOFF:
+        if lam[0] <= SUPPORT_CUTOFF:
             raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
+        [(self.tensor, self.h_rest, self.best)] = _classical_stack([(rho, measured)])
+        d_rest = self.tensor.shape[0]
+        self.rho_perm = self.tensor.reshape(d_rest * 2, d_rest * 2)
         self.rho_f = np.trace(self.tensor, axis1=0, axis2=2)
         self.lam_f = np.linalg.eigvalsh(self.rho_f)
         self.h_full = float(-_xlog2x_sum(lam))
@@ -444,8 +444,8 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     definition route (`_PinchEvaluator`) at the two audited directions.
     """
     ev = _PinchEvaluator(rho, measured, "continuity audit")
-    best = classical_correlations(rho, measured)
-    discord = _group_entropy(ev.tensor, 0) + ev.h_f - ev.h_full - best.value
+    best = ev.best
+    discord = ev.h_rest + ev.h_f - ev.h_full - best.value
 
     m2_best = sphere_search(_pinching_entropy(ev.tensor, ev.h_full), 1)[0]
     n = np.vstack([_direction(best.angles), _direction(m2_best.angles)])
@@ -504,8 +504,7 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     marginal, so the audit closes the loop between the two.
     """
     ev = _PinchEvaluator(rho, measured, "f-function audit")
-    best = classical_correlations(rho, measured)
-    sigma, sigma_f = ev.pinch(_direction(best.angles))
+    sigma, sigma_f = ev.pinch(_direction(ev.best.angles))
     r_full, r_marg, _, vals_f = ev(sigma, sigma_f)
     r_full, r_marg = float(r_full[0]), float(r_marg[0])
     eps = r_full - r_marg
@@ -525,42 +524,32 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
         raise ValueError(f"environment consensus needs at least 2 sites, got dims {env.dims}")
     if any(d != 2 for d in env.dims):
         raise UnsupportedDimensionError(f"all environment sites must be qubits, got {env.dims}")
-    entropies = tuple(
-        von_neumann_entropy(_marginal(env, (i,))) for i in range(n)
-    )
-    live = [h > H_S_CUTOFF for h in entropies]
-    searches = []  # ((i, j), the pair's marginal, index of site j in it): J measured on j
+    entropies = tuple(von_neumann_entropy(_marginal(env, (i,))) for i in range(n))
+    defined = tuple(h > H_S_CUTOFF for h in entropies)
+    # J of pair (i, j) measured on j, for each defined i, whose H(rest) is entropies[i].
+    searches = []  # (i, j, the pair's marginal, index of site j in it)
     eof_matrix = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for jj in range(i + 1, n):
-            if not (live[i] or live[jj]):
-                continue
-            marg = _marginal(env, (i, jj))
-            eof_matrix[i][jj] = eof_matrix[jj][i] = eof_two_qubit(marg)
-            if live[i]:
-                searches.append(((i, jj), marg, 1))
-            if live[jj]:
-                searches.append(((jj, i), marg, 0))
+    for a, b in combinations(range(n), 2):
+        if defined[a] or defined[b]:
+            marg = _marginal(env, (a, b))
+            eof_matrix[a][b] = eof_matrix[b][a] = eof_two_qubit(marg)
+            searches += [(i, j, marg, k) for i, j, k in ((a, b, 1), (b, a, 0)) if defined[i]]
+    found = _classical_stack(
+        ((marg, k) for _, _, marg, k in searches), [entropies[i] for i, *_ in searches]
+    )
     j_matrix = [[None] * n for _ in range(n)]
-    found = _classical_stack((m, k) for _, m, k in searches)
-    for ((i, jj), _, _), (_, _, best) in zip(searches, found):
-        j_matrix[i][jj] = best.value
-    delta = []
-    defined = []
-    for i in range(n):
-        if entropies[i] <= H_S_CUTOFF:
-            delta.append(None)
-            defined.append(False)
-            continue
-        j_min = min(j_matrix[i][jj] for jj in range(n) if jj != i)
-        delta.append(1.0 - j_min / entropies[i])
-        defined.append(True)
+    for (i, j, _, _), (_, _, best) in zip(searches, found):
+        j_matrix[i][j] = best.value
+    delta = tuple(
+        1.0 - min(v for v in row if v is not None) / h if ok else None
+        for row, h, ok in zip(j_matrix, entropies, defined)
+    )
     return EnvConsensusReport(
         entropies=entropies,
         j_matrix=tuple(tuple(row) for row in j_matrix),
         eof_matrix=tuple(tuple(row) for row in eof_matrix),
-        delta_eps_i=tuple(delta),
-        defined=tuple(defined),
+        delta_eps_i=delta,
+        defined=defined,
     )
 
 

@@ -282,12 +282,13 @@ def cmd_state(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    unmeasured = "A" if args.measure == "b" else "B"
     fields = [  # CSV column, printed label, value
         ("mutual_info", "mutual information I", _fmt(record.mutual_info)),
         ("classical", "classical J", _fmt(record.classical)),
         ("discord", "discord D", _fmt(record.discord)),
         ("eof", "eof E", _fmt(record.eof) if record.eof is not None else ""),
-        ("entropy_a", "entropy H(rho_A)", _fmt(record.entropy_a)),
+        ("entropy_a", f"entropy H(rho_{unmeasured})", _fmt(record.entropy_a)),
         ("measured_side", "measured side", record.measured_side),
     ]
     width = max(len(label) for _, label, _ in fields)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    SUPPORT_CUTOFF,
     DensityMatrix,
     PureState,
     _group_entropy,
@@ -31,7 +32,6 @@ from .measurement import UnsupportedDimensionError, _classical_stack
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-_RANK_CUTOFF = 1e-12
 
 # Numeric convex-roof search (a validation oracle, not the default path): random
 # isometries started besides the eigendecomposition and their seed, then the
@@ -76,7 +76,8 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class CorrelationRecord:
-    """All correlation measures of one bipartition for one measured side."""
+    """All correlation measures of one bipartition for one measured side, with
+    ``entropy_a`` the entropy of the unmeasured side (H(rho_B) when a is measured)."""
 
     mutual_info: float
     classical: float
@@ -319,7 +320,7 @@ def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
 
     vals, vecs = np.linalg.eigh(rho.mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    rank = int(np.sum(vals > _RANK_CUTOFF))
+    rank = int(np.sum(vals > SUPPORT_CUTOFF))
     m = 2 * rank
     # Columns sqrt(lambda_i)|e_i>; rows of Q @ basis.T are unnormalized members.
     basis = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))

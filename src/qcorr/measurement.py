@@ -291,7 +291,11 @@ def _pauli_blocks(tensors: np.ndarray) -> np.ndarray:
 
 def _support(spectra: np.ndarray, dim: int) -> np.ndarray:
     """Mask of the eigenvalues of a dim x dim state that count as nonzero: those
-    above dim times machine epsilon (at most 3.6e-15 for dim <= 16)."""
+    above dim times machine epsilon (at most 3.6e-15 for dim <= 16).
+
+    This numerical rank sets J's block size; `core.SUPPORT_CUTOFF` answers a
+    different question, which eigenvalues the entropic functionals count as zero.
+    """
     return spectra > dim * np.finfo(float).eps
 
 
@@ -381,14 +385,15 @@ def _block_size(rho: DensityMatrix) -> int:
     return min(rho.dim // 2, max(2, r))
 
 
-def _classical_stack(pairs) -> list[tuple[np.ndarray, float, MeasurementOptimum]]:
+def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, MeasurementOptimum]]:
     """`classical_correlations` of each (rho, measured) pair, with the pair's
-    `_measured_last` view and the entropy of its unmeasured side.
+    `_measured_last` view and the entropy H(rest) of its unmeasured side.
 
     States are searched on their k x k `_outcome_blocks`, k from `_block_size`,
     and one `sphere_search` runs over the states of each block size. Each state's
     result equals its own search: the states share the search's steps, not its
-    starts. All unmeasured sides must share one dimension.
+    starts. All unmeasured sides must share one dimension. A caller that holds
+    each pair's H(rest) passes them as ``h_rest``; otherwise they are formed.
     """
     pairs = list(pairs)
     views = [_measured_last(rho, measured) for rho, measured in pairs]
@@ -407,7 +412,8 @@ def _classical_stack(pairs) -> list[tuple[np.ndarray, float, MeasurementOptimum]
         objective = _conditional_entropy(_outcome_blocks(tensors[idx], k))
         for i, best in zip(idx, sphere_search(objective, len(idx))):
             found[i] = best
-    h_rest = [_group_entropy(t, 0) for t in tensors]
+    if h_rest is None:
+        h_rest = [_group_entropy(t, 0) for t in tensors]
     return [(t, h, replace(b, value=h - b.value)) for t, h, b in zip(tensors, h_rest, found)]
 
 

@@ -142,6 +142,15 @@ def test_kw_audit_rejects_invalid_inputs():
         kw_j_complement(psi, (0,), 0)
 
 
+def test_kw_audit_reads_h_s_from_the_complement_search(eigensolves):
+    # The (S, F) marginal's validation and the EoF's eigh and svd, and the
+    # complement marginal's validation and J's H(rest), which is H(rho_S): 5.
+    psi = random_pure_state((2, 2, 2), 5)
+    eigensolves.clear()
+    koashi_winter_audit(psi, (0,), (1,))
+    assert len(eigensolves) == 5
+
+
 def test_kw_j_complement_closed_cases():
     assert kw_j_complement(ghz_state(3), (0,), 1) == pytest.approx(1.0, abs=1e-12)
     assert kw_j_complement(ghz_state(4), (0,), 2) == pytest.approx(1.0, abs=1e-12)
@@ -295,8 +304,10 @@ def test_consensus_delta_forms_each_site_entropy_once(eigensolves):
     # Per site: the marginal's validation, which also gives H(rho_S,site), H(rho_S),
     # which J and I share, I's H(site), and the EoF's eigh and svd: 3 * (1 + 2 + 2).
     psi = random_pure_state((2, 2, 2, 2), 5)
-    consensus_delta(psi, (0,))
-    assert len(eigensolves) == 15
+    for audit in (consensus_delta, discord_bound_audit):
+        eigensolves.clear()
+        audit(psi, (0,))
+        assert len(eigensolves) == 15
 
 
 def test_records_form_each_entropy_once(eigensolves):
@@ -431,8 +442,27 @@ def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
     value = mutual_information(Bipartition(apply_local_measurement(rho, meas), (0,), (1,)))
     assert 1e-4 < best.value - value < OPTIMIZATION_SLACK
     shortfall = dataclasses.replace(best, value=value, angles=tilted)
-    monkeypatch.setattr(bounds_mod, "classical_correlations", lambda *args: shortfall)
+    stack = bounds_mod._classical_stack
+    monkeypatch.setattr(
+        bounds_mod, "_classical_stack",
+        lambda *args: [(t, h, shortfall) for t, h, _ in stack(*args)],
+    )
     assert not continuity_chain_audit(rho, 1).satisfied
+
+
+def test_continuity_and_f_bound_check_rank_before_any_search(monkeypatch):
+    import qcorr.bounds as bounds_mod
+    import qcorr.measurement as measurement_mod
+
+    def no_search(*args):
+        raise AssertionError("J search ran before the full-rank check")
+
+    for module in (bounds_mod, measurement_mod):
+        monkeypatch.setattr(module, "_classical_stack", no_search)
+    rho = random_density_matrix((2, 2), 3, 19)
+    for audit in (continuity_chain_audit, f_bound_audit):
+        with pytest.raises(ValueError, match="full-rank"):
+            audit(rho, 1)
 
 
 # Full-rank states with d_rest = 2, 3 and 4 on the unmeasured side.
@@ -467,14 +497,14 @@ def test_continuity_chain_pinches_only_the_audited_directions(eigensolves, dims,
 
 def test_continuity_and_f_bound_form_the_spectrum_of_rho_once(eigensolves):
     # The validated spectrum of rho gives the full-rank check and H(rho); H(rho_F)
-    # and J's unmeasured entropy take 2, and the definition route pinches once
-    # (eigh for rho and for rho_F): 2 + 2 = 4. Continuity adds H(rest) for D, the
-    # f bound the trace distance, whose smallest eigenvalues come from the spectra
-    # of rho_F and its pinching: 5 each.
+    # and J's H(rest), which D reads too, take 2, and the definition route pinches
+    # once (eigh for rho and for rho_F): 2 + 2 = 4. The f bound adds the trace
+    # distance, whose smallest eigenvalues come from the spectra of rho_F and its
+    # pinching: 5.
     rho = _full_rank((2, 2), 11)
     eigensolves.clear()
     continuity_chain_audit(rho, 1)
-    assert len(eigensolves) == 5
+    assert len(eigensolves) == 4
     eigensolves.clear()
     f_bound_audit(rho, 1)
     assert len(eigensolves) == 5
@@ -634,6 +664,67 @@ def test_env_consensus_eof_matrix_holds_each_pair_eof():
         for j in range(i + 1, 4):
             eof = eof_two_qubit(reduced_density_matrix(psi, (i, j)))
             assert report.eof_matrix[i][j] == report.eof_matrix[j][i] == eof
+
+
+def test_env_consensus_forms_each_entropy_once(eigensolves):
+    # Each site's validation gives its entropy (4), which is also the H(rest) of
+    # its 3 pairwise J searches; each pair marginal takes its validation and the
+    # EoF's eigh and svd (6 * 3): 22.
+    psi = random_pure_state((2, 2, 2, 2), 5)
+    eigensolves.clear()
+    env_consensus(psi)
+    assert len(eigensolves) == 22
+
+
+def test_env_consensus_of_a_mixed_environment_matches_the_pure_route():
+    for seed in range(10):
+        for n in (3, 4):
+            psi = random_pure_state((2,) * n, 300 + 10 * n + seed)
+            pure, mixed = env_consensus(psi), env_consensus(density_from_pure(psi))
+            assert mixed.defined == pure.defined
+            assert np.allclose(mixed.entropies, pure.entropies, rtol=0.0, atol=1e-12)
+            assert np.allclose(mixed.delta_eps_i, pure.delta_eps_i, rtol=0.0, atol=1e-12)
+            for name in ("j_matrix", "eof_matrix"):
+                a, b = getattr(pure, name), getattr(mixed, name)
+                for i in range(n):
+                    assert (a[i][i], b[i][i]) == (None, None)
+                    off = [j for j in range(n) if j != i]
+                    assert np.allclose([a[i][j] for j in off], [b[i][j] for j in off],
+                                       rtol=0.0, atol=1e-12)
+
+
+def test_env_consensus_on_noisy_ghz():
+    # GHZ3 mixed with 10% white noise: every site is maximally mixed and every
+    # pair marginal is the same, so each site has the same delta.
+    mat = 0.9 * density_from_pure(ghz_state(3)).mat + 0.1 * np.eye(8) / 8.0
+    report = env_consensus(DensityMatrix(mat, (2, 2, 2)))
+    assert all(report.defined)
+    for i, (h, d_eps) in enumerate(zip(report.entropies, report.delta_eps_i)):
+        assert h == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= d_eps <= 1.0
+        assert d_eps == pytest.approx(0.28640, abs=1e-5)
+        j_min = min(v for j, v in enumerate(report.j_matrix[i]) if j != i)
+        assert d_eps == 1.0 - j_min / h
+
+
+def test_consensus_audits_reject_qutrits():
+    with pytest.raises(UnsupportedDimensionError, match="system block must be a single qubit"):
+        consensus_delta(random_pure_state((3, 2, 2), 1), (0,))
+    with pytest.raises(UnsupportedDimensionError, match="environment site 1 has dimension 3"):
+        consensus_delta(random_pure_state((2, 3, 2), 1), (0,))
+    with pytest.raises(UnsupportedDimensionError, match="remark audit needs a two-qubit"):
+        remark_audit(random_density_matrix((2, 3), 6, 1))
+    with pytest.raises(UnsupportedDimensionError, match="environment sites must be qubits"):
+        env_consensus(random_pure_state((2, 3, 2), 1))
+
+
+def test_env_eof_bound_rejects_equal_and_undefined_sites():
+    with pytest.raises(ValueError, match="need two distinct sites"):
+        env_eof_bound_audit(random_pure_state((2, 2, 2), 1), 1, 1)
+    vec = np.zeros(8)
+    vec[0] = 1.0
+    with pytest.raises(UndefinedConsensusError, match="site 0 has ~zero entropy"):
+        env_eof_bound_audit(PureState(vec, (2, 2, 2)), 0, 1)
 
 
 def test_env_eof_bound_saturates_on_ghz():

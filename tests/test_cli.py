@@ -17,8 +17,11 @@ from qcorr import (
     DensityMatrix,
     bell_state,
     density_from_pure,
+    partial_trace,
     quantum_discord,
+    random_density_matrix,
     save_state,
+    von_neumann_entropy,
 )
 from qcorr.cli import SUITES, main
 from qcorr.bounds import make_audit
@@ -97,6 +100,16 @@ def test_sweep_rejects_malformed_grids(tmp_path, capsys):
         assert main(["sweep", "--n", "2", flag, value, "--out", out]) == 2
     err = capsys.readouterr().err
     assert "malformed" in err
+
+
+def test_sweep_and_audit_name_bad_sizes_and_unwritable_outputs(tmp_path, capsys):
+    assert main(["sweep", "--n", "0", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "n_env must be a positive integer, got 0" in capsys.readouterr().err
+    missing = str(tmp_path / "missing" / "x.csv")
+    for argv in (["sweep", "--n", "2", "--a-step", "1", "--out", missing],
+                 ["audit", "--suite", "remark", "--trials", "1", "--out", missing]):
+        assert main(argv) == 2
+        assert "error: cannot write output" in capsys.readouterr().err
 
 
 def test_sweep_writes_manifest_sidecar(tmp_path):
@@ -226,6 +239,25 @@ def test_state_matches_library_on_werner_fixture(tmp_path, capsys):
     assert float(values["classical"]) == pytest.approx(record.classical, abs=1e-12)
 
 
+def test_state_labels_the_unmeasured_side_entropy(tmp_path, capsys):
+    # entropy_a is the unmeasured side's entropy: with --measure a, H(rho_B).
+    rho = random_density_matrix((2, 3), 3, 11)
+    fixture = tmp_path / "qutrit.json"
+    save_state(fixture, rho)
+    out = tmp_path / "qutrit.csv"
+    argv = ["state", "--in", str(fixture), "--split", "0|1", "--measure", "a", "--out", str(out)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    h_b = von_neumann_entropy(partial_trace(rho, (1,)))
+    assert abs(h_b - von_neumann_entropy(partial_trace(rho, (0,)))) > 0.2
+    labels = dict(line.rsplit(None, 1) for line in printed.splitlines())
+    assert "entropy H(rho_A)" not in labels
+    assert float(labels["entropy H(rho_B)"]) == pytest.approx(h_b, abs=1e-11)
+    values = dict(zip(*_read_csv(out)))
+    assert float(values["entropy_a"]) == pytest.approx(h_b, abs=1e-11)  # 12 digits
+    assert values["measured_side"] == "a"
+
+
 def test_state_usage_errors(tmp_path, capsys):
     fixture = tmp_path / "bell.json"
     save_state(fixture, bell_state())
@@ -234,6 +266,10 @@ def test_state_usage_errors(tmp_path, capsys):
     assert main(["state", "--in", str(fixture), "--split", "01"]) == 2
     assert main(["state", "--in", str(fixture), "--split", "0|1,1"]) == 2
     assert "side_b (1, 1) repeats subsystem 1" in capsys.readouterr().err
+    assert main(["state", "--in", str(fixture), "--split", "x|1"]) == 2
+    assert "malformed --split side 'x'" in capsys.readouterr().err
+    assert main(["state", "--in", str(fixture), "--split", "|1"]) == 2
+    assert "--split side '' is empty" in capsys.readouterr().err
     broken = tmp_path / "broken.json"
     broken.write_text("{", encoding="utf-8")
     assert main(["state", "--in", str(broken), "--split", "0|1"]) == 2

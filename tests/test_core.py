@@ -165,6 +165,20 @@ def test_permute_subsystems_swaps_product_factors():
     assert_allclose(swapped.mat, np.kron(rho_b.mat, rho_a.mat), atol=1e-12)
 
 
+def test_constructors_and_reorderings_name_their_failed_check():
+    with pytest.raises(ValueError, match="vector length 3 does not match dims"):
+        PureState(np.ones(3) / np.sqrt(3.0), (2, 2))
+    rho = random_density_matrix((2, 2), 4, 5)
+    with pytest.raises(ValueError, match="duplicate subsystem indices"):
+        partial_trace(rho, (0, 0))
+    with pytest.raises(ValueError, match="is not a permutation"):
+        permute_subsystems(rho, (0, 0))
+    with pytest.raises(ValueError, match="GHZ state needs at least 2 qubits"):
+        ghz_state(1)
+    with pytest.raises(ValueError, match="W state needs at least 2 qubits"):
+        w_state(1)
+
+
 # ---------------------------------------------------------------------------
 # entropies and distances
 # ---------------------------------------------------------------------------

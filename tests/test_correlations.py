@@ -13,6 +13,7 @@ from qcorr import (
     Bipartition,
     DensityMatrix,
     PureState,
+    UnsupportedDimensionError,
     bell_state,
     binary_entropy,
     concurrence_two_qubit,
@@ -89,6 +90,23 @@ def test_bipartition_rejects_overlap_and_gaps():
         Bipartition(two, (0, 0), (1,))
     with pytest.raises(ValueError, match=r"side_b \(1, 1\) repeats subsystem 1"):
         Bipartition(two, (0,), (1, 1))
+
+
+def test_bipartition_rejects_an_empty_side():
+    with pytest.raises(ValueError, match="both sides must be nonempty"):
+        Bipartition(random_density_matrix((2, 2), 4, 3), (), (0, 1))
+
+
+def test_discord_rejects_an_unknown_or_non_qubit_measured_side():
+    two = Bipartition(random_density_matrix((2, 2), 4, 3), (0,), (1,))
+    with pytest.raises(ValueError, match="measured must be 'a' or 'b'"):
+        quantum_discord(two, measured="c")
+    three = Bipartition(random_density_matrix((2, 2, 2), 8, 3), (0,), (1, 2))
+    with pytest.raises(UnsupportedDimensionError, match="measured side must be a single qubit"):
+        quantum_discord(three, measured="b")
+    qutrit = Bipartition(random_density_matrix((2, 3), 6, 3), (0,), (1,))
+    with pytest.raises(UnsupportedDimensionError, match="measured side must be a single qubit"):
+        quantum_discord(qutrit, measured="b")
 
 
 def test_mutual_information_of_product_state_is_zero():

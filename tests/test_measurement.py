@@ -247,6 +247,12 @@ def test_classical_correlations_reject_non_qubit_measured_side():
         classical_correlations(rho, 1)
 
 
+def test_classical_correlations_reject_a_measured_index_out_of_range():
+    rho = random_density_matrix((2, 2), 4, 55)
+    with pytest.raises(ValueError, match="measured subsystem 2 out of range"):
+        classical_correlations(rho, 2)
+
+
 def test_optimum_value_never_exceeds_unmeasured_mutual_information():
     rng = np.random.default_rng(57)
     for _ in range(8):
@@ -437,8 +443,8 @@ def test_stacked_environment_search_keeps_its_path(monkeypatch):
     found = []
     classical_stack = bounds._classical_stack
 
-    def recording(pairs):
-        stacked = classical_stack(pairs)
+    def recording(pairs, h_rest=None):
+        stacked = classical_stack(pairs, h_rest)
         found.extend(best for _, _, best in stacked)
         return stacked
 

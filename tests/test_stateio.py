@@ -81,6 +81,17 @@ def test_load_rejects_malformed_entries(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_non_numeric_entries_and_non_object_payloads(tmp_path):
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps({"dims": [2], "vector": [["a", 0.0], [0.0, 0.0]]}),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"vector entries must be \[real, imaginary\] pairs"):
+        load_state(path)
+    path.write_text(json.dumps([2, 2]), encoding="utf-8")
+    with pytest.raises(ValueError, match="must hold an object"):
+        load_state(path)
+
+
 def test_load_reports_invariant_violations(tmp_path):
     path = tmp_path / "trace.json"
     payload = {
