@@ -26,22 +26,20 @@ tolerance that decided `satisfied`, so reports serialize uniformly.
 
 Every J search here runs through `measurement._classical_stack`, and each
 audit reads the entropies that search holds instead of forming them again.
-Wherever a marginal needs D, or J together with E, they come from the stacked
-form of `correlations.quantum_discord`, which takes I from J's view.
-`consensus_delta`, `discord_bound_audit` and `eof_bound_audit` share one
-per-site pass that forms each marginal once, searches all sites together and
-reads H(rho_S) from the records; the conservation audit stacks its two
-marginals the same way. Environment consensus stacks every pairwise J and
-hands the stack its site entropies as each search's H(rest); the trade-off
-audit reads H(rho_S) as the H(rest) of its complement search; the continuity
-and f-bound audits read J, its view and H(rest), with H(rho), H(rho_F) and the
-pinched spectra, from `_PinchEvaluator`.
+D, or J with E, of a marginal come from the stacked form of
+`correlations.quantum_discord`, which takes I from J's view. `consensus_delta`,
+`discord_bound_audit` and `eof_bound_audit` share one per-site pass that forms
+each marginal once, searches all sites together and reads H(rho_S) from the
+records; the conservation audit stacks its two marginals the same way.
+Environment consensus passes its site entropies as each pairwise search's
+H(rest), the trade-off audit reads H(rho_S) as its complement search's H(rest),
+and the continuity and f-bound audits read J, its view and H(rest) from
+`_PinchEvaluator`, with H(rho), H(rho_F) and the pinched spectra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -444,11 +442,10 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     definition route (`_PinchEvaluator`) at the two audited directions.
     """
     ev = _PinchEvaluator(rho, measured, "continuity audit")
-    best = ev.best
-    discord = ev.h_rest + ev.h_f - ev.h_full - best.value
+    discord = ev.h_rest + ev.h_f - ev.h_full - ev.best.value
 
     m2_best = sphere_search(_pinching_entropy(ev.tensor, ev.h_full), 1)[0]
-    n = np.vstack([_direction(best.angles), _direction(m2_best.angles)])
+    n = np.vstack([_direction(ev.best.angles), _direction(m2_best.angles)])
     r_full, r_marg, pinch_dev, _ = ev(*ev.pinch(n))
     m1 = float(np.min(r_full - r_marg))
 
@@ -459,7 +456,7 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
         NUMERIC_SLACK,
         m2=m2_best.value,
         pinch_dev=pinch_dev,
-        classical=best.value,
+        classical=ev.best.value,
     )
 
 
@@ -526,29 +523,35 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
         raise UnsupportedDimensionError(f"all environment sites must be qubits, got {env.dims}")
     entropies = tuple(von_neumann_entropy(_marginal(env, (i,))) for i in range(n))
     defined = tuple(h > H_S_CUTOFF for h in entropies)
-    # J of pair (i, j) measured on j, for each defined i, whose H(rest) is entropies[i].
-    searches = []  # (i, j, the pair's marginal, index of site j in it)
+    searches = []  # ((i, j), the pair's marginal, index of site j in it): J measured on j
     eof_matrix = [[None] * n for _ in range(n)]
-    for a, b in combinations(range(n), 2):
-        if defined[a] or defined[b]:
-            marg = _marginal(env, (a, b))
-            eof_matrix[a][b] = eof_matrix[b][a] = eof_two_qubit(marg)
-            searches += [(i, j, marg, k) for i, j, k in ((a, b, 1), (b, a, 0)) if defined[i]]
+    for i in range(n):
+        for jj in range(i + 1, n):
+            if not (defined[i] or defined[jj]):
+                continue
+            marg = _marginal(env, (i, jj))
+            eof_matrix[i][jj] = eof_matrix[jj][i] = eof_two_qubit(marg)
+            if defined[i]:
+                searches.append(((i, jj), marg, 1))
+            if defined[jj]:
+                searches.append(((jj, i), marg, 0))
+    # Site i is the unmeasured side of J(i, j), so its H(rest) is entropies[i].
     found = _classical_stack(
-        ((marg, k) for _, _, marg, k in searches), [entropies[i] for i, *_ in searches]
+        ((m, k) for _, m, k in searches), [entropies[i] for (i, _), _, _ in searches]
     )
     j_matrix = [[None] * n for _ in range(n)]
-    for (i, j, _, _), (_, _, best) in zip(searches, found):
-        j_matrix[i][j] = best.value
-    delta = tuple(
-        1.0 - min(v for v in row if v is not None) / h if ok else None
-        for row, h, ok in zip(j_matrix, entropies, defined)
-    )
+    for ((i, jj), _, _), (_, _, best) in zip(searches, found):
+        j_matrix[i][jj] = best.value
+    delta = [None] * n
+    for i in range(n):
+        if defined[i]:
+            j_min = min(j_matrix[i][jj] for jj in range(n) if jj != i)
+            delta[i] = 1.0 - j_min / entropies[i]
     return EnvConsensusReport(
         entropies=entropies,
         j_matrix=tuple(tuple(row) for row in j_matrix),
         eof_matrix=tuple(tuple(row) for row in eof_matrix),
-        delta_eps_i=delta,
+        delta_eps_i=tuple(delta),
         defined=defined,
     )
 

@@ -291,11 +291,8 @@ def _pauli_blocks(tensors: np.ndarray) -> np.ndarray:
 
 def _support(spectra: np.ndarray, dim: int) -> np.ndarray:
     """Mask of the eigenvalues of a dim x dim state that count as nonzero: those
-    above dim times machine epsilon (at most 3.6e-15 for dim <= 16).
-
-    This numerical rank sets J's block size; `core.SUPPORT_CUTOFF` answers a
-    different question, which eigenvalues the entropic functionals count as zero.
-    """
+    above dim times machine epsilon (at most 3.6e-15 for dim <= 16). This numerical
+    rank sets J's block size; `core.SUPPORT_CUTOFF` is the entropies' zero instead."""
     return spectra > dim * np.finfo(float).eps
 
 
@@ -414,7 +411,8 @@ def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, Measur
             found[i] = best
     if h_rest is None:
         h_rest = [_group_entropy(t, 0) for t in tensors]
-    return [(t, h, replace(b, value=h - b.value)) for t, h, b in zip(tensors, h_rest, found)]
+    return [(t, h, replace(b, value=h - b.value))
+            for t, h, b in zip(tensors, h_rest, found, strict=True)]
 
 
 def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOptimum:
