@@ -18,6 +18,7 @@ from qcorr import (
     relative_entropy,
     relative_entropy_bound_audit,
     relative_entropy_upper_bound,
+    von_neumann_entropy,
 )
 
 
@@ -41,11 +42,18 @@ for seed in range(5):
     )
 
 # -- 2. The pinching identity --------------------------------------------------
-# For every projective pinching, H(rho||rho_P) = H(rho_P) - H(rho) exactly;
-# the audit reports the worst deviation at the audited directions (J's argmax
-# and m2's minimizer), where it checks the pinching from its definition.
-audit = continuity_chain_audit(full_rank_two_qubit(7), measured=1)
-print(f"\npinching-identity deviation at the audited directions: {audit.extras['pinch_dev']:.2e}")
+# For every projective pinching, H(rho||rho_P) = H(rho_P) - H(rho) exactly. The
+# audits use it to read each relative entropy from the pinched spectra that the
+# J search already computes. Here it is checked on one state, with qubit 1
+# pinched along n = (1, 1, 1)/sqrt(3) from the definition rho_P = sum_a P_a rho P_a.
+rho = full_rank_two_qubit(7)
+n = np.ones(3) / np.sqrt(3.0)
+n_sigma = np.array([[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]])
+projectors = [np.kron(np.eye(2), (np.eye(2) + sign * n_sigma) / 2.0) for sign in (1, -1)]
+pinched = DensityMatrix(sum(p @ rho.mat @ p for p in projectors), (2, 2))
+print("\npinching identity, qubit 1 pinched along (1, 1, 1)/sqrt(3)")
+print(f"  H(rho||rho_P)     = {relative_entropy(rho, pinched):.12f}")
+print(f"  H(rho_P) - H(rho) = {von_neumann_entropy(pinched) - von_neumann_entropy(rho):.12f}")
 
 # -- 3. Spectral upper bound on H(x||y) ----------------------------------------
 # bound = (lmin(y) + d) log2(1 + d/lmin(y)) - lmin(x) log2(1 + d/lmin(x))

@@ -12,10 +12,9 @@ quantifiers to bipartite discord and entanglement of formation:
 * a conservation identity connecting the two entanglements and the two
   discords of a three-qubit pure state;
 * the continuity chain bounding discord by minimized relative entropies of
-  pinched states, together with the projective-pinching identity
-  H(rho || rho_P) = H(rho_P) - H(rho): m2's search reads the pinched spectra
-  from J's outcome-block kernel, and the definition route checks the
-  identity only at the audited directions;
+  pinched states; by the projective-pinching identity
+  H(rho || rho_P) = H(rho_P) - H(rho), each of them is read from the pinched
+  spectra of J's outcome-block kernel;
 * a spectral upper bound on relative entropy from the trace distance and
   the smallest eigenvalues of the two states;
 * environment-internal consensus over pairwise classical correlations and
@@ -33,8 +32,8 @@ each marginal once, searches all sites together and reads H(rho_S) from the
 records; the conservation audit stacks its two marginals the same way.
 Environment consensus passes its site entropies as each pairwise search's
 H(rest), the trade-off audit reads H(rho_S) as its complement search's H(rest),
-and the continuity and f-bound audits read J, its view and H(rest) from
-`_PinchEvaluator`, with H(rho), H(rho_F) and the pinched spectra.
+and the continuity and f-bound audits read J, H(rest), H(rho), H(rho_F) and
+every pinched entropy from `_PinchEvaluator`, which builds no pinched matrix.
 """
 
 from __future__ import annotations
@@ -47,12 +46,11 @@ from .core import (
     SUPPORT_CUTOFF,
     DensityMatrix,
     PureState,
-    _half_trace_norm,
-    _relative_entropy_spectral,
     _xlog2x_sum,
     partial_trace,
     reduced_density_matrix,
     relative_entropy,
+    trace_distance_half,
     von_neumann_entropy,
 )
 from .correlations import (
@@ -68,7 +66,6 @@ from .measurement import (
     _direction,
     _outcome_entropies,
     _pauli_blocks,
-    _pauli_dot,
     sphere_search,
 )
 
@@ -200,24 +197,6 @@ def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
     return make_audit("kw", eof, h_s - j.value, NUMERIC_SLACK, gap=abs(h_s - j.value - eof))
 
 
-def kw_j_complement(psi: PureState, s, site: int) -> float:
-    """J of the system against everything but one site, via trade-off saturation.
-
-    For a pure global state, J(rho_{S, complement of site}) equals
-    H(rho_S) - E(rho_{S,site}), which needs only a two-qubit closed form
-    instead of a measurement optimization over the large complement.
-    """
-    _require_pure(psi, "complement classical correlations")
-    s_idx = _single_qubit_index(psi, s, "system block")
-    if int(site) == s_idx:
-        raise ValueError(f"site index {int(site)} is the system block index {s_idx}")
-    marg = reduced_density_matrix(psi, (s_idx, int(site)))
-    if marg.dims != (2, 2):
-        raise UnsupportedDimensionError(f"system-site marginal has dims {marg.dims}, need (2, 2)")
-    h_s = von_neumann_entropy(reduced_density_matrix(psi, (s_idx,)))
-    return h_s - eof_two_qubit(marg)
-
-
 def consensus_from_marginals(
     h_s: float, sites, j_site, j_complement
 ) -> ConsensusReport:
@@ -276,7 +255,9 @@ def consensus_delta(psi: PureState, s) -> ConsensusReport:
 
     with J(rho_S,env) = H(rho_S) (pure universe), the site term optimized
     directly on the two-qubit marginal, and the complement term obtained
-    from trade-off saturation (H(rho_S) - E, as in `kw_j_complement`).
+    from trade-off saturation: for a pure universe J(rho_S,env-without-i) =
+    H(rho_S) - E(rho_S,site_i), which the site's record holds, so the large
+    complement is never formed.
     """
     return _site_pass(psi, s)[0]
 
@@ -369,62 +350,45 @@ def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
     return make_audit("fanchini", abs(lhs_sum - rhs_sum), 0.0, NUMERIC_SLACK, **terms)
 
 
-def _pinching_entropy(t: np.ndarray, h: float):
-    """m2's objective H(rho||rho_P) = H(rho_P) - H(rho) for the pinching P of the
-    measured qubit along each direction, from the outcome-block entropy terms of
-    J's objective (rho_P is B(+n) (+) B(-n)), given the `_measured_last` view ``t``
-    of rho and h = H(rho): rows (K,) and n (K, G, 3) to (K, G)."""
-    entropies = _outcome_entropies(_pauli_blocks(t[None]))
-    return lambda rows, n: -entropies(rows, n)[1].sum(axis=0) - h
-
-
 class _PinchEvaluator:
-    """J of a full-rank state, and its relative entropies against its pinchings
-    along stacks of Bloch directions.
+    """J of a full-rank state, and its relative entropies to its pinchings along
+    stacks of Bloch directions, from J's outcome-block kernel.
 
     The validated spectrum of rho gives the full-rank check, which names
     ``what`` and runs before the search, and H(rho); one `_classical_stack`
-    search then gives J's optimum ``best``, its `_measured_last` view ``tensor``
-    of rho and ``h_rest``, and the spectrum ``lam_f`` of rho_F gives H(rho_F).
-    The definition route builds every pinched matrix in that view and checks the
-    relative entropies against the identity H(rho||rho_P) = H(rho_P) - H(rho).
+    search then gives J's optimum ``best`` and ``h_rest``. Its `_measured_last`
+    view gives the Pauli blocks T_s, whose `_outcome_entropies` give every
+    pinched entropy, rho_F's Bloch vector ``bloch`` (r_s = tr T_s), and the
+    spectrum ``lam_f`` of rho_F, which gives H(rho_F).
     """
 
     def __init__(self, rho: DensityMatrix, measured: int, what: str):
         lam = rho.spectrum
         if lam[0] <= SUPPORT_CUTOFF:
             raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
-        [(self.tensor, self.h_rest, self.best)] = _classical_stack([(rho, measured)])
-        d_rest = self.tensor.shape[0]
-        self.rho_perm = self.tensor.reshape(d_rest * 2, d_rest * 2)
-        self.rho_f = np.trace(self.tensor, axis1=0, axis2=2)
-        self.lam_f = np.linalg.eigvalsh(self.rho_f)
+        [(tensor, self.h_rest, self.best)] = _classical_stack([(rho, measured)])
+        blocks = _pauli_blocks(tensor[None])
+        self.entropies = _outcome_entropies(blocks)
+        self.bloch = np.trace(blocks[0, 1:], axis1=1, axis2=2).real
+        self.lam_f = np.linalg.eigvalsh(np.trace(tensor, axis1=0, axis2=2))
         self.h_full = float(-_xlog2x_sum(lam))
         self.h_f = float(-_xlog2x_sum(self.lam_f))
 
-    def pinch(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pinchings of rho and of rho_F along each direction of ``n`` (G, 3)."""
-        # P_+ X P_+ + P_- X P_- = (X + (n.sigma) X (n.sigma)) / 2 for P_+- = (1 +- n.sigma)/2;
-        # eigh reads one triangle only, so the rounding asymmetry of the sums is harmless.
-        flip = _pauli_dot(n)
-        lift = np.kron(np.eye(len(self.rho_perm) // 2), flip)
-        sigma = (self.rho_perm + lift @ self.rho_perm @ lift) / 2.0
-        return sigma, (self.rho_f + flip @ self.rho_f @ flip) / 2.0
+    def __call__(self, rows, n):
+        """(H(rho||rho_P), H(rho_F||rho_F,P)) for the pinching P of the measured qubit
+        along each direction, for rows (K,) of zeros and n (K, G, 3), as two (K, G)
+        arrays. rho_P is B(+n) (+) B(-n) and rho_F,P is diag(p_+, p_-) with p_+- =
+        tr B(+-n), so H(rho||rho_P) = -sum lambda log2 lambda - H(rho) over the
+        blocks' eigenvalues and H(rho_F||rho_F,P) = -sum p log2 p - H(rho_F)."""
+        plogp, spectral = self.entropies(rows, n)
+        return -spectral.sum(axis=0) - self.h_full, -plogp.sum(axis=0) - self.h_f
 
-    def __call__(self, sigma, sigma_f):
-        """(H(rho||rho_P), H(rho_F||rho_F,P)) for each pair of `pinch` results, the
-        worst deviation of either from the pinching identity, and rho_F,P's spectra."""
-        r_full, dev_full, _ = _against_pinching(self.rho_perm, self.h_full, sigma)
-        r_marg, dev_marg, vals_f = _against_pinching(self.rho_f, self.h_f, sigma_f)
-        return r_full, r_marg, max(dev_full, dev_marg), vals_f
-
-
-def _against_pinching(x: np.ndarray, h_x: float, sigma: np.ndarray):
-    """H(x||sigma) from the definition for a stack of pinchings ``sigma`` of x, the
-    worst deviation from the identity H(x||sigma) = H(sigma) - H(x), and sigma's spectra."""
-    vals, vecs = np.linalg.eigh(sigma)
-    rel = _relative_entropy_spectral(x, -h_x, vals, vecs)
-    return rel, float(np.max(np.abs(rel - (-_xlog2x_sum(vals) - h_x)))), vals
+    def marginal_pinching(self, n: np.ndarray) -> tuple[float, float]:
+        """Trace distance |r x n| / 2 between rho_F and its pinching along the
+        direction ``n`` (3,), and the pinching's smallest eigenvalue
+        (1 - |r . n|) / 2, with r the Bloch vector of rho_F."""
+        distance = np.linalg.norm(np.cross(self.bloch, n)) / 2.0
+        return float(distance), float((1.0 - abs(n @ self.bloch)) / 2.0)
 
 
 def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
@@ -437,26 +401,20 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     m1 objective at J's argmax and at m2's minimizer, which keeps m1 <= m2
     structural. D - m1 is then rounding unless m2's minimizer beats J's argmax,
     i.e. unless the J search fell short, so the audit allows only
-    ``NUMERIC_SLACK``. m2 is searched on J's outcome-block spectra; m1 and the
-    worst pinching-identity deviation (``extras``, with m2) come from the
-    definition route (`_PinchEvaluator`) at the two audited directions.
+    ``NUMERIC_SLACK``. m2 is searched, and m1 read at the two audited
+    directions, on J's outcome-block kernel (`_PinchEvaluator`); ``extras``
+    holds m2 and J.
     """
     ev = _PinchEvaluator(rho, measured, "continuity audit")
     discord = ev.h_rest + ev.h_f - ev.h_full - ev.best.value
 
-    m2_best = sphere_search(_pinching_entropy(ev.tensor, ev.h_full), 1)[0]
+    m2_best = sphere_search(lambda rows, n: ev(rows, n)[0], 1)[0]
     n = np.vstack([_direction(ev.best.angles), _direction(m2_best.angles)])
-    r_full, r_marg, pinch_dev, _ = ev(*ev.pinch(n))
+    r_full, r_marg = ev(np.array([0]), n[None])
     m1 = float(np.min(r_full - r_marg))
 
     return make_audit(
-        "continuity",
-        discord,
-        m1,
-        NUMERIC_SLACK,
-        m2=m2_best.value,
-        pinch_dev=pinch_dev,
-        classical=ev.best.value,
+        "continuity", discord, m1, NUMERIC_SLACK, m2=m2_best.value, classical=ev.best.value
     )
 
 
@@ -468,19 +426,17 @@ def relative_entropy_upper_bound(x: DensityMatrix, y: DensityMatrix) -> float:
     with d the trace distance. Requires y full rank; the second term is the
     limit value 0 when lmin(x) = 0.
     """
-    if x.dims != y.dims:
-        raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    lmin_x, lmin_y = float(x.spectrum[0]), float(y.spectrum[0])
-    return _relative_entropy_bound_spectral(x.mat, y.mat, lmin_x, lmin_y)
+    return _relative_entropy_bound_spectral(
+        trace_distance_half(x, y), float(x.spectrum[0]), float(y.spectrum[0])
+    )
 
 
-def _relative_entropy_bound_spectral(x: np.ndarray, y: np.ndarray, lmin_x, lmin_y) -> float:
-    """`relative_entropy_upper_bound` of raw arrays x and y given their smallest
-    eigenvalues: a caller that holds both spectra runs only the trace distance's."""
+def _relative_entropy_bound_spectral(d: float, lmin_x, lmin_y) -> float:
+    """`relative_entropy_upper_bound` from the trace distance d of x and y and
+    their smallest eigenvalues."""
     if lmin_y <= 0.0:
         raise ValueError(f"second argument must be full rank, min eigenvalue {lmin_y:.3e}")
     lmin_x = max(0.0, lmin_x)
-    d = _half_trace_norm(x - y)
     if d == 0.0:
         return 0.0
     first = (lmin_y + d) * np.log2(1.0 + d / lmin_y)
@@ -498,14 +454,19 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
 
     eps = H(rho||rho_P~) - H(rho_F||rho_F,P~) is the continuity gap at P~ and
     f is the spectral relative-entropy bound evaluated on the measured
-    marginal, so the audit closes the loop between the two.
+    marginal, so the audit closes the loop between the two. Both relative
+    entropies come from J's outcome-block kernel at P~ (`_PinchEvaluator`);
+    f reads the trace distance |r x n| / 2 between rho_F and its pinching and
+    the pinching's smallest eigenvalue (1 - |r . n|) / 2 from rho_F's Bloch
+    vector r and P~'s direction n, and rho_F's smallest eigenvalue from its
+    spectrum.
     """
     ev = _PinchEvaluator(rho, measured, "f-function audit")
-    sigma, sigma_f = ev.pinch(_direction(ev.best.angles))
-    r_full, r_marg, _, vals_f = ev(sigma, sigma_f)
-    r_full, r_marg = float(r_full[0]), float(r_marg[0])
+    n = _direction(ev.best.angles)
+    r_full, r_marg = (float(v[0, 0]) for v in ev(np.array([0]), n[None]))
     eps = r_full - r_marg
-    f_val = _relative_entropy_bound_spectral(ev.rho_f, sigma_f[0], ev.lam_f[0], vals_f[0, 0])
+    distance, lmin = ev.marginal_pinching(n[0])
+    f_val = _relative_entropy_bound_spectral(distance, ev.lam_f[0], lmin)
     return make_audit("f-bound", r_full, eps + f_val, NUMERIC_SLACK, eps=eps, f=f_val)
 
 
@@ -561,13 +522,20 @@ def env_eof_bound_audit(
 ) -> BoundAudit:
     """Audit E(rho_site_i,site_j) <= delta^e_i * H(rho_site_i) for one site pair.
 
-    Pass a precomputed ``report`` to amortize the pairwise J searches and the
-    pair EoFs, which it holds, when auditing many pairs of the same state.
+    The bound comes from the trade-off E(i:j) <= H(i) - J(i|k) against a third
+    site k, so the environment needs at least 3 sites. Pass a precomputed
+    ``report`` to amortize the pairwise J searches and the pair EoFs, which it
+    holds, when auditing many pairs of the same state.
     """
     if isinstance(env, DensityMatrix):
         raise ValueError(
             "pairwise entanglement bound is derived for pure environments; "
             "purify or pass a PureState"
+        )
+    if len(env.dims) < 3:
+        raise ValueError(
+            f"pairwise entanglement bound needs at least 3 sites, got dims {env.dims}: "
+            "it bounds E(i:j) by J of site i against a third site"
         )
     i, j = int(i), int(j)
     if not (0 <= i < len(env.dims) and 0 <= j < len(env.dims)):

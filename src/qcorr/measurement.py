@@ -10,8 +10,8 @@ measurement on side B the post-measurement mutual information reduces to
 
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho],
 whose direct sum is the pinching of B along n: the entropy terms of their
-spectra (`_outcome_entropies`) give J's objective and the m2 objective of the
-continuity audit in `bounds`.
+spectra (`_outcome_entropies`) give J's objective and every pinched entropy
+of the continuity and f-bound audits in `bounds`.
 A state of rank r < d_rest = dim(A) has smaller blocks with the same nonzero
 spectra: with rho = Psi Psi^dag, Psi = V sqrt(Lambda) (2 d_rest x r), the block
 of outcome +-n has the nonzero spectrum of (G_0 +- n.G)/2, G_s = Psi^dag (1 x
@@ -68,7 +68,8 @@ _MAX_STEPS = 400
 
 
 class UnsupportedDimensionError(ValueError):
-    """Measured subsystem is not a qubit; use the Koashi-Winter route in `bounds`."""
+    """Measured subsystem is not a qubit: J takes one measured qubit, with every
+    other subsystem grouped into the unmeasured side."""
 
 
 @dataclass(frozen=True)
@@ -121,11 +122,6 @@ def _direction(angles: BlochAngles) -> np.ndarray:
     return _bloch_directions(np.array([[angles.theta, angles.phi]]))
 
 
-def _pauli_dot(n: np.ndarray) -> np.ndarray:
-    """n.sigma (G, 2, 2) for each Bloch vector of a (G, 3) stack."""
-    return np.einsum("gk,kij->gij", n, _PAULI[1:])
-
-
 def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
     """Tensor view (d_rest, 2, d_rest, 2) with the measured qubit as the last factor."""
     n = len(rho.dims)
@@ -134,7 +130,8 @@ def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
     if rho.dims[measured] != 2:
         raise UnsupportedDimensionError(
             f"direct optimization needs a qubit on the measured side, got dimension "
-            f"{rho.dims[measured]}; group through the Koashi-Winter route in `bounds`"
+            f"{rho.dims[measured]}; J takes one measured qubit, with every other "
+            "subsystem grouped into the unmeasured side"
         )
     t = _grouped_view(rho, [i for i in range(n) if i != measured], [measured])
     return t, t.shape[0]
@@ -361,7 +358,7 @@ def _conditional_entropy(blocks: np.ndarray):
     """Objective sum_a p_a H(rest | a) = sum_a (p_a log2 p_a - sum_i lambda_i log2
     lambda_i) of the measurement along each direction n, from the entropy terms of
     `_outcome_entropies` (for k = 2 the one k = 2 entropy kernel, which the
-    continuity audit's m2 in `bounds` reads too).
+    continuity and f-bound audits in `bounds` read too).
 
     Maps the row states (K,) and directions n (K, G, 3) to values (K, G), with p_a
     the trace of outcome block a.

@@ -28,9 +28,11 @@ from qcorr import (
     koashi_winter_audit,
     mutual_information,
     Bipartition,
+    partial_trace,
     random_density_matrix,
     random_pure_state,
     reduced_density_matrix,
+    relative_entropy,
     relative_entropy_bound_audit,
     run_sweep,
     w_state,
@@ -38,6 +40,8 @@ from qcorr import (
 from qcorr import starsim
 from qcorr.bounds import NUMERIC_SLACK
 from qcorr.cli import main
+
+from definitions import apply_local_measurement, qubit_projectors
 
 ORACLE_TOL = 1e-12
 LIMIT_TOL = 1e-9
@@ -210,15 +214,24 @@ def _full_rank_two_qubit(seed: int) -> DensityMatrix:
 
 def test_criterion_07_continuity_chain(capsys):
     for trial in range(100):
-        audit = continuity_chain_audit(_full_rank_two_qubit(7000 + trial), measured=1)
+        rho = _full_rank_two_qubit(7000 + trial)
+        audit = continuity_chain_audit(rho, measured=1)
         assert audit.satisfied and audit.tolerance == 1e-6  # discord <= m1 within 1e-6
         assert audit.rhs <= audit.extras["m2"] + 1e-9
-        assert audit.extras["pinch_dev"] <= 1e-9
+        # The m1 objective at J's argmax from explicit pinchings of rho and rho_F:
+        # it equals D, and m1 can only be lower.
+        angles = classical_correlations(rho, 1).angles
+        pinched = apply_local_measurement(rho, qubit_projectors(angles, 1))
+        rho_f = partial_trace(rho, (1,))
+        pinched_f = apply_local_measurement(rho_f, qubit_projectors(angles, 0))
+        m1_at_j = relative_entropy(rho, pinched) - relative_entropy(rho_f, pinched_f)
+        assert abs(m1_at_j - audit.lhs) <= 1e-9
+        assert audit.rhs <= m1_at_j + 1e-9
     _passed(
         capsys,
         7,
         "continuity chain D <= m1 <= m2 held on 100 full-rank states "
-        f"(slack {audit.tolerance}), pinching identity within 1e-9",
+        f"(slack {audit.tolerance}); D and m1 within 1e-9 of the pinching definition at J's argmax",
     )
 
 

@@ -31,8 +31,8 @@ from qcorr import (
     fanchini_identity_audit,
     ghz_state,
     koashi_winter_audit,
-    kw_j_complement,
     mutual_information,
+    partial_trace,
     quantum_discord,
     random_density_matrix,
     random_pure_state,
@@ -41,11 +41,11 @@ from qcorr import (
     relative_entropy_bound_audit,
     relative_entropy_upper_bound,
     remark_audit,
-    von_neumann_entropy,
+    trace_distance_half,
     w_state,
 )
-from qcorr.bounds import OPTIMIZATION_SLACK, _pinching_entropy, make_audit
-from qcorr.measurement import _bloch_directions, _measured_last
+from qcorr.bounds import OPTIMIZATION_SLACK, _PinchEvaluator, make_audit
+from qcorr.measurement import _bloch_directions, _direction
 
 from definitions import apply_local_measurement, qubit_projectors
 
@@ -138,8 +138,6 @@ def test_kw_audit_rejects_invalid_inputs():
     psi = random_pure_state((2, 2, 2), 1)
     with pytest.raises(ValueError, match="fragment block index 0 is the system block index 0"):
         koashi_winter_audit(psi, (0,), (0,))
-    with pytest.raises(ValueError, match="site index 0 is the system block index 0"):
-        kw_j_complement(psi, (0,), 0)
 
 
 def test_kw_audit_reads_h_s_from_the_complement_search(eigensolves):
@@ -151,27 +149,22 @@ def test_kw_audit_reads_h_s_from_the_complement_search(eigensolves):
     assert len(eigensolves) == 5
 
 
-def test_kw_j_complement_closed_cases():
-    assert kw_j_complement(ghz_state(3), (0,), 1) == pytest.approx(1.0, abs=1e-12)
-    assert kw_j_complement(ghz_state(4), (0,), 2) == pytest.approx(1.0, abs=1e-12)
-    vec = np.zeros(8)
-    vec[0] = 1.0
-    assert kw_j_complement(PureState(vec, (2, 2, 2)), (0,), 1) == pytest.approx(0.0, abs=1e-12)
+def test_consensus_delta_j_complement_closed_cases():
+    for psi in (ghz_state(3), ghz_state(4)):
+        report = consensus_delta(psi, (0,))
+        assert report.j_complement == pytest.approx((1.0,) * len(report.sites), abs=1e-12)
 
 
-def test_kw_j_complement_matches_direct_optimization_at_smallest_size():
-    # with two environment sites, the complement of site 1 is the single
-    # qubit 2, so the saturation route can be cross-checked directly
-    psi = build_universe_brute(StarConfig(2, 0.5))
-    via_tradeoff = kw_j_complement(psi, (0,), 1)
-    comp = reduced_density_matrix(psi, (0, 2))
-    direct = classical_correlations(comp, 1).value
-    assert abs(via_tradeoff - direct) <= 2e-3
-
-
-def test_kw_j_complement_rejects_non_qubit_marginal():
-    with pytest.raises(UnsupportedDimensionError):
-        kw_j_complement(random_pure_state((2, 3, 2), 11), (0,), 1)
+def test_consensus_delta_j_complement_matches_direct_optimization():
+    # With two environment sites the complement of one site is the other, a
+    # single qubit, so the saturation route can be checked against the search.
+    universes = [build_universe_brute(StarConfig(2, a)) for a in np.linspace(0.0, 0.95, 20)]
+    universes += [random_pure_state((2, 2, 2), 900 + seed) for seed in range(50)]
+    for psi in universes:
+        report = consensus_delta(psi, (0,))
+        for site, other, j_comp in zip(report.sites, report.sites[::-1], report.j_complement):
+            direct = classical_correlations(reduced_density_matrix(psi, (0, other)), 1).value
+            assert abs(j_comp - direct) <= 1e-12, site
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +420,6 @@ def test_continuity_chain_on_random_full_rank_states():
         assert audit.label == "continuity"
         assert audit.satisfied
         assert audit.rhs <= audit.extras["m2"] + 1e-9
-        assert audit.extras["pinch_dev"] <= 1e-9
 
 
 def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
@@ -465,8 +457,11 @@ def test_continuity_and_f_bound_check_rank_before_any_search(monkeypatch):
             audit(rho, 1)
 
 
-# Full-rank states with d_rest = 2, 3 and 4 on the unmeasured side.
-_PINCH_CASES = [((2, 2), 1), ((2, 3), 0), ((2, 2, 2), 2)]
+# Full-rank states with d_rest = 2, 3 and 4 on the unmeasured side, each with
+# the measured qubit last and first.
+_PINCH_CASES = [
+    ((2, 2), 1), ((2, 3), 0), ((2, 2, 2), 2), ((2, 2), 0), ((3, 2), 1), ((2, 2, 2), 0)
+]
 
 
 @pytest.mark.parametrize("dims, measured", _PINCH_CASES)
@@ -477,37 +472,63 @@ def test_m2_objective_matches_the_pinching_definition(dims, measured):
         BlochAngles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)) for _ in range(50)
     ]
     n = _bloch_directions(np.array([[a.theta, a.phi] for a in angles]))
-    t, _ = _measured_last(rho, measured)
-    values = _pinching_entropy(t, von_neumann_entropy(rho))(np.array([0]), n[None])[0]
+    values = _PinchEvaluator(rho, measured, "m2 objective")(np.array([0]), n[None])[0][0]
     for a, value in zip(angles, values):
         pinched = apply_local_measurement(rho, qubit_projectors(a, measured))
         assert abs(value - relative_entropy(rho, pinched)) <= 1e-12
 
 
 @pytest.mark.parametrize("dims, measured", _PINCH_CASES)
+def test_pinched_entropies_match_the_definition_at_the_audited_direction(dims, measured):
+    # At J's argmax: continuity's m1 objective, and the f bound's relative
+    # entropies, eps, trace distance, pinched smallest eigenvalue and f, against
+    # explicit pinchings of rho and of rho_F.
+    rho = _full_rank(dims, 83)
+    ev = _PinchEvaluator(rho, measured, "definition check")
+    n = _direction(ev.best.angles)
+    r_full, r_marg = (float(v[0, 0]) for v in ev(np.array([0]), n[None]))
+    distance, lmin = ev.marginal_pinching(n[0])
+    rho_f = partial_trace(rho, (measured,))
+    pinched = apply_local_measurement(rho, qubit_projectors(ev.best.angles, measured))
+    pinched_f = apply_local_measurement(rho_f, qubit_projectors(ev.best.angles, 0))
+    rel_full, rel_marg = relative_entropy(rho, pinched), relative_entropy(rho_f, pinched_f)
+    audit = f_bound_audit(rho, measured)
+    for value, reference in [
+        (r_full, rel_full),
+        (r_marg, rel_marg),
+        (r_full - r_marg, rel_full - rel_marg),
+        (audit.lhs, rel_full),
+        (audit.extras["eps"], rel_full - rel_marg),
+        (distance, trace_distance_half(rho_f, pinched_f)),
+        (lmin, pinched_f.spectrum[0]),
+        (audit.extras["f"], relative_entropy_upper_bound(rho_f, pinched_f)),
+    ]:
+        assert abs(value - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("dims, measured", _PINCH_CASES)
 def test_continuity_chain_pinches_only_the_audited_directions(eigensolves, dims, measured):
-    # The m2 search reads the outcome-block spectra; only J's argmax and m2's
-    # minimizer are pinched from the definition: one eigh for rho, one for rho_F.
+    # m2's search and m1 at the two audited directions read the outcome-block
+    # spectra: no pinched matrix is formed, so no eigh runs.
     rho = _full_rank(dims, 83)
     eigensolves.clear()
     assert continuity_chain_audit(rho, measured).satisfied
-    stacks = [k for name, k in eigensolves if name == "eigh"]
-    assert (len(stacks), sum(stacks)) == (2, 4)
+    assert [name for name, _ in eigensolves if name == "eigh"] == []
 
 
 def test_continuity_and_f_bound_form_the_spectrum_of_rho_once(eigensolves):
     # The validated spectrum of rho gives the full-rank check and H(rho); H(rho_F)
-    # and J's H(rest), which D reads too, take 2, and the definition route pinches
-    # once (eigh for rho and for rho_F): 2 + 2 = 4. The f bound adds the trace
-    # distance, whose smallest eigenvalues come from the spectra of rho_F and its
-    # pinching: 5.
+    # and J's H(rest), which D reads too, take 2. On 2x2 the outcome blocks are
+    # 2x2, whose closed-form spectra give every pinched entropy, and the f bound
+    # reads the trace distance and the pinched smallest eigenvalue from rho_F's
+    # Bloch vector: 2 each.
     rho = _full_rank((2, 2), 11)
     eigensolves.clear()
     continuity_chain_audit(rho, 1)
-    assert len(eigensolves) == 4
+    assert len(eigensolves) == 2
     eigensolves.clear()
     f_bound_audit(rho, 1)
-    assert len(eigensolves) == 5
+    assert len(eigensolves) == 2
 
 
 def test_m2_search_never_loses_to_the_compass_search():
@@ -725,6 +746,16 @@ def test_env_eof_bound_rejects_equal_and_undefined_sites():
     vec[0] = 1.0
     with pytest.raises(UndefinedConsensusError, match="site 0 has ~zero entropy"):
         env_eof_bound_audit(PureState(vec, (2, 2, 2)), 0, 1)
+
+
+def test_env_eof_bound_needs_three_sites():
+    # E(i:j) <= H(i) - J(i|k) needs a third site k: on two sites it would read
+    # E = 1 <= 0 for a Bell pair, so the audit refuses the input.
+    envs = [bell_state()] + [random_pure_state((2, 2), 600 + seed) for seed in range(5)]
+    for env in envs:
+        with pytest.raises(ValueError, match="pairwise entanglement bound needs at least 3 sites"):
+            env_eof_bound_audit(env, 0, 1)
+    assert len(env_consensus(bell_state()).entropies) == 2
 
 
 def test_env_eof_bound_saturates_on_ghz():

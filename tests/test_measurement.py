@@ -243,7 +243,7 @@ def test_classical_correlations_tie_break_is_deterministic():
 
 def test_classical_correlations_reject_non_qubit_measured_side():
     rho = random_density_matrix((2, 3), 6, 55)
-    with pytest.raises(UnsupportedDimensionError):
+    with pytest.raises(UnsupportedDimensionError, match="J takes one measured qubit, with every"):
         classical_correlations(rho, 1)
 
 
