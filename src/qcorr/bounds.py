@@ -197,9 +197,7 @@ def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
     return make_audit("kw", eof, h_s - j.value, NUMERIC_SLACK, gap=abs(h_s - j.value - eof))
 
 
-def consensus_from_marginals(
-    h_s: float, sites, j_site, j_complement
-) -> ConsensusReport:
+def consensus_from_marginals(h_s: float, sites, j_site, j_complement) -> ConsensusReport:
     """Assemble a ConsensusReport from precomputed per-site quantities.
 
     J of the system against the whole environment is pinned to H(rho_S),
@@ -209,19 +207,22 @@ def consensus_from_marginals(
         raise UndefinedConsensusError(
             f"H(rho_S) = {h_s:.3e} <= {H_S_CUTOFF}; consensus parameters are undefined"
         )
+    sites = tuple(int(i) for i in sites)
     j_site = tuple(float(v) for v in j_site)
     j_complement = tuple(float(v) for v in j_complement)
+    if not sites or len(sites) != len(j_site):
+        raise ValueError(f"consensus needs one or more sites, one J each; got {sites}, {j_site}")
     delta_i = tuple(
         (h_s - min(js, jc)) / h_s for js, jc in zip(j_site, j_complement, strict=True)
     )
     return ConsensusReport(
         h_s=float(h_s),
         j_full=float(h_s),
-        sites=tuple(int(i) for i in sites),
+        sites=sites,
         j_site=j_site,
         j_complement=j_complement,
         delta_i=delta_i,
-        delta=float(np.mean(delta_i)),
+        delta=float(np.add.reduce(np.array(delta_i)) / len(delta_i)),  # np.mean's bits
     )
 
 

@@ -12,7 +12,8 @@ Three subcommands:
 
 Identical flags and seed give byte-identical CSV output. Every ``--out``
 file is accompanied by a ``<out>.manifest.json`` sidecar recording the
-resolved parameters, seed, version, and wall-clock duration.
+resolved parameters, seed, version, and wall-clock duration. `build_parser`
+builds the parser once per process, on first use; `main` only parses.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import json
 import sys
 import time
+from functools import lru_cache
 from math import floor, isfinite
 from pathlib import Path
 
@@ -303,6 +305,7 @@ def cmd_state(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcorr",

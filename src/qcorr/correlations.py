@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -246,6 +247,19 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kij->k", a.conj(), b).real
 
 
+@lru_cache(maxsize=None)
+def _roof_starts(rank: int) -> np.ndarray:
+    """Read-only start isometries (1 + _ROOF_RESTARTS, 2 rank, rank) of the roof search."""
+    shape = (2 * rank, rank)
+    rng = np.random.default_rng(_ROOF_SEED)
+    seeds = [np.eye(*shape) + 1e-3 * (rng.standard_normal(shape) * (1 + 1j))]
+    for _ in range(_ROOF_RESTARTS):
+        seeds.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    q = np.linalg.qr(np.stack(seeds))[0]
+    q.flags.writeable = False
+    return q
+
+
 def _roof_descent(q: np.ndarray, basis: np.ndarray, d_a: int, d_b: int) -> float:
     """Lowest value reached by a joint descent of a stack of isometries.
 
@@ -298,10 +312,11 @@ def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
     Riemannian gradient with Barzilai-Borwein steps and a QR retraction
     (Rothlisberger, Rehacek & Loss, PRA 80, 042301 (2009); Audenaert,
     Verstraete & De Moor, PRA 64, 052304 (2001)); after ten steps only the best
-    two go on. Every iterate is a valid decomposition, so the value never
-    undershoots the true roof. Of 400 seeded two-qubit states of rank 1-4
-    (``random_density_matrix((2, 2), 1 + k % 4, 1000 + k)``), 399 converged
-    within 2.2e-12 of `eof_two_qubit` (3.5e-13 below rank 4); the full-rank
+    two go on. The starts depend on the rank alone (`_roof_starts` builds them
+    once per rank and process). Every iterate is a valid decomposition, so the
+    value never undershoots the true roof. Of 400 seeded two-qubit states of
+    rank 1-4 (``random_density_matrix((2, 2), 1 + k % 4, 1000 + k)``), 399
+    converged within 2.2e-12 of `eof_two_qubit` (3.5e-13 below rank 4); the full-rank
     seed 1327 reached the 3000-step cap 3.6e-9 above it (1.9e-11 to 7.3e-8
     over the roof seeds 7-18). 16 of 60 seeded qubit-qutrit states of rank
     1-6, all of rank 4-6, reached the cap still descending: ten times as many
@@ -321,16 +336,7 @@ def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
     vals, vecs = np.linalg.eigh(rho.mat)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     rank = int(np.sum(vals > SUPPORT_CUTOFF))
-    m = 2 * rank
     # Columns sqrt(lambda_i)|e_i>; rows of Q @ basis.T are unnormalized members.
     basis = vecs[:, :rank] * np.sqrt(np.clip(vals[:rank], 0.0, None))
 
-    rng = np.random.default_rng(_ROOF_SEED)
-    seeds = []
-    eye_seed = np.zeros((m, rank), dtype=complex)
-    eye_seed[:rank, :rank] = np.eye(rank)
-    seeds.append(eye_seed + 1e-3 * (rng.standard_normal((m, rank)) * (1 + 1j)))
-    for _ in range(_ROOF_RESTARTS):
-        seeds.append(rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank)))
-    q = np.linalg.qr(np.stack(seeds))[0]
-    return max(0.0, _roof_descent(q, basis, d_a, d_b))
+    return max(0.0, _roof_descent(_roof_starts(rank), basis, d_a, d_b))

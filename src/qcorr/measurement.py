@@ -28,7 +28,8 @@ search reads the T_s blocks, as m2 always does.
 
 `sphere_search` minimizes either for a whole stack of states in one loop with
 fixed settings: one point per measurement axis of a _GRID x _GRID angle grid,
-_STARTS refined directions per state, each in its own pole-free chart, a step
+_STARTS refined directions per state, each in its grid point's pole-free chart
+(`_grid` builds the grid and charts once per process, on first use), a step
 tolerance of _TOL radians and at most _MAX_STEPS refinement steps. Each step
 probes a 3 x 3 stencil per direction and moves its centre by the Newton step of
 the stencil's central differences where that is a trusted descent step, or
@@ -138,15 +139,21 @@ def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
 
 
 @lru_cache(maxsize=None)
-def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only `angle_grid` points and their Bloch directions for a _GRID of ``size``."""
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only `angle_grid` points, their directions n and charts (rows n, e_phi, -e_theta)
+    for a _GRID of ``size``: a local unit vector times a chart is a world direction."""
     thetas = np.linspace(0.0, np.pi, size)[1 : size // 2]
     phis = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     points = np.vstack([[0.0, 0.0], np.column_stack([tt.ravel(), pp.ravel()])])
     n = _bloch_directions(points)
-    points.flags.writeable = n.flags.writeable = False
-    return points, n
+    theta, phi = points.T
+    ct = np.cos(theta)
+    e_phi = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
+    minus_e_theta = np.column_stack([-ct * np.cos(phi), -ct * np.sin(phi), np.sin(theta)])
+    charts = np.stack([n, e_phi, minus_e_theta], axis=1)
+    points.flags.writeable = n.flags.writeable = charts.flags.writeable = False
+    return points, n, charts
 
 
 def angle_grid() -> np.ndarray:
@@ -170,12 +177,12 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
 
     Every `angle_grid` point (one per axis) is evaluated for every state, in one
     objective call for the whole stack, and ranked (stable sort, so ties keep
-    grid order).
-    Each state's _STARTS best points become rows, and all rows are refined
-    together in (theta, phi) charts rotated per row, so that the row starts at
-    (pi/2, 0), far from its chart's poles. Each step probes a 3 x 3 stencil, a
-    centre c and the 8 points c + s (i, j) at the row's step length s, and moves
-    the row's best point to the stencil's lowest point if that is strictly lower.
+    grid order). Each state's _STARTS best points become rows, and all rows are
+    refined together, each in the (theta, phi) chart of its grid point (cached
+    read-only with the grid), where it starts at (pi/2, 0), far from the chart's
+    poles. Each step probes a 3 x 3 stencil, a centre c and the 8 points c + s
+    (i, j) at the row's step length s, and moves the row's best point to the
+    stencil's lowest point if that is strictly lower.
     The stencil's central differences give a gradient g and Hessian H; if H is
     positive definite and the Newton step delta = -H^-1 g reaches at most
     _TRUST s, the next centre is c + delta and the next step min(|delta|, s/8).
@@ -189,30 +196,22 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     after _MAX_STEPS steps. Rows of different states never meet, so each
     state's result and its counts are those of a search over that state alone.
     """
-    grid, n = _grid(_GRID)
+    _, n, charts = _grid(_GRID)
     values = objective(np.arange(states), np.broadcast_to(n, (states, *n.shape)))
     picked = np.argsort(values, axis=1, kind="stable")[:, :_STARTS].ravel()
     owner = np.repeat(np.arange(states), _STARTS)
-    # Row pairs (i < j) of one state. Their |n_i . n_j| come from batched
-    # 1x3 @ 3x1 matmuls, which round as the BLAS d @ d.T of one state's rows
-    # (an elementwise product-sum rounds differently).
-    first = _STARTS * np.arange(states)[:, None]
-    pi, pj = ((first + t).ravel() for t in np.triu_indices(_STARTS, 1))
     f = values[owner, picked]
-    # Each row's chart has rows n, e_phi and -e_theta at its start: a local unit
-    # vector times the chart is a world direction, and local (pi/2, 0) is the start.
-    theta, phi = grid[picked].T
-    ct = np.cos(theta)
-    chart = np.stack([
-        n[picked],
-        np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)]),
-        np.column_stack([-ct * np.cos(phi), -ct * np.sin(phi), np.sin(theta)]),
-    ], axis=1)
+    chart = charts[picked]  # each row starts at its chart's (pi/2, 0)
     x = np.tile([np.pi / 2, 0.0], (len(picked), 1))  # chart angles of each row's best point
     c = x.copy()  # chart angles of each row's stencil centre
     d = n[picked]  # world direction of each row's best point
     step = np.full(len(x), np.pi / (_GRID - 1))
     probes = np.zeros(len(x), dtype=int)  # stencil points evaluated per row
+    # Per-state views of the rows. |n_i . n_j| of a state's rows i < j are its Gram matrix's
+    # upper triangle, a BLAS d @ d.T (an elementwise product-sum rounds differently).
+    ds = d.reshape(states, _STARTS, 3)
+    fs, ss = f.reshape(states, _STARTS), step.reshape(states, _STARTS)
+    earlier = np.arange(_STARTS)[:, None] < np.arange(_STARTS)
     for _ in range(_MAX_STEPS):
         live = (step >= _TOL).nonzero()[0]
         if live.size == 0:
@@ -220,20 +219,19 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
         if live.size == len(step):
             live = slice(None)  # basic indexing: views instead of gathers
         s = step[live]
-        size = len(s)
         # The stencil's 3 thetas and 3 phis of each row (L, 2, 3): its point (i, j)
         # is (theta_i, phi_j), so 3 + 3 sines and cosines give its 9 directions.
         ang = c[live, :, None] + s[:, None, None] * _OFFSETS
         sin, cos = np.sin(ang), np.cos(ang)
-        local = np.empty((size, 3, 3, 3))
+        local = np.empty((len(s), 3, 3, 3))
         np.multiply(sin[:, 0, :, None], cos[:, 1, None, :], out=local[..., 0])
         np.multiply(sin[:, 0, :, None], sin[:, 1, None, :], out=local[..., 1])
         local[..., 2] = cos[:, 0, :, None]
-        n_trial = local.reshape(size, 9, 3) @ chart[live]
+        n_trial = local.reshape(len(s), 9, 3) @ chart[live]
         ft = objective(owner[live], n_trial)
         probes[live] += 9
         k = ft.argmin(axis=1)
-        best = ft[np.arange(size), k]
+        best = ft.min(axis=1)
         moved = best < f[live]
         movers = moved.nonzero()[0]
         if movers.size:
@@ -254,30 +252,21 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
         det = hxx * hyy - hxy**2
         convex = (hxx > 0.0) & (det > 0.0)
         den = np.where(convex, det, 1.0)
-        delta = np.empty((size, 2))
-        np.divide(hxy * gy - hyy * gx, den, out=delta[:, 0])
-        np.divide(hxy * gx - hxx * gy, den, out=delta[:, 1])
+        delta = np.column_stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / den[:, None]
         reach = np.hypot(delta[:, 0], delta[:, 1])
         newton = convex & (reach <= _TRUST)
         c[live] = np.where(newton[:, None], c[live] + s[:, None] * delta, x[live])
         compass = np.where(moved & (k != _CENTRE), s, s / _SHRINK)
         step[live] = np.where(newton, s * np.minimum(reach, 1.0 / _SHRINK), compass)
-        dots = np.abs(d[pi, None, :] @ d[pj, :, None])[:, 0, 0]
-        near = dots > np.cos(np.maximum(step[pi], step[pj]))
-        step[pj[near & (f[pi] <= f[pj])]] = 0.0
-    found = []
-    for lo in range(0, len(f), _STARTS):
-        rows = slice(lo, lo + _STARTS)
-        i = lo + int(np.argmin(f[rows]))  # the first of equal values: the best-ranked start
-        polar = np.arccos(np.clip(d[i, 2], -1.0, 1.0))
-        found.append(MeasurementOptimum(
-            angles=_canonical_angles(polar, np.arctan2(d[i, 1], d[i, 0])),
-            value=float(f[i]),
-            starts_used=_STARTS,
-            converged=bool(np.all(step[rows] < _TOL)),
-            evaluations=len(grid) + int(probes[rows].sum()),
-        ))
-    return found
+        near = np.abs(ds @ ds.transpose(0, 2, 1)) > np.cos(np.maximum(ss[:, :, None], ss[:, None]))
+        ss[(near & earlier & (fs[:, :, None] <= fs[:, None])).any(axis=1)] = 0.0
+    i = np.arange(0, len(f), _STARTS) + fs.argmin(axis=1)  # first of ties: best-ranked
+    polar, azimuth = np.arccos(np.clip(d[i, 2], -1.0, 1.0)), np.arctan2(d[i, 1], d[i, 0])
+    evaluations = len(n) + probes.reshape(states, _STARTS).sum(axis=1)
+    return [
+        MeasurementOptimum(float(v), _canonical_angles(t, p), _STARTS, bool(ok), int(e))
+        for v, t, p, ok, e in zip(f[i], polar, azimuth, (ss < _TOL).all(axis=1), evaluations)
+    ]
 
 
 def _pauli_blocks(tensors: np.ndarray) -> np.ndarray:
@@ -340,7 +329,8 @@ def _outcome_entropies(blocks: np.ndarray):
             b = (coef[rows, None, 0] + signs * (n @ coef[rows, 1:])) / 2.0
             r = np.sqrt(b[..., 1] ** 2 + b[..., 2] ** 2 + b[..., 3] ** 2)
             lo, hi = (b[..., 0] - r).clip(0.0, 1.0), (b[..., 0] + r).clip(0.0, 1.0)
-            return _xlog2x((lo + hi).clip(0.0, 1.0)), _xlog2x(lo) + _xlog2x(hi)
+            xlo, xhi, plogp = _xlog2x(np.stack([lo, hi, (lo + hi).clip(0.0, 1.0)]))
+            return plogp, xlo + xhi
 
     else:
         flat = blocks.reshape(len(blocks), 4, -1)

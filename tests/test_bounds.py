@@ -229,6 +229,18 @@ def test_consensus_from_marginals_pins_j_full_and_averages():
         consensus_from_marginals(0.0, (1,), (0.5,), (0.5,))
 
 
+def test_consensus_mean_is_np_mean_bit_for_bit_and_bad_sites_raise():
+    rng = np.random.default_rng(11)
+    for k in range(1, 21):
+        j_site, j_complement = rng.uniform(0.0, 0.9, (2, k))
+        report = consensus_from_marginals(0.9, range(1, k + 1), j_site, j_complement)
+        assert report.delta == float(np.mean(report.delta_i))
+    # No sites, or sites and J of different lengths, name the check.
+    for sites, j in (((), ()), ((1, 2), (0.1,))):
+        with pytest.raises(ValueError, match="one or more sites, one J each"):
+            consensus_from_marginals(0.5, sites, j, j)
+
+
 # ---------------------------------------------------------------------------
 # discord and entanglement bounds
 # ---------------------------------------------------------------------------

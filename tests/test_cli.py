@@ -23,7 +23,7 @@ from qcorr import (
     save_state,
     von_neumann_entropy,
 )
-from qcorr.cli import SUITES, main
+from qcorr.cli import SUITES, build_parser, main
 from qcorr.bounds import make_audit
 
 
@@ -45,6 +45,36 @@ def _werner_half() -> DensityMatrix:
 def test_version_flag_exits_cleanly(capsys):
     assert main(["--version"]) == 0
     assert "qcorr" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_without_carrying_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    fixture = tmp_path / "rho.json"
+    save_state(fixture, random_density_matrix((2, 2), 3, 7))
+    state = ["state", "--in", str(fixture), "--split", "0|1"]
+    sweep = ["sweep", "--n", "2,3", "--a-step", "0.25"]
+    runs = [
+        ("a", [*state, "--measure", "a"]),
+        ("b", state),  # no --measure: the default, b
+        (None, [*state, "--measure", "c"]),  # an argparse error
+        ("sweep", sweep),
+        ("a", [*state, "--measure", "a"]),
+        ("sweep", sweep),
+        ("b", state),
+    ]
+    first = {}
+    for key, argv in runs:
+        out = tmp_path / "out.csv"
+        out.unlink(missing_ok=True)
+        code = main([*argv, "--out", str(out)])
+        capsys.readouterr()
+        if key is None:
+            assert code == 2 and not out.exists()
+            continue
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        assert first.setdefault(key, text) == text
+    assert _read_csv(tmp_path / "out.csv")[1][-1] == "b"
 
 
 def test_unknown_suite_is_a_usage_error(tmp_path, capsys):

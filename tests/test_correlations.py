@@ -385,6 +385,15 @@ def test_convex_roof_reaches_below_the_pairwise_search_on_qubit_qutrit():
 def test_convex_roof_is_deterministic():
     rho = random_density_matrix((2, 2), 4, 1003)
     assert eof_convex_roof_numeric(rho) == eof_convex_roof_numeric(rho)
+    # The starts are built once per rank and shared: read-only, so no call can
+    # change what a later call of any rank starts from.
+    starts = correlations._roof_starts(2)
+    assert starts is correlations._roof_starts(2) and not starts.flags.writeable
+    correlations._roof_starts.cache_clear()
+    states = [random_density_matrix((2, 2), rank, 1000 + rank) for rank in (2, 3, 4)]
+    forward = [eof_convex_roof_numeric(rho) for rho in states]
+    backward = [eof_convex_roof_numeric(rho) for rho in states[::-1]]
+    assert forward == backward[::-1]
 
 
 def test_convex_roof_rejects_oversized_and_underparametrized_input():

@@ -301,6 +301,18 @@ def test_classical_correlations_dominate_dense_definition_grid():
             assert best.value >= dense - 1e-12
 
 
+def test_grid_charts_are_read_only_frames_of_their_points():
+    points, n, charts = measurement._grid(measurement._GRID)
+    assert measurement._grid(measurement._GRID)[2] is charts
+    assert not any(a.flags.writeable for a in (points, n, charts))
+    assert charts.shape == (len(points), 3, 3)
+    # Orthonormal and right-handed, and a chart's first row is its grid direction.
+    eye = np.broadcast_to(np.eye(3), charts.shape)
+    assert_allclose(charts @ charts.transpose(0, 2, 1), eye, atol=1e-15)
+    assert_allclose(np.linalg.det(charts), 1.0, atol=1e-15)
+    assert np.array_equal(charts[:, 0], measurement._bloch_directions(points))
+
+
 def test_angle_grid_holds_one_point_per_axis_of_the_full_grid():
     grid = measurement.angle_grid()
     assert grid.shape == (265, 2)
