@@ -359,8 +359,9 @@ class _PinchEvaluator:
     ``what`` and runs before the search, and H(rho); one `_classical_stack`
     search then gives J's optimum ``best`` and ``h_rest``. Its `_measured_last`
     view gives the Pauli blocks T_s, whose `_outcome_entropies` give every
-    pinched entropy, rho_F's Bloch vector ``bloch`` (r_s = tr T_s), and the
-    spectrum ``lam_f`` of rho_F, which gives H(rho_F).
+    pinched entropy, and rho_F's Bloch vector ``bloch`` (r_s = tr T_s), which
+    gives the spectrum ``lam_f`` = ((1 - |r|)/2, (1 + |r|)/2) of rho_F and so
+    H(rho_F).
     """
 
     def __init__(self, rho: DensityMatrix, measured: int, what: str):
@@ -371,7 +372,8 @@ class _PinchEvaluator:
         blocks = _pauli_blocks(tensor[None])
         self.entropies = _outcome_entropies(blocks)
         self.bloch = np.trace(blocks[0, 1:], axis1=1, axis2=2).real
-        self.lam_f = np.linalg.eigvalsh(np.trace(tensor, axis1=0, axis2=2))
+        r = np.linalg.norm(self.bloch)
+        self.lam_f = np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
         self.h_full = float(-_xlog2x_sum(lam))
         self.h_f = float(-_xlog2x_sum(self.lam_f))
 
@@ -409,7 +411,8 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     ev = _PinchEvaluator(rho, measured, "continuity audit")
     discord = ev.h_rest + ev.h_f - ev.h_full - ev.best.value
 
-    m2_best = sphere_search(lambda rows, n: ev(rows, n)[0], 1)[0]
+    # m2's objective reads the d_rest x d_rest Pauli blocks T_s.
+    m2_best = sphere_search(lambda rows, n: ev(rows, n)[0], 1, rho.dim // 2)[0]
     n = np.vstack([_direction(ev.best.angles), _direction(m2_best.angles)])
     r_full, r_marg = ev(np.array([0]), n[None])
     m1 = float(np.min(r_full - r_marg))

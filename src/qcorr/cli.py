@@ -168,19 +168,19 @@ def _write_outputs(args, command: str, params: dict, header, rows, started: floa
             writer.writerows(rows)
         for path, text in extra:
             Path(path).write_text(text, encoding="utf-8")
+        manifest = {
+            "command": command,
+            "parameters": {**params, "out": str(args.out)},
+            "seed": args.seed,
+            "version": __version__,
+            "duration_seconds": round(time.perf_counter() - started, 6),
+        }
+        Path(str(args.out) + ".manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
-    manifest = {
-        "command": command,
-        "parameters": {**params, "out": str(args.out)},
-        "seed": args.seed,
-        "version": __version__,
-        "duration_seconds": round(time.perf_counter() - started, 6),
-    }
-    Path(str(args.out) + ".manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     return 0
 
 

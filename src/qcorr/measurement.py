@@ -27,15 +27,17 @@ states of rank r < d_rest, J moved by at most 8.4e-15. Where k = d_rest the
 search reads the T_s blocks, as m2 always does.
 
 `sphere_search` minimizes either for a whole stack of states in one loop with
-fixed settings: one point per measurement axis of a _GRID x _GRID angle grid,
-_STARTS refined directions per state, each in its grid point's pole-free chart
-(`_grid` builds the grid and charts once per process, on first use), a step
-tolerance of _TOL radians and at most _MAX_STEPS refinement steps. Each step
-probes a 3 x 3 stencil per direction and moves its centre by the Newton step of
-the stencil's central differences where that is a trusted descent step, or
-else takes a compass step. Over 2700 seeded states with 2 to 8 unmeasured
-dimensions, the median J takes 6 objective calls after the grid pass and 409
-evaluated directions in all.
+fixed settings: one point per measurement axis of an angle grid sized to the
+outcome-block kernel (_GRID x _GRID for the closed-form k = 2 blocks, _EIG_GRID x
+_EIG_GRID where each point costs an eigensolve), _STARTS refined directions per
+state, each in its grid point's pole-free chart (`_grid` builds a grid and its
+charts once per process, on first use), a step tolerance of _TOL radians and at
+most _MAX_STEPS refinement steps. Each step probes a 3 x 3 stencil per direction
+and moves its centre by the Newton step of the stencil's central differences
+where that is a trusted descent step, or else takes a compass step, which
+doubles after a strict move. Over the 4074 seeded states of `tools/j_probe.py`
+(42 seeds), the median J takes 5 objective calls after the grid pass; the median
+search evaluates 400 directions on k = 2 blocks and 196 on larger ones.
 """
 
 from __future__ import annotations
@@ -60,9 +62,16 @@ _SHRINK = 8.0
 # Longest Newton step taken, in units of the step length.
 _TRUST = 2.0
 # `sphere_search` settings, read at call time: grid points per angle (even, so the
-# full grid is closed under n -> -n), directions refined, step (radians) below
+# full grid is closed under n -> -n) for the closed-form k = 2 kernel and for the
+# eigensolver kernel of larger blocks, directions refined, step (radians) below
 # which a start has converged, and the cap on refinement steps.
 _GRID = 24
+# A grid point of a k > 2 block costs an eigensolve, as does each of the 9 points
+# of a refine step per start. On the 2646 k > 2 states of a 42-seed
+# `tools/j_probe.py` run, 12 points (61 directions, first step pi/11) evaluated
+# 50% fewer directions than 24 (265, pi/23), and J dropped by at most 5.8e-15.
+# With 12 for k = 2, the extra refine steps cost more than the grid points saved.
+_EIG_GRID = 12
 _STARTS = 5
 _TOL = 1e-8
 _MAX_STEPS = 400
@@ -156,26 +165,35 @@ def _grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return points, n, charts
 
 
-def angle_grid() -> np.ndarray:
-    """(1 + (_GRID/2 - 1) * _GRID, 2) read-only array of (theta, phi) points, one per
-    measurement axis, computed once per _GRID value.
+def angle_grid(k: int = 2) -> np.ndarray:
+    """Read-only array of the (theta, phi) points, one per measurement axis, that
+    `sphere_search` ranks for k x k outcome blocks: (1 + (g/2 - 1) g, 2) for a grid
+    of g = _GRID points per angle where k = 2 (265 points), and g = _EIG_GRID where
+    k > 2 (61 points), computed once per g.
 
     The full grid (theta over [0, pi] inclusive, phi over [0, 2*pi) without the
     endpoint) is closed under n -> -n, which is one measurement, and its pole rows
     repeat one point. This keeps the pole once and the theta rows inside the upper
     hemisphere: every full-grid direction is +- exactly one of these points.
     """
-    return _grid(_GRID)[0]
+    return _grid(_grid_size(k))[0]
 
 
-def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
+def _grid_size(k: int) -> int:
+    """Grid points per angle for k x k outcome blocks: a k = 2 block's closed-form
+    spectrum is cheap next to a refine step, a larger block's eigvalsh is not."""
+    return _GRID if k == 2 else _EIG_GRID
+
+
+def sphere_search(objective, states: int, k: int) -> list[MeasurementOptimum]:
     """Minimize a stack of ``states`` objectives on the Bloch sphere, one search each.
 
     ``objective(rows, n)`` maps the state index of each of K rows (K,) and each
     row's unit vectors n (K, G, 3) to that state's values (K, G); every state's
-    objective is equal at n and -n.
+    objective is equal at n and -n. ``k`` is the size of the outcome blocks the
+    objective reads: it picks the grid, and so the first step pi / (g - 1).
 
-    Every `angle_grid` point (one per axis) is evaluated for every state, in one
+    Every `angle_grid(k)` point (one per axis) is evaluated for every state, in one
     objective call for the whole stack, and ranked (stable sort, so ties keep
     grid order). Each state's _STARTS best points become rows, and all rows are
     refined together, each in the (theta, phi) chart of its grid point (cached
@@ -187,16 +205,18 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     positive definite and the Newton step delta = -H^-1 g reaches at most
     _TRUST s, the next centre is c + delta and the next step min(|delta|, s/8).
     Otherwise the step is a compass step: the next centre is the row's best
-    point, and the step is kept after a strict move to a neighbour and divided
-    by 8 otherwise, so a flat or indefinite objective is searched as by a plain
-    compass. After each step a row is retired (its step set to 0) when it lies
-    within max(step_i, step_j) of an earlier row j of the same state up to
-    sign, |n_i . n_j| > cos(max(step_i, step_j)), and is no better than it,
-    f_i >= f_j. A row has converged once its step is below _TOL; the loop stops
+    point, and the step is doubled, up to the first step, after a strict move
+    to a neighbour and divided by 8 otherwise, so a flat or indefinite
+    objective is searched as by a plain compass and a long valley is walked at
+    a growing step. After each step a row is retired (its step set to 0) when
+    it lies within max(step_i, step_j) of an earlier row j of the same state
+    up to sign, |n_i . n_j| > cos(max(step_i, step_j)), and is no better than
+    it, f_i >= f_j. A row has converged once its step is below _TOL; the loop stops
     after _MAX_STEPS steps. Rows of different states never meet, so each
     state's result and its counts are those of a search over that state alone.
     """
-    _, n, charts = _grid(_GRID)
+    size = _grid_size(k)
+    _, n, charts = _grid(size)
     values = objective(np.arange(states), np.broadcast_to(n, (states, *n.shape)))
     picked = np.argsort(values, axis=1, kind="stable")[:, :_STARTS].ravel()
     owner = np.repeat(np.arange(states), _STARTS)
@@ -205,7 +225,8 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
     x = np.tile([np.pi / 2, 0.0], (len(picked), 1))  # chart angles of each row's best point
     c = x.copy()  # chart angles of each row's stencil centre
     d = n[picked]  # world direction of each row's best point
-    step = np.full(len(x), np.pi / (_GRID - 1))
+    first = np.pi / (size - 1)
+    step = np.full(len(x), first)
     probes = np.zeros(len(x), dtype=int)  # stencil points evaluated per row
     # Per-state views of the rows. |n_i . n_j| of a state's rows i < j are its Gram matrix's
     # upper triangle, a BLAS d @ d.T (an elementwise product-sum rounds differently).
@@ -230,16 +251,16 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
         n_trial = local.reshape(len(s), 9, 3) @ chart[live]
         ft = objective(owner[live], n_trial)
         probes[live] += 9
-        k = ft.argmin(axis=1)
+        low = ft.argmin(axis=1)  # each row's lowest stencil point
         best = ft.min(axis=1)
         moved = best < f[live]
         movers = moved.nonzero()[0]
         if movers.size:
             at = movers if isinstance(live, slice) else live[movers]
-            i, j = np.divmod(k[movers], 3)
+            i, j = np.divmod(low[movers], 3)
             x[at, 0] = ang[movers, 0, i]
             x[at, 1] = ang[movers, 1, j]
-            d[at] = n_trial[movers, k[movers]]
+            d[at] = n_trial[movers, low[movers]]
             f[at] = best[movers]
         # Central differences in units of the step: gradient (gx, gy) and Hessian
         # [[hxx, hxy], [hxy, hyy]]. Where the Hessian is positive definite, the
@@ -256,7 +277,7 @@ def sphere_search(objective, states: int) -> list[MeasurementOptimum]:
         reach = np.hypot(delta[:, 0], delta[:, 1])
         newton = convex & (reach <= _TRUST)
         c[live] = np.where(newton[:, None], c[live] + s[:, None] * delta, x[live])
-        compass = np.where(moved & (k != _CENTRE), s, s / _SHRINK)
+        compass = np.where(moved & (low != _CENTRE), np.minimum(2.0 * s, first), s / _SHRINK)
         step[live] = np.where(newton, s * np.minimum(reach, 1.0 / _SHRINK), compass)
         near = np.abs(ds @ ds.transpose(0, 2, 1)) > np.cos(np.maximum(ss[:, :, None], ss[:, None]))
         ss[(near & earlier & (fs[:, :, None] <= fs[:, None])).any(axis=1)] = 0.0
@@ -394,7 +415,7 @@ def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, Measur
     for k in sorted(set(sizes)):
         idx = [i for i, size in enumerate(sizes) if size == k]
         objective = _conditional_entropy(_outcome_blocks(tensors[idx], k))
-        for i, best in zip(idx, sphere_search(objective, len(idx))):
+        for i, best in zip(idx, sphere_search(objective, len(idx), k)):
             found[i] = best
     if h_rest is None:
         h_rest = [_group_entropy(t, 0) for t in tensors]

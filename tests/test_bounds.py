@@ -529,18 +529,18 @@ def test_continuity_chain_pinches_only_the_audited_directions(eigensolves, dims,
 
 
 def test_continuity_and_f_bound_form_the_spectrum_of_rho_once(eigensolves):
-    # The validated spectrum of rho gives the full-rank check and H(rho); H(rho_F)
-    # and J's H(rest), which D reads too, take 2. On 2x2 the outcome blocks are
-    # 2x2, whose closed-form spectra give every pinched entropy, and the f bound
-    # reads the trace distance and the pinched smallest eigenvalue from rho_F's
-    # Bloch vector: 2 each.
+    # The validated spectrum of rho gives the full-rank check and H(rho); J's
+    # H(rest), which D reads too, takes 1. On 2x2 the outcome blocks are 2x2, whose
+    # closed-form spectra give every pinched entropy, and rho_F's Bloch vector r
+    # gives its spectrum (1 -+ |r|)/2, the f bound's trace distance and the pinched
+    # smallest eigenvalue: 1 each.
     rho = _full_rank((2, 2), 11)
     eigensolves.clear()
     continuity_chain_audit(rho, 1)
-    assert len(eigensolves) == 2
+    assert len(eigensolves) == 1
     eigensolves.clear()
     f_bound_audit(rho, 1)
-    assert len(eigensolves) == 2
+    assert len(eigensolves) == 1
 
 
 def test_m2_search_never_loses_to_the_compass_search():

@@ -142,6 +142,20 @@ def test_sweep_and_audit_name_bad_sizes_and_unwritable_outputs(tmp_path, capsys)
         assert "error: cannot write output" in capsys.readouterr().err
 
 
+def test_an_unwritable_manifest_is_an_output_error(tmp_path, capsys):
+    # With the manifest path a directory, the manifest write fails after the CSV
+    # is written: exit 2 with the path named, not a traceback, and for audit not
+    # the 1 that means "audits violated".
+    out = tmp_path / "o.csv"
+    (tmp_path / "o.csv.manifest.json").mkdir()
+    for argv in (["sweep", "--n", "2", "--a-step", "0.5", "--out", str(out)],
+                 ["audit", "--suite", "remark", "--trials", "1", "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ")
+        assert str(tmp_path / "o.csv.manifest.json") in err
+
+
 def test_sweep_writes_manifest_sidecar(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--n", "2", "--a-step", "1", "--seed", "9", "--out", str(out)]) == 0

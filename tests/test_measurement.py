@@ -314,20 +314,22 @@ def test_grid_charts_are_read_only_frames_of_their_points():
 
 
 def test_angle_grid_holds_one_point_per_axis_of_the_full_grid():
-    grid = measurement.angle_grid()
-    assert grid.shape == (265, 2)
-    n = measurement._bloch_directions(grid)
-    dots = np.abs(n @ n.T)
-    np.fill_diagonal(dots, 0.0)
-    assert dots.max() < 1.0 - 1e-9
-    thetas = np.linspace(0.0, np.pi, 24)
-    phis = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
-    full = measurement._bloch_directions(np.array([(t, p) for t in thetas for p in phis]))
-    gap = np.minimum(
-        np.abs(full[:, None] - n[None]).max(axis=-1),
-        np.abs(full[:, None] + n[None]).max(axis=-1),
-    )
-    assert gap.min(axis=1).max() < 1e-12
+    # k = 2 blocks start from the 24-point grid, larger blocks from the 12-point one.
+    for k, size, points in ((2, 24, 265), (3, 12, 61), (8, 12, 61)):
+        grid = measurement.angle_grid(k)
+        assert grid.shape == (points, 2)
+        n = measurement._bloch_directions(grid)
+        dots = np.abs(n @ n.T)
+        np.fill_diagonal(dots, 0.0)
+        assert dots.max() < 1.0 - 1e-9
+        thetas = np.linspace(0.0, np.pi, size)
+        phis = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+        full = measurement._bloch_directions(np.array([(t, p) for t in thetas for p in phis]))
+        gap = np.minimum(
+            np.abs(full[:, None] - n[None]).max(axis=-1),
+            np.abs(full[:, None] + n[None]).max(axis=-1),
+        )
+        assert gap.min(axis=1).max() < 1e-12
 
 
 def test_search_converges_on_an_optimum_near_a_pole():
@@ -424,15 +426,15 @@ def test_newton_steps_refine_a_search_in_few_objective_calls(monkeypatch):
     # The path of the current search on each: evaluated directions and J.
     pinned = {
         ((2, 2), 1): (625, 0.559929430579508), ((2, 2), 2): (445, 0.6837409568976904),
-        ((2, 2), 3): (364, 0.24782365645463178), ((2, 2), 4): (382, 0.29060860620479323),
+        ((2, 2), 3): (355, 0.24782365645463178), ((2, 2), 4): (382, 0.29060860620479323),
         ((2, 3), 1): (625, 0.8864900756082038), ((2, 3), 2): (409, 0.5848155704677769),
-        ((2, 3), 4): (391, 0.4121198203412274), ((2, 3), 6): (409, 0.29902775667077286),
+        ((2, 3), 4): (169, 0.4121198203412282), ((2, 3), 6): (223, 0.2990277566707735),
         ((2, 2, 2), 1): (625, 0.7330437980298299), ((2, 2, 2), 2): (400, 0.7069650817322524),
-        ((2, 2, 2), 5): (355, 0.36000748622375833), ((2, 2, 2), 8): (418, 0.262491115678644),
+        ((2, 2, 2), 5): (151, 0.360007486223759), ((2, 2, 2), 8): (205, 0.2624911156786436),
         ((2, 2, 2, 2), 1): (625, 0.7928617886983936),
         ((2, 2, 2, 2), 2): (409, 0.8131482173282865),
-        ((2, 2, 2, 2), 9): (418, 0.365003623114212),
-        ((2, 2, 2, 2), 16): (382, 0.23534897342825722),
+        ((2, 2, 2, 2), 9): (259, 0.365003623114212),
+        ((2, 2, 2, 2), 16): (196, 0.23534897342825634),
     }
     measured = {(2, 2): 1, (2, 3): 0, (2, 2, 2): 2, (2, 2, 2, 2): 3}
     calls = []
@@ -463,16 +465,50 @@ def test_stacked_environment_search_keeps_its_path(monkeypatch):
     monkeypatch.setattr(bounds, "_classical_stack", recording)
     bounds.env_consensus(random_pure_state((2, 2, 2, 2), 7))
     pinned = [
-        (400, 0.12421284932095178), (454, 0.10717875001071508), (391, 0.28101296898547296),
+        (382, 0.12421284932095178), (454, 0.10717875001071508), (391, 0.28101296898547296),
         (400, 0.270668755319862), (436, 0.09238773707466708), (400, 0.10080870865272917),
-        (418, 0.20832082601817503), (355, 0.21682444611378848), (409, 0.32867737528107993),
-        (382, 0.34473364755266234), (373, 0.21431909380765313), (364, 0.20580230122988818),
+        (418, 0.20832082601817503), (355, 0.21682444611378782), (409, 0.32867737528107993),
+        (382, 0.34473364755266234), (355, 0.21431909380765313), (364, 0.20580230122988818),
     ]
     assert len(found) == len(pinned)
     for best, (evaluations, value) in zip(found, pinned):
         assert best.converged
         assert best.evaluations == evaluations
         assert abs(best.value - value) <= 1e-15
+
+
+def test_compass_steps_grow_back_on_a_long_valley(monkeypatch):
+    # The last live start of this search ran alone for 53 steps at one step
+    # length while its Newton reach stayed above _TRUST: 65 objective calls after
+    # the grid pass (median 6). A compass step that doubles after each strict
+    # move to a neighbour ends it in 9, at the same J.
+    batches = _counting_objective(monkeypatch)
+    best = classical_correlations(random_density_matrix((2, 2, 2, 2), 8, 5616), 3)
+    assert best.converged
+    assert len(batches) - 1 <= 12
+    assert best.value >= 0.363083134449819 - 1e-12
+    # The 12 pairwise searches of this environment took 220 objective calls.
+    batches.clear()
+    bounds.env_consensus(random_pure_state((2, 2, 2, 2), 5180996142735719460))
+    assert len(batches) <= 45
+
+
+@pytest.mark.parametrize("dims, rank, measured", [((2, 2, 2), 3, 2), ((2, 2, 2), 8, 2),
+                                                  ((2, 2, 2, 2), 16, 3)])
+def test_eigensolver_blocks_start_from_the_small_grid(monkeypatch, dims, rank, measured):
+    # Blocks of k = 3, 4 and 8 start from the 61 directions of the _EIG_GRID,
+    # and reach the J of the same search started from the 265 of a 24-point grid.
+    batches = _counting_objective(monkeypatch)
+    rho = random_density_matrix(dims, rank, 1500 + rank)
+    assert measurement._block_size(rho) == min(rank, int(np.prod(dims)) // 2)
+    best = classical_correlations(rho, measured)
+    assert batches[0] == (1, 61) == (1, len(measurement.angle_grid(measurement._block_size(rho))))
+    assert best.converged
+    batches.clear()
+    monkeypatch.setattr(measurement, "_EIG_GRID", 24)
+    dense = classical_correlations(rho, measured)
+    assert batches[0] == (1, 265)
+    assert abs(best.value - dense.value) <= 1e-12
 
 
 def test_stacked_search_keeps_states_independent():
@@ -554,7 +590,7 @@ def test_stacked_search_memory_grows_linearly_with_the_stack():
     states = 400
     tracemalloc.start()
     try:
-        found = measurement.sphere_search(objective, states)
+        found = measurement.sphere_search(objective, states, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
