@@ -12,9 +12,7 @@ quantifiers to bipartite discord and entanglement of formation:
 * a conservation identity connecting the two entanglements and the two
   discords of a three-qubit pure state;
 * the continuity chain bounding discord by minimized relative entropies of
-  pinched states; by the projective-pinching identity
-  H(rho || rho_P) = H(rho_P) - H(rho), each of them is read from the pinched
-  spectra of J's outcome-block kernel;
+  pinched states;
 * a spectral upper bound on relative entropy from the trace distance and
   the smallest eigenvalues of the two states;
 * environment-internal consensus over pairwise classical correlations and
@@ -31,9 +29,10 @@ D, or J with E, of a marginal come from the stacked form of
 each marginal once, searches all sites together and reads H(rho_S) from the
 records; the conservation audit stacks its two marginals the same way.
 Environment consensus passes its site entropies as each pairwise search's
-H(rest), the trade-off audit reads H(rho_S) as its complement search's H(rest),
-and the continuity and f-bound audits read J, H(rest), H(rho), H(rho_F) and
-every pinched entropy from `_PinchEvaluator`, which builds no pinched matrix.
+H(rest), and the trade-off audit reads H(rho_S) as its complement search's
+H(rest). The continuity and f-bound audits read J, H(rest), H(rho), H(rho_F),
+every pinched entropy and m2 from `measurement._Pinching`, which owns J's
+outcome-block kernel and builds no pinched matrix.
 """
 
 from __future__ import annotations
@@ -43,10 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    SUPPORT_CUTOFF,
     DensityMatrix,
     PureState,
-    _xlog2x_sum,
     partial_trace,
     reduced_density_matrix,
     relative_entropy,
@@ -60,14 +57,7 @@ from .correlations import (
     eof_two_qubit,
     quantum_discord,
 )
-from .measurement import (
-    UnsupportedDimensionError,
-    _classical_stack,
-    _direction,
-    _outcome_entropies,
-    _pauli_blocks,
-    sphere_search,
-)
+from .measurement import UnsupportedDimensionError, _classical_stack, _Pinching
 
 H_S_CUTOFF = 1e-9
 OPTIMIZATION_SLACK = 2e-3
@@ -351,49 +341,6 @@ def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
     return make_audit("fanchini", abs(lhs_sum - rhs_sum), 0.0, NUMERIC_SLACK, **terms)
 
 
-class _PinchEvaluator:
-    """J of a full-rank state, and its relative entropies to its pinchings along
-    stacks of Bloch directions, from J's outcome-block kernel.
-
-    The validated spectrum of rho gives the full-rank check, which names
-    ``what`` and runs before the search, and H(rho); one `_classical_stack`
-    search then gives J's optimum ``best`` and ``h_rest``. Its `_measured_last`
-    view gives the Pauli blocks T_s, whose `_outcome_entropies` give every
-    pinched entropy, and rho_F's Bloch vector ``bloch`` (r_s = tr T_s), which
-    gives the spectrum ``lam_f`` = ((1 - |r|)/2, (1 + |r|)/2) of rho_F and so
-    H(rho_F).
-    """
-
-    def __init__(self, rho: DensityMatrix, measured: int, what: str):
-        lam = rho.spectrum
-        if lam[0] <= SUPPORT_CUTOFF:
-            raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
-        [(tensor, self.h_rest, self.best)] = _classical_stack([(rho, measured)])
-        blocks = _pauli_blocks(tensor[None])
-        self.entropies = _outcome_entropies(blocks)
-        self.bloch = np.trace(blocks[0, 1:], axis1=1, axis2=2).real
-        r = np.linalg.norm(self.bloch)
-        self.lam_f = np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
-        self.h_full = float(-_xlog2x_sum(lam))
-        self.h_f = float(-_xlog2x_sum(self.lam_f))
-
-    def __call__(self, rows, n):
-        """(H(rho||rho_P), H(rho_F||rho_F,P)) for the pinching P of the measured qubit
-        along each direction, for rows (K,) of zeros and n (K, G, 3), as two (K, G)
-        arrays. rho_P is B(+n) (+) B(-n) and rho_F,P is diag(p_+, p_-) with p_+- =
-        tr B(+-n), so H(rho||rho_P) = -sum lambda log2 lambda - H(rho) over the
-        blocks' eigenvalues and H(rho_F||rho_F,P) = -sum p log2 p - H(rho_F)."""
-        plogp, spectral = self.entropies(rows, n)
-        return -spectral.sum(axis=0) - self.h_full, -plogp.sum(axis=0) - self.h_f
-
-    def marginal_pinching(self, n: np.ndarray) -> tuple[float, float]:
-        """Trace distance |r x n| / 2 between rho_F and its pinching along the
-        direction ``n`` (3,), and the pinching's smallest eigenvalue
-        (1 - |r . n|) / 2, with r the Bloch vector of rho_F."""
-        distance = np.linalg.norm(np.cross(self.bloch, n)) / 2.0
-        return float(distance), float((1.0 - abs(n @ self.bloch)) / 2.0)
-
-
 def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     """Audit the discord continuity chain D <= m1 <= m2 on a full-rank state.
 
@@ -405,21 +352,16 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     structural. D - m1 is then rounding unless m2's minimizer beats J's argmax,
     i.e. unless the J search fell short, so the audit allows only
     ``NUMERIC_SLACK``. m2 is searched, and m1 read at the two audited
-    directions, on J's outcome-block kernel (`_PinchEvaluator`); ``extras``
+    directions, on J's outcome-block kernel (`measurement._Pinching`); ``extras``
     holds m2 and J.
     """
-    ev = _PinchEvaluator(rho, measured, "continuity audit")
-    discord = ev.h_rest + ev.h_f - ev.h_full - ev.best.value
-
-    # m2's objective reads the d_rest x d_rest Pauli blocks T_s.
-    m2_best = sphere_search(lambda rows, n: ev(rows, n)[0], 1, rho.dim // 2)[0]
-    n = np.vstack([_direction(ev.best.angles), _direction(m2_best.angles)])
-    r_full, r_marg = ev(np.array([0]), n[None])
+    pinching = _Pinching(rho, measured, "continuity audit")
+    j = pinching.best.value
+    discord = pinching.h_rest + pinching.h_f - pinching.h_full - j
+    m2, n_m2 = pinching.m2()
+    r_full, r_marg = pinching.relative_entropies(np.vstack([pinching.n_best, n_m2]))
     m1 = float(np.min(r_full - r_marg))
-
-    return make_audit(
-        "continuity", discord, m1, NUMERIC_SLACK, m2=m2_best.value, classical=ev.best.value
-    )
+    return make_audit("continuity", discord, m1, NUMERIC_SLACK, m2=m2, classical=j)
 
 
 def relative_entropy_upper_bound(x: DensityMatrix, y: DensityMatrix) -> float:
@@ -459,18 +401,15 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     eps = H(rho||rho_P~) - H(rho_F||rho_F,P~) is the continuity gap at P~ and
     f is the spectral relative-entropy bound evaluated on the measured
     marginal, so the audit closes the loop between the two. Both relative
-    entropies come from J's outcome-block kernel at P~ (`_PinchEvaluator`);
-    f reads the trace distance |r x n| / 2 between rho_F and its pinching and
-    the pinching's smallest eigenvalue (1 - |r . n|) / 2 from rho_F's Bloch
-    vector r and P~'s direction n, and rho_F's smallest eigenvalue from its
-    spectrum.
+    entropies, and f's trace distance and smallest eigenvalues, come from
+    `measurement._Pinching` at P~.
     """
-    ev = _PinchEvaluator(rho, measured, "f-function audit")
-    n = _direction(ev.best.angles)
-    r_full, r_marg = (float(v[0, 0]) for v in ev(np.array([0]), n[None]))
+    pinching = _Pinching(rho, measured, "f-function audit")
+    n = pinching.n_best
+    r_full, r_marg = (float(v[0]) for v in pinching.relative_entropies(n[None]))
     eps = r_full - r_marg
-    distance, lmin = ev.marginal_pinching(n[0])
-    f_val = _relative_entropy_bound_spectral(distance, ev.lam_f[0], lmin)
+    distance, lmin = pinching.marginal_pinching(n)
+    f_val = _relative_entropy_bound_spectral(distance, pinching.lam_f[0], lmin)
     return make_audit("f-bound", r_full, eps + f_val, NUMERIC_SLACK, eps=eps, f=f_val)
 
 
@@ -529,7 +468,8 @@ def env_eof_bound_audit(
     The bound comes from the trade-off E(i:j) <= H(i) - J(i|k) against a third
     site k, so the environment needs at least 3 sites. Pass a precomputed
     ``report`` to amortize the pairwise J searches and the pair EoFs, which it
-    holds, when auditing many pairs of the same state.
+    holds, when auditing many pairs of the same state; it must be this
+    environment's `env_consensus` report.
     """
     if isinstance(env, DensityMatrix):
         raise ValueError(
@@ -547,6 +487,11 @@ def env_eof_bound_audit(
     if i == j:
         raise ValueError("need two distinct sites")
     report = report or env_consensus(env)
+    if len(report.entropies) != len(env.dims):
+        raise ValueError(
+            f"report covers {len(report.entropies)} sites, the environment has "
+            f"{len(env.dims)}: pass this environment's env_consensus report"
+        )
     if not report.defined[i]:
         raise UndefinedConsensusError(f"site {i} has ~zero entropy; bound undefined")
     return make_audit(

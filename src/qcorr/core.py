@@ -48,7 +48,7 @@ class DensityMatrix:
 
     Keeps the ascending ``spectrum`` of ``mat`` that its PSD check computes, so
     the entropy and the rank of a validated state cost no further eigensolve.
-    ``mat`` is a read-only copy of the input, so the spectrum cannot go stale.
+    ``mat``, a copy of the input, and ``spectrum`` are read-only, so neither goes stale.
     """
 
     mat: np.ndarray
@@ -71,6 +71,7 @@ class DensityMatrix:
         if tr_err > TRACE_TOL:
             raise ValueError(f"trace differs from 1 by {tr_err:.3e}")
         spectrum = np.linalg.eigvalsh(mat)
+        spectrum.flags.writeable = False
         object.__setattr__(self, "spectrum", spectrum)
         lam_min = float(spectrum[0])
         if lam_min < -PSD_TOL:
@@ -83,13 +84,14 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex vector with a subsystem dimension list."""
+    """Normalized complex vector with a subsystem dimension list; ``vec`` is a read-only copy."""
 
     vec: np.ndarray
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        vec = np.asarray(self.vec, dtype=complex).reshape(-1)
+        vec = np.array(self.vec, dtype=complex).reshape(-1)
+        vec.flags.writeable = False
         _check_finite(vec)
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", _as_dims(self.dims))

@@ -10,8 +10,10 @@ measurement on side B the post-measurement mutual information reduces to
 
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho],
 whose direct sum is the pinching of B along n: the entropy terms of their
-spectra (`_outcome_entropies`) give J's objective and every pinched entropy
-of the continuity and f-bound audits in `bounds`.
+spectra (`_outcome_entropies`) give J's objective and, through `_Pinching`,
+every pinched entropy and m2 of the continuity and f-bound audits in `bounds`;
+`_classical_stack` searches any mix of states, one stack per (unmeasured
+dimension, block size).
 A state of rank r < d_rest = dim(A) has smaller blocks with the same nonzero
 spectra: with rho = Psi Psi^dag, Psi = V sqrt(Lambda) (2 d_rest x r), the block
 of outcome +-n has the nonzero spectrum of (G_0 +- n.G)/2, G_s = Psi^dag (1 x
@@ -47,7 +49,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DensityMatrix, _group_entropy, _grouped_view, _xlog2x, _xlog2x_sum
+from .core import (
+    SUPPORT_CUTOFF,
+    DensityMatrix,
+    _group_entropy,
+    _grouped_view,
+    _xlog2x,
+    _xlog2x_sum,
+)
 
 # sigma_0 = 1 and the Pauli matrices; direction n projects onto (1 +- n.sigma)/2.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
@@ -111,14 +120,10 @@ class MeasurementOptimum:
 
 
 def _canonical_angles(theta: float, phi: float) -> BlochAngles:
-    theta = float(np.mod(theta, 2.0 * np.pi))
-    if theta > np.pi:
-        theta = 2.0 * np.pi - theta
-        phi = phi + np.pi
-    theta = min(max(theta, 0.0), np.pi)
+    """BlochAngles of a polar angle theta in [0, pi] and any azimuth phi."""
     phi = float(np.mod(phi, 2.0 * np.pi))
     # A phi just below 0 rounds up to 2*pi itself, which is the direction phi = 0.
-    return BlochAngles(theta, phi if phi < 2.0 * np.pi else 0.0)
+    return BlochAngles(float(theta), phi if phi < 2.0 * np.pi else 0.0)
 
 
 def _bloch_directions(points: np.ndarray) -> np.ndarray:
@@ -129,10 +134,10 @@ def _bloch_directions(points: np.ndarray) -> np.ndarray:
 
 
 def _direction(angles: BlochAngles) -> np.ndarray:
-    return _bloch_directions(np.array([[angles.theta, angles.phi]]))
+    return _bloch_directions(np.array([[angles.theta, angles.phi]]))[0]
 
 
-def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
+def _measured_last(rho: DensityMatrix, measured: int) -> np.ndarray:
     """Tensor view (d_rest, 2, d_rest, 2) with the measured qubit as the last factor."""
     n = len(rho.dims)
     if not 0 <= measured < n:
@@ -143,8 +148,7 @@ def _measured_last(rho: DensityMatrix, measured: int) -> tuple[np.ndarray, int]:
             f"{rho.dims[measured]}; J takes one measured qubit, with every other "
             "subsystem grouped into the unmeasured side"
         )
-    t = _grouped_view(rho, [i for i in range(n) if i != measured], [measured])
-    return t, t.shape[0]
+    return _grouped_view(rho, [i for i in range(n) if i != measured], [measured])
 
 
 @lru_cache(maxsize=None)
@@ -369,7 +373,7 @@ def _conditional_entropy(blocks: np.ndarray):
     """Objective sum_a p_a H(rest | a) = sum_a (p_a log2 p_a - sum_i lambda_i log2
     lambda_i) of the measurement along each direction n, from the entropy terms of
     `_outcome_entropies` (for k = 2 the one k = 2 entropy kernel, which the
-    continuity and f-bound audits in `bounds` read too).
+    continuity and f-bound audits read through `_Pinching` too).
 
     Maps the row states (K,) and directions n (K, G, 3) to values (K, G), with p_a
     the trace of outcome block a.
@@ -395,28 +399,22 @@ def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, Measur
     `_measured_last` view and the entropy H(rest) of its unmeasured side.
 
     States are searched on their k x k `_outcome_blocks`, k from `_block_size`,
-    and one `sphere_search` runs over the states of each block size. Each state's
-    result equals its own search: the states share the search's steps, not its
-    starts. All unmeasured sides must share one dimension. A caller that holds
-    each pair's H(rest) passes them as ``h_rest``; otherwise they are formed.
+    and one `sphere_search` runs over the states of each (unmeasured dimension,
+    block size). Each state's result equals its own search: the states share the
+    search's steps, not its starts. A caller that holds each pair's H(rest)
+    passes them as ``h_rest``; otherwise they are formed.
     """
     pairs = list(pairs)
-    views = [_measured_last(rho, measured) for rho, measured in pairs]
-    d_rests = sorted({d for _, d in views})
-    if len(d_rests) > 1:
-        raise ValueError(
-            f"a stacked J search needs one unmeasured dimension, got d_rest {d_rests}"
-        )
-    if not views:
-        return []
-    tensors = np.stack([t for t, _ in views])
-    sizes = [_block_size(rho) for rho, _ in pairs]
-    found = [None] * len(pairs)
-    for k in sorted(set(sizes)):
-        idx = [i for i, size in enumerate(sizes) if size == k]
-        objective = _conditional_entropy(_outcome_blocks(tensors[idx], k))
-        for i, best in zip(idx, sphere_search(objective, len(idx), k)):
-            found[i] = best
+    groups = {}
+    for i, (rho, measured) in enumerate(pairs):
+        t = _measured_last(rho, measured)
+        groups.setdefault((t.shape[0], _block_size(rho)), []).append((i, t))
+    tensors, found = [None] * len(pairs), [None] * len(pairs)
+    for (_, k), group in groups.items():
+        stack = np.stack([t for _, t in group])
+        objective = _conditional_entropy(_outcome_blocks(stack, k))
+        for (i, _), t, best in zip(group, stack, sphere_search(objective, len(group), k)):
+            tensors[i], found[i] = t, best
     if h_rest is None:
         h_rest = [_group_entropy(t, 0) for t in tensors]
     return [(t, h, replace(b, value=h - b.value))
@@ -440,3 +438,56 @@ def classical_correlations(rho: DensityMatrix, measured: int) -> MeasurementOpti
         Best value J in bits, the direction attaining it, and search stats.
     """
     return _classical_stack([(rho, measured)])[0][2]
+
+
+class _Pinching:
+    """J of a full-rank state and its relative entropies to its pinchings, read from
+    J's outcome-block kernel with no pinched matrix built.
+
+    The pinching of the measured qubit F along n takes rho to rho_P = B(+n) (+) B(-n)
+    and rho_F to rho_F,P = diag(p_+, p_-), p_+- = tr B(+-n). The validated spectrum
+    of rho gives the full-rank check, which names ``what`` and runs before the
+    search, and H(rho) ``h_full``. One `_classical_stack` search gives J's optimum
+    ``best``, its direction ``n_best`` (3,) and ``h_rest``; its view gives the Pauli
+    blocks T_s, whose `_outcome_entropies` give every pinched entropy, and rho_F's
+    Bloch vector ``bloch`` (r_s = tr T_s), spectrum ``lam_f`` = (1 -+ |r|)/2 and
+    entropy ``h_f``.
+    """
+
+    def __init__(self, rho: DensityMatrix, measured: int, what: str):
+        lam = rho.spectrum
+        if lam[0] <= SUPPORT_CUTOFF:
+            raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
+        [(tensor, self.h_rest, self.best)] = _classical_stack([(rho, measured)])
+        self.n_best = _direction(self.best.angles)
+        blocks = _pauli_blocks(tensor[None])
+        self._d_rest = blocks.shape[-1]
+        self._entropies = _outcome_entropies(blocks)
+        self.bloch = np.trace(blocks[0, 1:], axis1=1, axis2=2).real
+        r = np.linalg.norm(self.bloch)
+        self.lam_f = np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
+        self.h_full = float(-_xlog2x_sum(lam))
+        self.h_f = float(-_xlog2x_sum(self.lam_f))
+
+    def _rows(self, rows, n):
+        plogp, spectral = self._entropies(rows, n)
+        return -spectral.sum(axis=0) - self.h_full, -plogp.sum(axis=0) - self.h_f
+
+    def relative_entropies(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(H(rho||rho_P), H(rho_F||rho_F,P)) along each direction n (G, 3), as two (G,)
+        arrays: -sum lambda log2 lambda over B(+-n)'s eigenvalues - H(rho), and
+        -sum p log2 p - H(rho_F)."""
+        full, marginal = self._rows(np.array([0]), n[None])
+        return full[0], marginal[0]
+
+    def m2(self) -> tuple[float, np.ndarray]:
+        """m2 = min over pinchings of H(rho||rho_P), and its direction (3,), from one
+        `sphere_search` on the d_rest x d_rest Pauli blocks."""
+        best = sphere_search(lambda rows, n: self._rows(rows, n)[0], 1, self._d_rest)[0]
+        return best.value, _direction(best.angles)
+
+    def marginal_pinching(self, n: np.ndarray) -> tuple[float, float]:
+        """Trace distance |r x n| / 2 between rho_F and its pinching along ``n`` (3,),
+        and the pinching's smallest eigenvalue (1 - |r . n|) / 2."""
+        distance = np.linalg.norm(np.cross(self.bloch, n)) / 2.0
+        return float(distance), float((1.0 - abs(n @ self.bloch)) / 2.0)

@@ -44,8 +44,8 @@ from qcorr import (
     trace_distance_half,
     w_state,
 )
-from qcorr.bounds import OPTIMIZATION_SLACK, _PinchEvaluator, make_audit
-from qcorr.measurement import _bloch_directions, _direction
+from qcorr.bounds import OPTIMIZATION_SLACK, make_audit
+from qcorr.measurement import _bloch_directions, _Pinching
 
 from definitions import apply_local_measurement, qubit_projectors
 
@@ -437,7 +437,7 @@ def test_continuity_chain_on_random_full_rank_states():
 def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
     # J reported at its argmax tilted by 0.05 rad loses ~7.5e-4 bits; m2's
     # minimizer then beats it, so D - m1 is a search shortfall, not rounding.
-    import qcorr.bounds as bounds_mod
+    import qcorr.measurement as measurement_mod
 
     rho = _full_rank((2, 2), 7017)
     best = classical_correlations(rho, 1)
@@ -446,9 +446,9 @@ def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
     value = mutual_information(Bipartition(apply_local_measurement(rho, meas), (0,), (1,)))
     assert 1e-4 < best.value - value < OPTIMIZATION_SLACK
     shortfall = dataclasses.replace(best, value=value, angles=tilted)
-    stack = bounds_mod._classical_stack
+    stack = measurement_mod._classical_stack
     monkeypatch.setattr(
-        bounds_mod, "_classical_stack",
+        measurement_mod, "_classical_stack",
         lambda *args: [(t, h, shortfall) for t, h, _ in stack(*args)],
     )
     assert not continuity_chain_audit(rho, 1).satisfied
@@ -484,7 +484,7 @@ def test_m2_objective_matches_the_pinching_definition(dims, measured):
         BlochAngles(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi)) for _ in range(50)
     ]
     n = _bloch_directions(np.array([[a.theta, a.phi] for a in angles]))
-    values = _PinchEvaluator(rho, measured, "m2 objective")(np.array([0]), n[None])[0][0]
+    values = _Pinching(rho, measured, "m2 objective").relative_entropies(n)[0]
     for a, value in zip(angles, values):
         pinched = apply_local_measurement(rho, qubit_projectors(a, measured))
         assert abs(value - relative_entropy(rho, pinched)) <= 1e-12
@@ -496,10 +496,9 @@ def test_pinched_entropies_match_the_definition_at_the_audited_direction(dims, m
     # entropies, eps, trace distance, pinched smallest eigenvalue and f, against
     # explicit pinchings of rho and of rho_F.
     rho = _full_rank(dims, 83)
-    ev = _PinchEvaluator(rho, measured, "definition check")
-    n = _direction(ev.best.angles)
-    r_full, r_marg = (float(v[0, 0]) for v in ev(np.array([0]), n[None]))
-    distance, lmin = ev.marginal_pinching(n[0])
+    ev = _Pinching(rho, measured, "definition check")
+    r_full, r_marg = (float(v[0]) for v in ev.relative_entropies(ev.n_best[None]))
+    distance, lmin = ev.marginal_pinching(ev.n_best)
     rho_f = partial_trace(rho, (measured,))
     pinched = apply_local_measurement(rho, qubit_projectors(ev.best.angles, measured))
     pinched_f = apply_local_measurement(rho_f, qubit_projectors(ev.best.angles, 0))
@@ -793,6 +792,16 @@ def test_env_eof_bound_rejects_mixed_environments():
     for j in (-1, 7):
         with pytest.raises(ValueError, match=rf"site indices \(0, {j}\) must lie in \[0, 4\)"):
             env_eof_bound_audit(env, 0, j, env_consensus(env))
+
+
+def test_env_eof_bound_rejects_another_environments_report():
+    # Unchecked, a 3-site report read for a 4-site environment raises an
+    # IndexError at sites (3, 0) and audits another state's numbers at (0, 1).
+    env = random_pure_state((2, 2, 2, 2), 83)
+    report = env_consensus(random_pure_state((2, 2, 2), 83))
+    for i, j in ((3, 0), (0, 1)):
+        with pytest.raises(ValueError, match="report covers 3 sites, the environment has 4"):
+            env_eof_bound_audit(env, i, j, report=report)
 
 
 def test_env_eof_bound_holds_on_haar_environments():

@@ -58,6 +58,18 @@ def test_density_matrix_owns_its_matrix_and_spectrum():
     assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError, match="read-only"):
         rho.mat[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        rho.spectrum[:] = 0.25
+    assert von_neumann_entropy(rho) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_pure_state_owns_its_vector():
+    source = np.array([1.0, 0.0], dtype=complex)
+    psi = PureState(source, (2,))
+    source[0] = 5.0
+    assert_allclose(psi.vec, [1.0, 0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        psi.vec[0] = 5.0
 
 
 def test_density_matrix_rejects_dims_mismatch():

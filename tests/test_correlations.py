@@ -250,13 +250,14 @@ def test_w_state_pair_marginal_concurrence_is_two_thirds():
 
 
 def test_convex_roof_on_pure_states_recovers_entanglement_entropy():
-    # Within 5.6e-16 of the marginal entropy on both states.
-    psi22 = random_pure_state((2, 2), 31)
-    expected = entanglement_entropy(psi22, (0,))
-    assert eof_convex_roof_numeric(density_from_pure(psi22)) == pytest.approx(expected, abs=1e-10)
-    psi23 = random_pure_state((2, 3), 37)
-    expected = entanglement_entropy(psi23, (0,))
-    assert eof_convex_roof_numeric(density_from_pure(psi23)) == pytest.approx(expected, abs=1e-10)
+    # Within 5.6e-16 of the marginal entropy on the qubit states. The qudit x
+    # qudit states, within 2.5e-15, take the batched-SVD member terms through a
+    # whole descent.
+    for dims, seed, tol in [((2, 2), 31, 1e-10), ((2, 3), 37, 1e-10), ((3, 3), 41, 1e-12),
+                            ((3, 4), 43, 1e-12), ((4, 4), 47, 1e-12)]:
+        psi = random_pure_state(dims, seed)
+        expected = entanglement_entropy(psi, (0,))
+        assert eof_convex_roof_numeric(density_from_pure(psi)) == pytest.approx(expected, abs=tol)
 
 
 def test_convex_roof_vanishes_on_constructed_separable_states():

@@ -65,9 +65,6 @@ def test_bloch_angles_validate_ranges():
 
 def test_canonical_angles_fold_phi_just_below_zero_onto_zero():
     assert _canonical_angles(0.3, -1e-17) == BlochAngles(0.3, 0.0)
-    through_pole = _canonical_angles(-0.3, np.pi - 1e-17)
-    assert through_pole.theta == pytest.approx(0.3, abs=1e-15)
-    assert through_pole.phi == 0.0
 
 
 def test_qubit_projectors_at_north_pole_are_computational():
@@ -536,9 +533,13 @@ def test_stacked_search_keeps_states_independent():
     assert stacked == [fields(classical_correlations(rho, m)) for rho, m in mixed_rank]
     assert stacked[0] == stacked[2]
     assert measurement._classical_stack([]) == []
-    mixed = [(other, 1), (random_density_matrix((2, 3), 3, 5), 0)]
-    with pytest.raises(ValueError, match=r"d_rest \[2, 3\]"):
-        measurement._classical_stack(mixed)
+    # (Unmeasured dimension, block size) (2, 2), (3, 3), (4, 2), (4, 4), (2, 2) and
+    # (4, 4) in one stack: each state's view, H(rest) and J are those of its own.
+    mixed = [(other, 1), (random_density_matrix((2, 3), 3, 5), 0), mixed_rank[0],
+             (random_density_matrix((2, 4), 8, 6), 0), (twice, 1), mixed_rank[1]]
+    for (rho, m), (t, h, b) in zip(mixed, measurement._classical_stack(mixed), strict=True):
+        alone_t, alone_h, alone_b = measurement._classical_stack([(rho, m)])[0]
+        assert fields(b) == fields(alone_b) and h == alone_h and np.array_equal(t, alone_t)
 
 
 # Unmeasured dimension 3, 3, 4, 8 and 4 with the measured qubit first, last or inside.
@@ -556,7 +557,7 @@ def test_search_objective_matches_the_definition_at_every_rank(dims, measured):
             rho = random_density_matrix(dims, rank, 500 + 10 * rank + seed)
             k = measurement._block_size(rho)
             assert k == min(d // 2, max(2, rank))
-            t, _ = measurement._measured_last(rho, measured)
+            t = measurement._measured_last(rho, measured)
             objective = measurement._conditional_entropy(measurement._outcome_blocks(t[None], k))
             n = rng.standard_normal((50, 3))
             n /= np.linalg.norm(n, axis=1, keepdims=True)
