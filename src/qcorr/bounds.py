@@ -32,7 +32,8 @@ Environment consensus passes its site entropies as each pairwise search's
 H(rest), and the trade-off audit reads H(rho_S) as its complement search's
 H(rest). The continuity and f-bound audits read J, H(rest), H(rho), H(rho_F),
 every pinched entropy and m2 from `measurement._Pinching`, which owns J's
-outcome-block kernel and builds no pinched matrix.
+outcome-block kernel, builds no pinched matrix and runs one search per audit:
+J's, stacked with m2's for the continuity audit.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 from .core import (
     DensityMatrix,
     PureState,
-    partial_trace,
+    _require_density,
     reduced_density_matrix,
     relative_entropy,
     trace_distance_half,
@@ -116,7 +117,9 @@ class EnvConsensusReport:
     carry ``delta_eps_i = None`` and ``defined[i] = False``, and their
     ``j_matrix`` row is left unpopulated (None) since no ratio uses it.
     ``eof_matrix[i][j] = eof_matrix[j][i]`` holds the EoF of that marginal for
-    every pair with a defined site, and None elsewhere.
+    every pair with a defined site, and None elsewhere. ``state`` is the
+    environment's read-only array (``vec`` or ``mat``), by which
+    `env_eof_bound_audit` tells its own report from another environment's.
     """
 
     entropies: tuple[float, ...]
@@ -124,12 +127,7 @@ class EnvConsensusReport:
     eof_matrix: tuple[tuple[float | None, ...], ...]
     delta_eps_i: tuple[float | None, ...]
     defined: tuple[bool, ...]
-
-
-def _marginal(state: PureState | DensityMatrix, keep) -> DensityMatrix:
-    if isinstance(state, PureState):
-        return reduced_density_matrix(state, keep)
-    return partial_trace(state, keep)
+    state: np.ndarray = field(repr=False, compare=False)
 
 
 def _require_pure(psi, what: str) -> PureState:
@@ -304,6 +302,7 @@ def remark_audit(rho: DensityMatrix) -> BoundAudit:
     ceiling, so a counterexample (J ~ 0 with sizable D) shows up as a
     violated audit.
     """
+    _require_density(rho, "remark audit")
     if rho.dims != (2, 2):
         raise UnsupportedDimensionError(f"remark audit needs a two-qubit state, got {rho.dims}")
     record = quantum_discord(Bipartition(rho, (0,), (1,)), measured="b")
@@ -351,11 +350,11 @@ def continuity_chain_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     m1 objective at J's argmax and at m2's minimizer, which keeps m1 <= m2
     structural. D - m1 is then rounding unless m2's minimizer beats J's argmax,
     i.e. unless the J search fell short, so the audit allows only
-    ``NUMERIC_SLACK``. m2 is searched, and m1 read at the two audited
-    directions, on J's outcome-block kernel (`measurement._Pinching`); ``extras``
-    holds m2 and J.
+    ``NUMERIC_SLACK``. J and m2 come from one stacked search on J's
+    outcome-block kernel (`measurement._Pinching`), and m1 is read at the two
+    audited directions; ``extras`` holds m2 and J.
     """
-    pinching = _Pinching(rho, measured, "continuity audit")
+    pinching = _Pinching(rho, measured, "continuity audit", with_m2=True)
     j = pinching.best.value
     discord = pinching.h_rest + pinching.h_f - pinching.h_full - j
     m2, n_m2 = pinching.m2()
@@ -403,6 +402,10 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     marginal, so the audit closes the loop between the two. Both relative
     entropies, and f's trace distance and smallest eigenvalues, come from
     `measurement._Pinching` at P~.
+
+    P~ is J's argmax, which a flat maximum fixes only to about sqrt(machine
+    epsilon) rad, so lhs and rhs follow any change to J's search at about 1e-9
+    (5.6e-9 seen where J itself moved by 1.8e-15) while ``satisfied`` does not.
     """
     pinching = _Pinching(rho, measured, "f-function audit")
     n = pinching.n_best
@@ -425,7 +428,7 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
         raise ValueError(f"environment consensus needs at least 2 sites, got dims {env.dims}")
     if any(d != 2 for d in env.dims):
         raise UnsupportedDimensionError(f"all environment sites must be qubits, got {env.dims}")
-    entropies = tuple(von_neumann_entropy(_marginal(env, (i,))) for i in range(n))
+    entropies = tuple(von_neumann_entropy(reduced_density_matrix(env, (i,))) for i in range(n))
     defined = tuple(h > H_S_CUTOFF for h in entropies)
     searches = []  # ((i, j), the pair's marginal, index of site j in it): J measured on j
     eof_matrix = [[None] * n for _ in range(n)]
@@ -433,7 +436,7 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
         for jj in range(i + 1, n):
             if not (defined[i] or defined[jj]):
                 continue
-            marg = _marginal(env, (i, jj))
+            marg = reduced_density_matrix(env, (i, jj))
             eof_matrix[i][jj] = eof_matrix[jj][i] = eof_two_qubit(marg)
             if defined[i]:
                 searches.append(((i, jj), marg, 1))
@@ -457,6 +460,7 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
         eof_matrix=tuple(tuple(row) for row in eof_matrix),
         delta_eps_i=tuple(delta),
         defined=defined,
+        state=env.vec if isinstance(env, PureState) else env.mat,
     )
 
 
@@ -492,6 +496,9 @@ def env_eof_bound_audit(
             f"report covers {len(report.entropies)} sites, the environment has "
             f"{len(env.dims)}: pass this environment's env_consensus report"
         )
+    if not np.array_equal(report.state, env.vec):
+        raise ValueError("report is of another environment: pass this environment's "
+                         "env_consensus report")
     if not report.defined[i]:
         raise UndefinedConsensusError(f"site {i} has ~zero entropy; bound undefined")
     return make_audit(

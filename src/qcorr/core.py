@@ -112,6 +112,15 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(psi.vec, psi.vec.conj()), psi.dims)
 
 
+def _require_density(rho, what: str) -> None:
+    """The one TypeError for an argument of ``what`` that is not a `DensityMatrix`."""
+    if not isinstance(rho, DensityMatrix):
+        raise TypeError(
+            f"{what} needs a DensityMatrix, got {type(rho).__name__}; "
+            "density_from_pure(psi) gives the DensityMatrix of a PureState psi"
+        )
+
+
 def _keep_indices(dims, keep) -> tuple[int, ...]:
     keep = tuple(sorted(int(k) for k in keep))
     if not keep:
@@ -146,17 +155,21 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     keep : iterable of int
         Indices into ``rho.dims`` of the subsystems to retain.
     """
+    _require_density(rho, "partial_trace")
     keep = _keep_indices(rho.dims, keep)
     t = _grouped_view(rho, keep, [i for i in range(len(rho.dims)) if i not in keep])
     return DensityMatrix(np.trace(t, axis1=1, axis2=3), tuple(rho.dims[i] for i in keep))
 
 
-def reduced_density_matrix(psi: PureState, keep) -> DensityMatrix:
-    """Marginal of a pure state without forming the full density matrix.
+def reduced_density_matrix(psi: PureState | DensityMatrix, keep) -> DensityMatrix:
+    """Marginal of a pure or mixed state on the kept subsystems.
 
-    Equivalent to ``partial_trace(density_from_pure(psi), keep)`` but costs
-    O(d * d_keep) instead of O(d^2), which matters for ~10-qubit states.
+    A `DensityMatrix` goes through `partial_trace`. A pure state's marginal is
+    ``partial_trace(density_from_pure(psi), keep)`` without the full density
+    matrix: O(d * d_keep) instead of O(d^2), which matters for ~10-qubit states.
     """
+    if isinstance(psi, DensityMatrix):
+        return partial_trace(psi, keep)
     keep = _keep_indices(psi.dims, keep)
     n = len(psi.dims)
     traced = [i for i in range(n) if i not in keep]
@@ -192,6 +205,7 @@ def _xlog2x_sum(vals: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0*log 0 = 0."""
+    _require_density(rho, "von_neumann_entropy")
     return float(-_xlog2x_sum(rho.spectrum))
 
 
@@ -217,6 +231,8 @@ def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:
     Returns ``inf`` when the support of ``x`` is not contained in the support
     of ``y`` (eigenvalues below 1e-12 count as zero).
     """
+    _require_density(x, "relative_entropy")
+    _require_density(y, "relative_entropy")
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
     yvals, yvecs = np.linalg.eigh(y.mat)
@@ -231,6 +247,8 @@ def relative_entropy(x: DensityMatrix, y: DensityMatrix) -> float:
 
 def trace_distance_half(x: DensityMatrix, y: DensityMatrix) -> float:
     """Half the trace norm of x - y; lies in [0, 1]."""
+    _require_density(x, "trace_distance_half")
+    _require_density(y, "trace_distance_half")
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
     return _half_trace_norm(x.mat - y.mat)

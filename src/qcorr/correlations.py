@@ -24,6 +24,7 @@ from .core import (
     PureState,
     _group_entropy,
     _grouped_view,
+    _require_density,
     _xlog2x_sum,
     binary_entropy,
     reduced_density_matrix,
@@ -58,6 +59,7 @@ class Bipartition:
     side_b: tuple[int, ...]
 
     def __post_init__(self):
+        _require_density(self.rho, "Bipartition")
         side_a = tuple(sorted(int(i) for i in self.side_a))
         side_b = tuple(sorted(int(i) for i in self.side_b))
         object.__setattr__(self, "side_a", side_a)
@@ -164,6 +166,7 @@ def concurrence_two_qubit(rho: DensityMatrix) -> float:
     square roots of the eigenvalues of rho rho~, without the ~sqrt(eps) loss
     that taking those eigenvalues directly has on rank-deficient states.
     """
+    _require_density(rho, "concurrence_two_qubit")
     if rho.dims != (2, 2):
         raise ValueError(f"concurrence needs dims (2, 2), got {rho.dims}")
     vals, vecs = np.linalg.eigh(rho.mat)
@@ -327,6 +330,7 @@ def eof_convex_roof_numeric(rho: DensityMatrix) -> float:
     rho : DensityMatrix
         Bipartite state, total dimension at most 16.
     """
+    _require_density(rho, "eof_convex_roof_numeric")
     if len(rho.dims) != 2:
         raise ValueError(f"need a bipartite state, got dims {rho.dims}")
     if rho.dim > 16:

@@ -11,9 +11,10 @@ measurement on side B the post-measurement mutual information reduces to
 with outcome blocks (T_0 +- n.T)/2 affine in n, T_s = Tr_B[(1 x sigma_s) rho],
 whose direct sum is the pinching of B along n: the entropy terms of their
 spectra (`_outcome_entropies`) give J's objective and, through `_Pinching`,
-every pinched entropy and m2 of the continuity and f-bound audits in `bounds`;
+every pinched entropy and m2 of the continuity and f-bound audits in `bounds`.
 `_classical_stack` searches any mix of states, one stack per (unmeasured
-dimension, block size).
+dimension, block size); `_Pinching` forms one full-rank state's blocks once and
+runs one search, J's objective stacked with m2's for the continuity audit.
 A state of rank r < d_rest = dim(A) has smaller blocks with the same nonzero
 spectra: with rho = Psi Psi^dag, Psi = V sqrt(Lambda) (2 d_rest x r), the block
 of outcome +-n has the nonzero spectrum of (G_0 +- n.G)/2, G_s = Psi^dag (1 x
@@ -54,6 +55,7 @@ from .core import (
     DensityMatrix,
     _group_entropy,
     _grouped_view,
+    _require_density,
     _xlog2x,
     _xlog2x_sum,
 )
@@ -139,6 +141,9 @@ def _direction(angles: BlochAngles) -> np.ndarray:
 
 def _measured_last(rho: DensityMatrix, measured: int) -> np.ndarray:
     """Tensor view (d_rest, 2, d_rest, 2) with the measured qubit as the last factor."""
+    _require_density(rho, "classical_correlations")
+    if not isinstance(measured, (int, np.integer)):
+        raise TypeError(f"measured subsystem index must be an integer, got {measured!r}")
     n = len(rho.dims)
     if not 0 <= measured < n:
         raise ValueError(f"measured subsystem {measured} out of range for dims {rho.dims}")
@@ -369,22 +374,12 @@ def _outcome_entropies(blocks: np.ndarray):
     return entropies
 
 
-def _conditional_entropy(blocks: np.ndarray):
-    """Objective sum_a p_a H(rest | a) = sum_a (p_a log2 p_a - sum_i lambda_i log2
-    lambda_i) of the measurement along each direction n, from the entropy terms of
-    `_outcome_entropies` (for k = 2 the one k = 2 entropy kernel, which the
-    continuity and f-bound audits read through `_Pinching` too).
-
-    Maps the row states (K,) and directions n (K, G, 3) to values (K, G), with p_a
-    the trace of outcome block a.
-    """
-    entropies = _outcome_entropies(blocks)
-
-    def objective(rows, n):
-        plogp, spectral = entropies(rows, n)
-        return (plogp - spectral).sum(axis=0)
-
-    return objective
+def _conditional_entropy(plogp: np.ndarray, spectral: np.ndarray) -> np.ndarray:
+    """J's objective sum_a p_a H(rest | a) = sum_a (p_a log2 p_a - sum_i lambda_i log2
+    lambda_i) of the measurement along each direction n, from the entropy terms
+    (2, K, G) of `_outcome_entropies`: values (K, G), with p_a the trace of outcome
+    block a."""
+    return (plogp - spectral).sum(axis=0)
 
 
 def _block_size(rho: DensityMatrix) -> int:
@@ -412,7 +407,11 @@ def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, Measur
     tensors, found = [None] * len(pairs), [None] * len(pairs)
     for (_, k), group in groups.items():
         stack = np.stack([t for _, t in group])
-        objective = _conditional_entropy(_outcome_blocks(stack, k))
+        entropies = _outcome_entropies(_outcome_blocks(stack, k))
+
+        def objective(rows, n):
+            return _conditional_entropy(*entropies(rows, n))
+
         for (i, _), t, best in zip(group, stack, sphere_search(objective, len(group), k)):
             tensors[i], found[i] = t, best
     if h_rest is None:
@@ -447,43 +446,53 @@ class _Pinching:
     The pinching of the measured qubit F along n takes rho to rho_P = B(+n) (+) B(-n)
     and rho_F to rho_F,P = diag(p_+, p_-), p_+- = tr B(+-n). The validated spectrum
     of rho gives the full-rank check, which names ``what`` and runs before the
-    search, and H(rho) ``h_full``. One `_classical_stack` search gives J's optimum
-    ``best``, its direction ``n_best`` (3,) and ``h_rest``; its view gives the Pauli
-    blocks T_s, whose `_outcome_entropies` give every pinched entropy, and rho_F's
-    Bloch vector ``bloch`` (r_s = tr T_s), spectrum ``lam_f`` = (1 -+ |r|)/2 and
-    entropy ``h_f``.
+    search, and H(rho) ``h_full``. J's search reads a full-rank state's Pauli
+    blocks T_s (its eigenvalues exceed `core.SUPPORT_CUTOFF` > dim(rho) epsilon),
+    so they and their `_outcome_entropies` are formed once. They give every
+    pinched entropy, and rho_F's Bloch vector ``bloch`` (r_s = tr T_s), spectrum
+    ``lam_f`` = (1 -+ |r|)/2 and entropy ``h_f``. One `sphere_search` runs J's
+    `_conditional_entropy` and, ``with_m2``, m2's H(rho||rho_P) as a second state;
+    rows of different states never meet, so J's optimum ``best`` (direction
+    ``n_best`` (3,), and ``h_rest``) equals `classical_correlations` bit for bit,
+    and m2 a search of its own.
     """
 
-    def __init__(self, rho: DensityMatrix, measured: int, what: str):
+    def __init__(self, rho: DensityMatrix, measured: int, what: str, with_m2: bool = False):
+        _require_density(rho, what)
         lam = rho.spectrum
         if lam[0] <= SUPPORT_CUTOFF:
             raise ValueError(f"{what} requires a full-rank state; min eigenvalue {lam[0]:.3e}")
-        [(tensor, self.h_rest, self.best)] = _classical_stack([(rho, measured)])
-        self.n_best = _direction(self.best.angles)
+        tensor = _measured_last(rho, measured)
         blocks = _pauli_blocks(tensor[None])
-        self._d_rest = blocks.shape[-1]
         self._entropies = _outcome_entropies(blocks)
         self.bloch = np.trace(blocks[0, 1:], axis1=1, axis2=2).real
         r = np.linalg.norm(self.bloch)
         self.lam_f = np.array([(1.0 - r) / 2.0, (1.0 + r) / 2.0])
         self.h_full = float(-_xlog2x_sum(lam))
         self.h_f = float(-_xlog2x_sum(self.lam_f))
+        self.h_rest = _group_entropy(tensor, 0)
+        found = sphere_search(self._objectives, 1 + with_m2, blocks.shape[-1])
+        self.best = replace(found[0], value=self.h_rest - found[0].value)
+        self.n_best = _direction(self.best.angles)
+        self._m2 = found[1:]
 
-    def _rows(self, rows, n):
-        plogp, spectral = self._entropies(rows, n)
-        return -spectral.sum(axis=0) - self.h_full, -plogp.sum(axis=0) - self.h_f
+    def _objectives(self, rows, n):
+        """J's objective on the rows of state 0, H(rho||rho_P) on those of state 1."""
+        plogp, spectral = self._entropies(np.zeros_like(rows), n)
+        pinched = -spectral.sum(axis=0) - self.h_full
+        return np.where(rows[:, None] == 0, _conditional_entropy(plogp, spectral), pinched)
 
     def relative_entropies(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(H(rho||rho_P), H(rho_F||rho_F,P)) along each direction n (G, 3), as two (G,)
         arrays: -sum lambda log2 lambda over B(+-n)'s eigenvalues - H(rho), and
         -sum p log2 p - H(rho_F)."""
-        full, marginal = self._rows(np.array([0]), n[None])
-        return full[0], marginal[0]
+        plogp, spectral = self._entropies(np.zeros(1, dtype=int), n[None])
+        return -spectral.sum(axis=0)[0] - self.h_full, -plogp.sum(axis=0)[0] - self.h_f
 
     def m2(self) -> tuple[float, np.ndarray]:
-        """m2 = min over pinchings of H(rho||rho_P), and its direction (3,), from one
-        `sphere_search` on the d_rest x d_rest Pauli blocks."""
-        best = sphere_search(lambda rows, n: self._rows(rows, n)[0], 1, self._d_rest)[0]
+        """m2 = min over pinchings of H(rho||rho_P), and its direction (3,): the second
+        state of the stacked search, which runs ``with_m2`` only."""
+        [best] = self._m2
         return best.value, _direction(best.angles)
 
     def marginal_pinching(self, n: np.ndarray) -> tuple[float, float]:

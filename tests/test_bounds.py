@@ -42,6 +42,7 @@ from qcorr import (
     relative_entropy_upper_bound,
     remark_audit,
     trace_distance_half,
+    von_neumann_entropy,
     w_state,
 )
 from qcorr.bounds import OPTIMIZATION_SLACK, make_audit
@@ -445,24 +446,26 @@ def test_continuity_chain_flags_a_j_search_shortfall(monkeypatch):
     meas = qubit_projectors(tilted, 1)
     value = mutual_information(Bipartition(apply_local_measurement(rho, meas), (0,), (1,)))
     assert 1e-4 < best.value - value < OPTIMIZATION_SLACK
-    shortfall = dataclasses.replace(best, value=value, angles=tilted)
-    stack = measurement_mod._classical_stack
-    monkeypatch.setattr(
-        measurement_mod, "_classical_stack",
-        lambda *args: [(t, h, shortfall) for t, h, _ in stack(*args)],
-    )
+    search = measurement_mod.sphere_search
+
+    def shortfall(objective, states, k):
+        # J's search minimizes H(rest) - J, so J's loss raises its minimum.
+        found = search(objective, states, k)
+        j_row = dataclasses.replace(found[0], value=found[0].value + best.value - value,
+                                    angles=tilted)
+        return [j_row, *found[1:]]
+
+    monkeypatch.setattr(measurement_mod, "sphere_search", shortfall)
     assert not continuity_chain_audit(rho, 1).satisfied
 
 
 def test_continuity_and_f_bound_check_rank_before_any_search(monkeypatch):
-    import qcorr.bounds as bounds_mod
     import qcorr.measurement as measurement_mod
 
     def no_search(*args):
         raise AssertionError("J search ran before the full-rank check")
 
-    for module in (bounds_mod, measurement_mod):
-        monkeypatch.setattr(module, "_classical_stack", no_search)
+    monkeypatch.setattr(measurement_mod, "sphere_search", no_search)
     rho = random_density_matrix((2, 2), 3, 19)
     for audit in (continuity_chain_audit, f_bound_audit):
         with pytest.raises(ValueError, match="full-rank"):
@@ -474,6 +477,41 @@ def test_continuity_and_f_bound_check_rank_before_any_search(monkeypatch):
 _PINCH_CASES = [
     ((2, 2), 1), ((2, 3), 0), ((2, 2, 2), 2), ((2, 2), 0), ((3, 2), 1), ((2, 2, 2), 0)
 ]
+
+
+@pytest.mark.parametrize("dims, measured", _PINCH_CASES)
+def test_continuity_and_f_bound_run_one_stacked_search(monkeypatch, dims, measured):
+    # Continuity stacks J and m2 in one search and the f bound searches J alone.
+    # Each equals its own search bit for bit: J `classical_correlations`, and m2
+    # a search of H(rho||rho_P) alone on the same outcome blocks.
+    import qcorr.measurement as measurement_mod
+
+    rho = _full_rank(dims, 83)
+    search = measurement_mod.sphere_search
+    stacks = []
+
+    def recording(objective, states, k):
+        stacks.append(states)
+        return search(objective, states, k)
+
+    monkeypatch.setattr(measurement_mod, "sphere_search", recording)
+    audit = continuity_chain_audit(rho, measured)
+    assert stacks == [2]
+    stacks.clear()
+    f_bound_audit(rho, measured)
+    assert stacks == [1]
+    monkeypatch.undo()
+
+    pinching = _Pinching(rho, measured, "stacked search", with_m2=True)
+    m2, n_m2 = pinching.m2()
+    assert (audit.extras["classical"], audit.extras["m2"]) == (pinching.best.value, m2)
+    assert pinching.best == classical_correlations(rho, measured)
+    t = measurement_mod._measured_last(rho, measured)
+    entropies = measurement_mod._outcome_entropies(measurement_mod._pauli_blocks(t[None]))
+    h_full = von_neumann_entropy(rho)
+    [alone] = search(lambda rows, n: -entropies(rows, n)[1].sum(axis=0) - h_full, 1, t.shape[0])
+    assert alone.value == m2
+    assert np.array_equal(measurement_mod._direction(alone.angles), n_m2)
 
 
 @pytest.mark.parametrize("dims, measured", _PINCH_CASES)
@@ -802,6 +840,20 @@ def test_env_eof_bound_rejects_another_environments_report():
     for i, j in ((3, 0), (0, 1)):
         with pytest.raises(ValueError, match="report covers 3 sites, the environment has 4"):
             env_eof_bound_audit(env, i, j, report=report)
+
+
+def test_env_eof_bound_rejects_a_report_of_another_environment_of_its_size(eigensolves):
+    # Unchecked, the seed-6 report read for the seed-5 environment audits sites
+    # (0, 1) at lhs 0.1582 and rhs 0.6331 instead of 0.0801 and 0.6697.
+    env = random_pure_state((2, 2, 2, 2), 5)
+    other = env_consensus(random_pure_state((2, 2, 2, 2), 6))
+    with pytest.raises(ValueError, match="report is of another environment"):
+        env_eof_bound_audit(env, 0, 1, report=other)
+    own = env_consensus(env)
+    eigensolves.clear()
+    audit = env_eof_bound_audit(env, 0, 1, report=own)
+    assert eigensolves == []  # the check reads the state's array, not its spectrum
+    assert (round(audit.lhs, 4), round(audit.rhs, 4)) == (0.0801, 0.6697)
 
 
 def test_env_eof_bound_holds_on_haar_environments():

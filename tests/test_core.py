@@ -5,18 +5,28 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qcorr import (
+    Bipartition,
     DensityMatrix,
     PureState,
     bell_state,
     binary_entropy,
+    classical_correlations,
+    concurrence_two_qubit,
+    continuity_chain_audit,
     density_from_pure,
+    eof_convex_roof_numeric,
+    eof_two_qubit,
+    f_bound_audit,
     ghz_state,
+    mutual_information,
     partial_trace,
     permute_subsystems,
+    quantum_discord,
     random_density_matrix,
     random_pure_state,
     reduced_density_matrix,
     relative_entropy,
+    remark_audit,
     trace_distance_half,
     von_neumann_entropy,
     w_state,
@@ -189,6 +199,47 @@ def test_constructors_and_reorderings_name_their_failed_check():
         ghz_state(1)
     with pytest.raises(ValueError, match="W state needs at least 2 qubits"):
         w_state(1)
+
+
+_PSI = random_pure_state((2, 2), 3)
+_RHO = random_density_matrix((2, 2), 4, 3)
+# Every call but the last passes a PureState where a DensityMatrix is needed.
+_WRONG_TYPES = {
+    "von_neumann_entropy": lambda: von_neumann_entropy(_PSI),
+    "partial_trace": lambda: partial_trace(_PSI, (0,)),
+    "mutual_information": lambda: mutual_information(Bipartition(_PSI, (0,), (1,))),
+    "quantum_discord": lambda: quantum_discord(Bipartition(_PSI, (0,), (1,))),
+    "classical_correlations": lambda: classical_correlations(_PSI, 1),
+    "concurrence_two_qubit": lambda: concurrence_two_qubit(_PSI),
+    "eof_two_qubit": lambda: eof_two_qubit(_PSI),
+    "eof_convex_roof_numeric": lambda: eof_convex_roof_numeric(_PSI),
+    "relative_entropy-x": lambda: relative_entropy(_PSI, _RHO),
+    "relative_entropy-y": lambda: relative_entropy(_RHO, _PSI),
+    "trace_distance_half": lambda: trace_distance_half(_RHO, _PSI),
+    "remark_audit": lambda: remark_audit(_PSI),
+    "continuity_chain_audit": lambda: continuity_chain_audit(_PSI, 1),
+    "f_bound_audit": lambda: f_bound_audit(_PSI, 1),
+    "measured-index": lambda: classical_correlations(_RHO, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", _WRONG_TYPES)
+def test_wrong_input_types_fail_with_a_type_error_that_names_them(case):
+    # These died with an AttributeError on `mat` or `spectrum`, and the float
+    # index with "tuple indices must be integers".
+    message = ("measured subsystem index must be an integer" if case == "measured-index"
+               else "needs a DensityMatrix, got PureState; density_from_pure")
+    with pytest.raises(TypeError, match=message):
+        _WRONG_TYPES[case]()
+
+
+def test_reduced_density_matrix_takes_either_state_type():
+    psi = random_pure_state((2, 2, 2), 29)
+    rho = density_from_pure(psi)
+    for keep in ((0,), (0, 2), (1, 2)):
+        mixed, traced = reduced_density_matrix(rho, keep), partial_trace(rho, keep)
+        assert mixed.dims == traced.dims and np.array_equal(mixed.mat, traced.mat)
+        assert_allclose(mixed.mat, reduced_density_matrix(psi, keep).mat, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

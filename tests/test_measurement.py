@@ -371,14 +371,9 @@ def _counting_objective(monkeypatch):
     batches = []
     conditional_entropy = measurement._conditional_entropy
 
-    def counting(tensors):
-        objective = conditional_entropy(tensors)
-
-        def wrapped(rows, n):
-            batches.append(n.shape[:2])
-            return objective(rows, n)
-
-        return wrapped
+    def counting(plogp, spectral):
+        batches.append(plogp.shape[1:])
+        return conditional_entropy(plogp, spectral)
 
     monkeypatch.setattr(measurement, "_conditional_entropy", counting)
     return batches
@@ -558,10 +553,10 @@ def test_search_objective_matches_the_definition_at_every_rank(dims, measured):
             k = measurement._block_size(rho)
             assert k == min(d // 2, max(2, rank))
             t = measurement._measured_last(rho, measured)
-            objective = measurement._conditional_entropy(measurement._outcome_blocks(t[None], k))
+            entropies = measurement._outcome_entropies(measurement._outcome_blocks(t[None], k))
             n = rng.standard_normal((50, 3))
             n /= np.linalg.norm(n, axis=1, keepdims=True)
-            values = objective(np.array([0]), n[None])[0]
+            values = measurement._conditional_entropy(*entropies(np.array([0]), n[None]))[0]
             for (x, y, z), value in zip(n, values):
                 angles = _canonical_angles(np.arccos(np.clip(z, -1.0, 1.0)), np.arctan2(y, x))
                 post = apply_local_measurement(rho, qubit_projectors(angles, measured))
