@@ -46,6 +46,7 @@ from .core import (
     DensityMatrix,
     PureState,
     _require_density,
+    _require_state,
     reduced_density_matrix,
     relative_entropy,
     trace_distance_half,
@@ -423,6 +424,7 @@ def env_consensus(env: PureState | DensityMatrix) -> EnvConsensusReport:
     with J measured on site j. Sites with H(rho_site_i) ~ 0 are flagged
     undefined instead of raising.
     """
+    _require_state(env, "env_consensus")
     n = len(env.dims)
     if n < 2:
         raise ValueError(f"environment consensus needs at least 2 sites, got dims {env.dims}")
@@ -475,6 +477,7 @@ def env_eof_bound_audit(
     holds, when auditing many pairs of the same state; it must be this
     environment's `env_consensus` report.
     """
+    _require_state(env, "env_eof_bound_audit")
     if isinstance(env, DensityMatrix):
         raise ValueError(
             "pairwise entanglement bound is derived for pure environments; "

@@ -112,13 +112,18 @@ def density_from_pure(psi: PureState) -> DensityMatrix:
     return DensityMatrix(np.outer(psi.vec, psi.vec.conj()), psi.dims)
 
 
+def _require_state(x, what: str, types: tuple = (PureState, DensityMatrix)) -> None:
+    """The one TypeError for an argument of ``what`` that is none of ``types``."""
+    if not isinstance(x, types):
+        hint = ("; density_from_pure(psi) gives the DensityMatrix of a PureState psi"
+                if isinstance(x, PureState) else "")
+        names = " or ".join(t.__name__ for t in types)
+        raise TypeError(f"{what} needs a {names}, got {type(x).__name__}{hint}")
+
+
 def _require_density(rho, what: str) -> None:
-    """The one TypeError for an argument of ``what`` that is not a `DensityMatrix`."""
-    if not isinstance(rho, DensityMatrix):
-        raise TypeError(
-            f"{what} needs a DensityMatrix, got {type(rho).__name__}; "
-            "density_from_pure(psi) gives the DensityMatrix of a PureState psi"
-        )
+    """`_require_state` for an argument of ``what`` that must be a `DensityMatrix`."""
+    _require_state(rho, what, (DensityMatrix,))
 
 
 def _keep_indices(dims, keep) -> tuple[int, ...]:
@@ -168,6 +173,7 @@ def reduced_density_matrix(psi: PureState | DensityMatrix, keep) -> DensityMatri
     ``partial_trace(density_from_pure(psi), keep)`` without the full density
     matrix: O(d * d_keep) instead of O(d^2), which matters for ~10-qubit states.
     """
+    _require_state(psi, "reduced_density_matrix")
     if isinstance(psi, DensityMatrix):
         return partial_trace(psi, keep)
     keep = _keep_indices(psi.dims, keep)

@@ -25,6 +25,7 @@ from .core import (
     _group_entropy,
     _grouped_view,
     _require_density,
+    _require_state,
     _xlog2x_sum,
     binary_entropy,
     reduced_density_matrix,
@@ -155,6 +156,7 @@ def quantum_discord(b: Bipartition, measured: str = "b") -> CorrelationRecord:
 
 def entanglement_entropy(psi: PureState, side_a) -> float:
     """Entropy of the marginal of a pure state on ``side_a``."""
+    _require_state(psi, "entanglement_entropy")
     return von_neumann_entropy(reduced_density_matrix(psi, side_a))
 
 

@@ -38,7 +38,7 @@ charts once per process, on first use), a step tolerance of _TOL radians and at
 most _MAX_STEPS refinement steps. Each step probes a 3 x 3 stencil per direction
 and moves its centre by the Newton step of the stencil's central differences
 where that is a trusted descent step, or else takes a compass step, which
-doubles after a strict move. Over the 4074 seeded states of `tools/j_probe.py`
+doubles after a strict move. Over the 4074 seeded states of `tools/parity.py`
 (42 seeds), the median J takes 5 objective calls after the grid pass; the median
 search evaluates 400 directions on k = 2 blocks and 196 on larger ones.
 """
@@ -79,7 +79,7 @@ _TRUST = 2.0
 _GRID = 24
 # A grid point of a k > 2 block costs an eigensolve, as does each of the 9 points
 # of a refine step per start. On the 2646 k > 2 states of a 42-seed
-# `tools/j_probe.py` run, 12 points (61 directions, first step pi/11) evaluated
+# `tools/parity.py` run, 12 points (61 directions, first step pi/11) evaluated
 # 50% fewer directions than 24 (265, pi/23), and J dropped by at most 5.8e-15.
 # With 12 for k = 2, the extra refine steps cost more than the grid points saved.
 _EIG_GRID = 12
@@ -359,8 +359,7 @@ def _outcome_entropies(blocks: np.ndarray):
             b = (coef[rows, None, 0] + signs * (n @ coef[rows, 1:])) / 2.0
             r = np.sqrt(b[..., 1] ** 2 + b[..., 2] ** 2 + b[..., 3] ** 2)
             lo, hi = (b[..., 0] - r).clip(0.0, 1.0), (b[..., 0] + r).clip(0.0, 1.0)
-            xlo, xhi, plogp = _xlog2x(np.stack([lo, hi, (lo + hi).clip(0.0, 1.0)]))
-            return plogp, xlo + xhi
+            return _xlog2x((lo + hi).clip(0.0, 1.0)), _xlog2x(lo) + _xlog2x(hi)
 
     else:
         flat = blocks.reshape(len(blocks), 4, -1)

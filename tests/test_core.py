@@ -14,6 +14,9 @@ from qcorr import (
     concurrence_two_qubit,
     continuity_chain_audit,
     density_from_pure,
+    entanglement_entropy,
+    env_consensus,
+    env_eof_bound_audit,
     eof_convex_roof_numeric,
     eof_two_qubit,
     f_bound_audit,
@@ -231,6 +234,23 @@ def test_wrong_input_types_fail_with_a_type_error_that_names_them(case):
                else "needs a DensityMatrix, got PureState; density_from_pure")
     with pytest.raises(TypeError, match=message):
         _WRONG_TYPES[case]()
+
+
+_RAW = np.eye(4) / 4
+# Each call takes either state type and gets a raw array.
+_RAW_ARRAYS = {
+    "reduced_density_matrix": lambda: reduced_density_matrix(_RAW, (0,)),
+    "entanglement_entropy": lambda: entanglement_entropy(_RAW, (0,)),
+    "env_consensus": lambda: env_consensus(_RAW),
+    "env_eof_bound_audit": lambda: env_eof_bound_audit(_RAW, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", _RAW_ARRAYS)
+def test_raw_arrays_fail_with_a_type_error_that_names_both_state_types(case):
+    # These died with "'numpy.ndarray' object has no attribute 'dims'".
+    with pytest.raises(TypeError, match=f"^{case} needs a PureState or DensityMatrix, got ndarray$"):
+        _RAW_ARRAYS[case]()
 
 
 def test_reduced_density_matrix_takes_either_state_type():
