@@ -131,12 +131,6 @@ class EnvConsensusReport:
     state: np.ndarray = field(repr=False, compare=False)
 
 
-def _require_pure(psi, what: str) -> PureState:
-    if not isinstance(psi, PureState):
-        raise ValueError(f"{what} requires a pure global state, got {type(psi).__name__}")
-    return psi
-
-
 def _single_qubit_index(psi: PureState, s, what: str) -> int:
     s = tuple(int(i) for i in (s if hasattr(s, "__iter__") else (s,)))
     n = len(psi.dims)
@@ -169,7 +163,7 @@ def koashi_winter_audit(psi: PureState, s, f) -> BoundAudit:
     rounding, so a J search shortfall cannot fail the audit and only
     ``NUMERIC_SLACK`` is allowed.
     """
-    _require_pure(psi, "trade-off audit")
+    _require_state(psi, "koashi_winter_audit", (PureState,))
     s_idx = _single_qubit_index(psi, s, "system block")
     f_idx = _single_qubit_index(psi, f, "fragment block")
     if f_idx == s_idx:
@@ -215,8 +209,11 @@ def consensus_from_marginals(h_s: float, sites, j_site, j_complement) -> Consens
     )
 
 
-def _site_pass(psi: PureState, s) -> tuple[ConsensusReport, tuple[CorrelationRecord, ...]]:
-    """The consensus report of a pure universe and the record of each (S, site) marginal.
+def _site_pass(
+    psi: PureState, s, what: str
+) -> tuple[ConsensusReport, tuple[CorrelationRecord, ...]]:
+    """The consensus report of a pure universe and the record of each (S, site) marginal,
+    for the public function ``what``.
 
     Forms each system-site marginal once; H(rho_S) and every D, J and E the
     consensus functions use come from the stacked `quantum_discord` records of
@@ -224,7 +221,7 @@ def _site_pass(psi: PureState, s) -> tuple[ConsensusReport, tuple[CorrelationRec
     S is the unmeasured side of each record, so H(rho_S) is its ``entropy_a``;
     with no sites, S is pure.
     """
-    _require_pure(psi, "consensus parameters")
+    _require_state(psi, what, (PureState,))
     s_idx = _single_qubit_index(psi, s, "system block")
     sites = tuple(i for i in range(len(psi.dims)) if i != s_idx)
     for i in sites:
@@ -249,12 +246,12 @@ def consensus_delta(psi: PureState, s) -> ConsensusReport:
     H(rho_S) - E(rho_S,site_i), which the site's record holds, so the large
     complement is never formed.
     """
-    return _site_pass(psi, s)[0]
+    return _site_pass(psi, s, "consensus_delta")[0]
 
 
 def discord_bound_audit(psi: PureState, s) -> BoundAudit:
     """Audit mean site discord <= delta * H(rho_S) for a pure universe."""
-    report, records = _site_pass(psi, s)
+    report, records = _site_pass(psi, s, "discord_bound_audit")
     tol = NUMERIC_SLACK + OPTIMIZATION_SLACK
     return make_audit(
         "discord-bound",
@@ -272,7 +269,7 @@ def eof_bound_audit(psi: PureState, s) -> list[BoundAudit]:
     Returns one audit per environment site followed by one labelled
     ``eof-bound-avg`` for mean(E) <= delta * H(rho_S).
     """
-    report, records = _site_pass(psi, s)
+    report, records = _site_pass(psi, s, "eof_bound_audit")
     tol = NUMERIC_SLACK + OPTIMIZATION_SLACK
     audits = [
         make_audit(f"eof-bound-site-{site}", r.eof, d_i * report.h_s, tol, site=site)
@@ -323,7 +320,7 @@ def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
     the computed sides agree up to rounding (worst gap 1.5e-14 over 100 Haar
     states); the audit allows ``NUMERIC_SLACK``.
     """
-    _require_pure(psi, "conservation audit")
+    _require_state(psi, "fanchini_identity_audit", (PureState,))
     if psi.dims != (2, 2, 2):
         raise UnsupportedDimensionError(f"conservation audit needs 3 qubits, got dims {psi.dims}")
     s_idx = _single_qubit_index(psi, s, "system block")

@@ -12,7 +12,7 @@ explicit seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -221,12 +221,16 @@ def entropy_of(mat: np.ndarray) -> float:
 
 
 def binary_entropy(p: float) -> float:
-    """h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0 and p clipped to [0, 1].
+    """h(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0 and a finite p clipped to
+    [0, 1]; a NaN or infinite p raises ValueError.
 
     Works on scalars, and gives the bits of ``-_xlog2x_sum([p, 1 - p])`` at about
     a sixth of its cost. numpy's log2 is kept: ``math.log2`` rounds differently.
     """
-    p = min(max(float(p), 0.0), 1.0)
+    p = float(p)
+    if not isfinite(p):
+        raise ValueError(f"binary_entropy needs a finite p, got {p}")
+    p = min(max(p, 0.0), 1.0)
     q = 1.0 - p
     return -float((p * np.log2(p) if p > 0.0 else 0.0) + (q * np.log2(q) if q > 0.0 else 0.0))
 

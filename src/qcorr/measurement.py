@@ -18,10 +18,12 @@ runs one search, J's objective stacked with m2's for the continuity audit.
 A state of rank r < d_rest = dim(A) has smaller blocks with the same nonzero
 spectra: with rho = Psi Psi^dag, Psi = V sqrt(Lambda) (2 d_rest x r), the block
 of outcome +-n has the nonzero spectrum of (G_0 +- n.G)/2, G_s = Psi^dag (1 x
-sigma_s) Psi, which is r x r. J's search reads k x k blocks, k = min(d_rest,
-max(2, r)), with r the number of eigenvalues of rho above dim(rho) times
-machine epsilon (at most 3.6e-15 for dim(rho) <= 16), so a rank-1 or rank-2
-state takes the closed-form 2 x 2 spectra whatever d_rest is. The eigenvalues
+sigma_s) Psi, which is r x r. J's search reads k x k blocks, k = min(d_rest, r),
+with r the number of eigenvalues of rho above dim(rho) times machine epsilon
+(at most 3.6e-15 for dim(rho) <= 16), so a rank-2 state takes the closed-form
+2 x 2 spectra whatever d_rest is. A state of rank 1 (pure) takes no search:
+every rank-1 projector on the measured qubit leaves the rest pure, so the
+objective is 0 along every axis and J = H(rest). The eigenvalues
 left out weigh eps_0 <= (dim(rho) - 1) dim(rho) epsilon <= 5.3e-14 on a PSD
 state (validation admits eigenvalues down to -1e-10; those are left out too).
 Each outcome block then loses eigenvalue weight summing to at most eps_0, which
@@ -38,9 +40,10 @@ charts once per process, on first use), a step tolerance of _TOL radians and at
 most _MAX_STEPS refinement steps. Each step probes a 3 x 3 stencil per direction
 and moves its centre by the Newton step of the stencil's central differences
 where that is a trusted descent step, or else takes a compass step, which
-doubles after a strict move. Over the 4074 seeded states of `tools/parity.py`
-(42 seeds), the median J takes 5 objective calls after the grid pass; the median
-search evaluates 400 directions on k = 2 blocks and 196 on larger ones.
+doubles after a strict move. Over the 4326 seeded states of `tools/parity.py`
+(42 seeds), 347 of them pure, the median search takes 5 objective calls after
+the grid pass and evaluates 400 directions on k = 2 blocks and 196 on larger
+ones.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ class MeasurementOptimum:
     """Best value found (J for `classical_correlations`, the smallest objective value
     for `sphere_search`), its direction, the distinct directions refined, whether each
     met ``_TOL`` or was retired onto a no-worse start within ``_MAX_STEPS`` steps, and
-    the directions evaluated."""
+    the directions evaluated. ``evaluations == 0`` and ``starts_used == 0`` mean that
+    no search ran: J of a pure state is H(rest), at the pole."""
 
     value: float
     angles: BlochAngles
@@ -142,7 +146,7 @@ def _direction(angles: BlochAngles) -> np.ndarray:
 def _measured_last(rho: DensityMatrix, measured: int) -> np.ndarray:
     """Tensor view (d_rest, 2, d_rest, 2) with the measured qubit as the last factor."""
     _require_density(rho, "classical_correlations")
-    if not isinstance(measured, (int, np.integer)):
+    if isinstance(measured, bool) or not isinstance(measured, (int, np.integer)):
         raise TypeError(f"measured subsystem index must be an integer, got {measured!r}")
     n = len(rho.dims)
     if not 0 <= measured < n:
@@ -381,29 +385,37 @@ def _conditional_entropy(plogp: np.ndarray, spectral: np.ndarray) -> np.ndarray:
     return (plogp - spectral).sum(axis=0)
 
 
-def _block_size(rho: DensityMatrix) -> int:
-    """Outcome-block size of rho's J search: min(d_rest, max(2, r)), with r the
-    number of eigenvalues of rho in its `_support`."""
-    r = int(np.count_nonzero(_support(rho.spectrum, rho.dim)))
-    return min(rho.dim // 2, max(2, r))
+def _rank(rho: DensityMatrix) -> int:
+    """J's numerical rank r of rho: the number of its eigenvalues in its `_support`."""
+    return int(np.count_nonzero(_support(rho.spectrum, rho.dim)))
+
+
+# The objective optimum of a pure state, 0 along every axis, so J = H(rest); its
+# direction is grid point 0, the pole, which a tie-ordered search reports.
+_PURE_OPTIMUM = MeasurementOptimum(0.0, BlochAngles(0.0, 0.0), 0, True, 0)
 
 
 def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, MeasurementOptimum]]:
     """`classical_correlations` of each (rho, measured) pair, with the pair's
     `_measured_last` view and the entropy H(rest) of its unmeasured side.
 
-    States are searched on their k x k `_outcome_blocks`, k from `_block_size`,
-    and one `sphere_search` runs over the states of each (unmeasured dimension,
-    block size). Each state's result equals its own search: the states share the
+    A state of `_rank` 1 takes `_PURE_OPTIMUM`, J = H(rest), with no search. A
+    state of rank r >= 2 is searched on its k x k `_outcome_blocks`, k =
+    min(d_rest, r), and one `sphere_search` runs over the states of each
+    (unmeasured dimension, block size). Each state's result equals its own search: the states share the
     search's steps, not its starts. A caller that holds each pair's H(rest)
     passes them as ``h_rest``; otherwise they are formed.
     """
     pairs = list(pairs)
     groups = {}
+    tensors, found = [None] * len(pairs), [None] * len(pairs)
     for i, (rho, measured) in enumerate(pairs):
         t = _measured_last(rho, measured)
-        groups.setdefault((t.shape[0], _block_size(rho)), []).append((i, t))
-    tensors, found = [None] * len(pairs), [None] * len(pairs)
+        r = _rank(rho)
+        if r == 1:
+            tensors[i], found[i] = t, _PURE_OPTIMUM
+        else:
+            groups.setdefault((t.shape[0], min(t.shape[0], r)), []).append((i, t))
     for (_, k), group in groups.items():
         stack = np.stack([t for _, t in group])
         entropies = _outcome_entropies(_outcome_blocks(stack, k))

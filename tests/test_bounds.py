@@ -132,7 +132,7 @@ def test_kw_audit_flags_an_eof_above_the_tradeoff(monkeypatch):
 def test_kw_audit_rejects_invalid_inputs():
     with pytest.raises(UnsupportedDimensionError, match="complement"):
         koashi_winter_audit(random_pure_state((2, 2, 2, 2), 7), (0,), (1,))
-    with pytest.raises(ValueError, match="pure"):
+    with pytest.raises(TypeError, match="^koashi_winter_audit needs a PureState, got Dens"):
         koashi_winter_audit(random_density_matrix((2, 2, 2), 8, 9), (0,), (1,))
     with pytest.raises(ValueError, match=r"system block index 5 is out of range \[0, 3\)"):
         koashi_winter_audit(random_pure_state((2, 2, 2), 7), 5, 1)

@@ -12,15 +12,20 @@ from qcorr import (
     binary_entropy,
     classical_correlations,
     concurrence_two_qubit,
+    consensus_delta,
     continuity_chain_audit,
     density_from_pure,
+    discord_bound_audit,
     entanglement_entropy,
     env_consensus,
     env_eof_bound_audit,
+    eof_bound_audit,
     eof_convex_roof_numeric,
     eof_two_qubit,
     f_bound_audit,
+    fanchini_identity_audit,
     ghz_state,
+    koashi_winter_audit,
     mutual_information,
     partial_trace,
     permute_subsystems,
@@ -206,34 +211,49 @@ def test_constructors_and_reorderings_name_their_failed_check():
 
 _PSI = random_pure_state((2, 2), 3)
 _RHO = random_density_matrix((2, 2), 4, 3)
-# Every call but the last passes a PureState where a DensityMatrix is needed.
+_RHO_3Q = density_from_pure(random_pure_state((2, 2, 2), 3))
+_DENSITY = "needs a DensityMatrix, got PureState; density_from_pure"
+_INDEX = "^measured subsystem index must be an integer, got "
+# Each call passes a PureState where a DensityMatrix is needed, a DensityMatrix or a raw
+# array where a PureState is needed, or a measured index that is not an integer.
 _WRONG_TYPES = {
-    "von_neumann_entropy": lambda: von_neumann_entropy(_PSI),
-    "partial_trace": lambda: partial_trace(_PSI, (0,)),
-    "mutual_information": lambda: mutual_information(Bipartition(_PSI, (0,), (1,))),
-    "quantum_discord": lambda: quantum_discord(Bipartition(_PSI, (0,), (1,))),
-    "classical_correlations": lambda: classical_correlations(_PSI, 1),
-    "concurrence_two_qubit": lambda: concurrence_two_qubit(_PSI),
-    "eof_two_qubit": lambda: eof_two_qubit(_PSI),
-    "eof_convex_roof_numeric": lambda: eof_convex_roof_numeric(_PSI),
-    "relative_entropy-x": lambda: relative_entropy(_PSI, _RHO),
-    "relative_entropy-y": lambda: relative_entropy(_RHO, _PSI),
-    "trace_distance_half": lambda: trace_distance_half(_RHO, _PSI),
-    "remark_audit": lambda: remark_audit(_PSI),
-    "continuity_chain_audit": lambda: continuity_chain_audit(_PSI, 1),
-    "f_bound_audit": lambda: f_bound_audit(_PSI, 1),
-    "measured-index": lambda: classical_correlations(_RHO, 1.5),
+    "von_neumann_entropy": (lambda: von_neumann_entropy(_PSI), _DENSITY),
+    "partial_trace": (lambda: partial_trace(_PSI, (0,)), _DENSITY),
+    "mutual_information": (lambda: mutual_information(Bipartition(_PSI, (0,), (1,))), _DENSITY),
+    "quantum_discord": (lambda: quantum_discord(Bipartition(_PSI, (0,), (1,))), _DENSITY),
+    "classical_correlations": (lambda: classical_correlations(_PSI, 1), _DENSITY),
+    "concurrence_two_qubit": (lambda: concurrence_two_qubit(_PSI), _DENSITY),
+    "eof_two_qubit": (lambda: eof_two_qubit(_PSI), _DENSITY),
+    "eof_convex_roof_numeric": (lambda: eof_convex_roof_numeric(_PSI), _DENSITY),
+    "relative_entropy-x": (lambda: relative_entropy(_PSI, _RHO), _DENSITY),
+    "relative_entropy-y": (lambda: relative_entropy(_RHO, _PSI), _DENSITY),
+    "trace_distance_half": (lambda: trace_distance_half(_RHO, _PSI), _DENSITY),
+    "remark_audit": (lambda: remark_audit(_PSI), _DENSITY),
+    "continuity_chain_audit": (lambda: continuity_chain_audit(_PSI, 1), _DENSITY),
+    "f_bound_audit": (lambda: f_bound_audit(_PSI, 1), _DENSITY),
+    "consensus_delta": (lambda: consensus_delta(_RHO_3Q, 0),
+                        "^consensus_delta needs a PureState, got DensityMatrix$"),
+    "discord_bound_audit": (lambda: discord_bound_audit(np.eye(8) / 8, 0),
+                            "^discord_bound_audit needs a PureState, got ndarray$"),
+    "eof_bound_audit": (lambda: eof_bound_audit(_RHO_3Q, 0),
+                        "^eof_bound_audit needs a PureState, got DensityMatrix$"),
+    "koashi_winter_audit": (lambda: koashi_winter_audit(_RHO_3Q, 0, 1),
+                            "^koashi_winter_audit needs a PureState, got DensityMatrix$"),
+    "fanchini_identity_audit": (lambda: fanchini_identity_audit(np.eye(8) / 8, 0, 1),
+                                "^fanchini_identity_audit needs a PureState, got ndarray$"),
+    "measured-index": (lambda: classical_correlations(_RHO, 1.5), _INDEX + "1.5$"),
+    "measured-index-bool": (lambda: classical_correlations(_RHO, True), _INDEX + "True$"),
 }
 
 
 @pytest.mark.parametrize("case", _WRONG_TYPES)
 def test_wrong_input_types_fail_with_a_type_error_that_names_them(case):
-    # These died with an AttributeError on `mat` or `spectrum`, and the float
-    # index with "tuple indices must be integers".
-    message = ("measured subsystem index must be an integer" if case == "measured-index"
-               else "needs a DensityMatrix, got PureState; density_from_pure")
+    # These died with an AttributeError on `mat` or `spectrum`, the float index with
+    # "tuple indices must be integers" and the bool index in numpy's transpose; the
+    # pure-state audits raised a ValueError that named an inner step.
+    call, message = _WRONG_TYPES[case]
     with pytest.raises(TypeError, match=message):
-        _WRONG_TYPES[case]()
+        call()
 
 
 _RAW = np.eye(4) / 4
@@ -290,6 +310,14 @@ def test_binary_entropy_matches_the_array_route_bit_for_bit():
     for p in [*u, *u**20, 0.0, 0.5, 1.0, -0.1, 1.1]:
         q = min(max(float(p), 0.0), 1.0)
         assert binary_entropy(p).hex() == float(-_xlog2x_sum(np.array([q, 1.0 - q]))).hex()
+
+
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), -float("inf")])
+def test_binary_entropy_rejects_a_non_finite_p(p):
+    # A NaN passed the clip and both p > 0 tests failed, so h(nan) was -0.0;
+    # h(inf) clipped to h(1) = 0.0.
+    with pytest.raises(ValueError, match=f"^binary_entropy needs a finite p, got {p}$"):
+        binary_entropy(p)
 
 
 def test_entropy_is_additive_over_tensor_products():

@@ -43,6 +43,12 @@ def _mutual_info(rho: DensityMatrix) -> float:
     return h_a + h_b - von_neumann_entropy(rho)
 
 
+def _block_size(rho: DensityMatrix) -> int:
+    """Outcome-block size k = min(d_rest, r) of rho's J search, r its numerical rank,
+    and k = 2 for a pure state, which takes no search but whose blocks are valid."""
+    return min(rho.dim // 2, max(2, measurement._rank(rho)))
+
+
 def _measured_mutual_info(rho: DensityMatrix, theta: float, phi: float) -> float:
     """Post-measurement mutual information straight from the definition."""
     meas = qubit_projectors(BlochAngles(theta, phi), len(rho.dims) - 1)
@@ -349,8 +355,9 @@ def test_search_does_not_lose_a_start_on_the_pole():
 
 
 def test_search_diagnostics_count_evaluations_and_convergence(monkeypatch):
-    # At a = 1 the star marginal is a product state and the objective is flat.
-    flat = classical_correlations(analytic_marginals(StarConfig(10, 1.0))[1], 1)
+    # A full-rank product state (the CLI's remark fixture) has a flat objective.
+    flat = classical_correlations(
+        DensityMatrix(np.kron(np.diag([0.7, 0.3]), np.eye(2) / 2.0), (2, 2)), 1)
     interior = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
     assert flat.converged and interior.converged
     assert flat.starts_used == interior.starts_used == 5
@@ -358,12 +365,39 @@ def test_search_diagnostics_count_evaluations_and_convergence(monkeypatch):
     # The flat objective moves no start and its Hessian is 0, so each start takes
     # 8 failed compass steps of 9 probes (/8 each) to reach tol.
     assert flat.evaluations == grid + 9 * 8 * 5 == 625
+    # At a = 1 the star marginal is a pure product state: J = H(rest) with no search.
+    pure = classical_correlations(analytic_marginals(StarConfig(10, 1.0))[1], 1)
+    assert (pure.evaluations, pure.starts_used, pure.converged) == (0, 0, True)
     monkeypatch.setattr(measurement, "_MAX_STEPS", 3)
     capped = classical_correlations(analytic_marginals(StarConfig(10, 0.5))[1], 1)
     assert not capped.converged
     # The grid, one step of 9 per start, then two steps of each of the two
     # starts left once three are retired.
     assert capped.evaluations == grid + 9 * (5 + 2 + 2)
+
+
+def test_pure_states_take_j_as_the_rest_entropy_without_a_search(monkeypatch):
+    # Every rank-1 projector on the measured qubit leaves the rest of a pure state
+    # pure, so J = H(rest). These rank-1 states took 625 evaluations each on the
+    # flat objective of the search, which reached the same J bit for bit.
+    batches = _counting_objective(monkeypatch)
+    searched_j = {(2, 2): 0.559929430579508, (2, 3): 0.8864900756082038,
+                  (2, 2, 2): 0.7330437980298299, (2, 2, 2, 2): 0.7928617886983936}
+    measured = {(2, 2): 1, (2, 3): 0, (2, 2, 2): 2, (2, 2, 2, 2): 3}
+    cases = [(density_from_pure(bell_state()), 1)]
+    for dims, m in measured.items():
+        rho = random_density_matrix(dims, 1, 1400 + int(np.prod(dims)) + 1)
+        assert classical_correlations(rho, m).value == searched_j[dims]
+        cases += [(rho, m), (density_from_pure(random_pure_state(dims, 1500 + len(dims))), m)]
+    for rho, m in cases:
+        _, h_rest, best = measurement._classical_stack([(rho, m)])[0]
+        assert best == classical_correlations(rho, m)
+        assert best.value == h_rest
+        rest = tuple(i for i in range(len(rho.dims)) if i != m)
+        assert abs(best.value - qcorr.entanglement_entropy(rho, rest)) <= 1e-14
+        assert (best.evaluations, best.starts_used, best.converged) == (0, 0, True)
+        assert best.angles == BlochAngles(0.0, 0.0)
+    assert batches == []
 
 
 def _counting_objective(monkeypatch):
@@ -401,30 +435,26 @@ def test_search_retires_starts_that_share_a_basin(monkeypatch):
 
 
 def test_newton_steps_refine_a_search_in_few_objective_calls(monkeypatch):
-    # Seeded states with d_rest = 2, 3, 4 and 8, of rank 1, 2, mid and full, with
+    # Seeded states with d_rest = 2, 3, 4 and 8, of rank 2, mid and full, with
     # the J each reached under the compass search that only shrank its step by 8
-    # (a median of 24 objective calls after the grid pass on these states).
+    # (a median of 24 objective calls after the grid pass on these states and four
+    # of rank 1, which now take no search).
     batches = _counting_objective(monkeypatch)
     compass_j = {
-        ((2, 2), 1): 0.559929430579508, ((2, 2), 2): 0.6837409568976895,
-        ((2, 2), 3): 0.24782365645463128, ((2, 2), 4): 0.29060860620479334,
-        ((2, 3), 1): 0.8864900756082038, ((2, 3), 2): 0.5848155704677763,
+        ((2, 2), 2): 0.6837409568976895, ((2, 2), 3): 0.24782365645463128,
+        ((2, 2), 4): 0.29060860620479334, ((2, 3), 2): 0.5848155704677763,
         ((2, 3), 4): 0.41211982034122796, ((2, 3), 6): 0.2990277566707733,
-        ((2, 2, 2), 1): 0.7330437980298281, ((2, 2, 2), 2): 0.7069650817322523,
-        ((2, 2, 2), 5): 0.36000748622375833, ((2, 2, 2), 8): 0.262491115678644,
-        ((2, 2, 2, 2), 1): 0.7928617886983882, ((2, 2, 2, 2), 2): 0.8131482173282831,
+        ((2, 2, 2), 2): 0.7069650817322523, ((2, 2, 2), 5): 0.36000748622375833,
+        ((2, 2, 2), 8): 0.262491115678644, ((2, 2, 2, 2), 2): 0.8131482173282831,
         ((2, 2, 2, 2), 9): 0.3650036231142111, ((2, 2, 2, 2), 16): 0.23534897342825545,
     }
     # The path of the current search on each: evaluated directions and J.
     pinned = {
-        ((2, 2), 1): (625, 0.559929430579508), ((2, 2), 2): (445, 0.6837409568976904),
-        ((2, 2), 3): (355, 0.24782365645463178), ((2, 2), 4): (382, 0.29060860620479323),
-        ((2, 3), 1): (625, 0.8864900756082038), ((2, 3), 2): (409, 0.5848155704677769),
+        ((2, 2), 2): (445, 0.6837409568976904), ((2, 2), 3): (355, 0.24782365645463178),
+        ((2, 2), 4): (382, 0.29060860620479323), ((2, 3), 2): (409, 0.5848155704677769),
         ((2, 3), 4): (169, 0.4121198203412282), ((2, 3), 6): (223, 0.2990277566707735),
-        ((2, 2, 2), 1): (625, 0.7330437980298299), ((2, 2, 2), 2): (400, 0.7069650817322524),
-        ((2, 2, 2), 5): (151, 0.360007486223759), ((2, 2, 2), 8): (205, 0.2624911156786436),
-        ((2, 2, 2, 2), 1): (625, 0.7928617886983936),
-        ((2, 2, 2, 2), 2): (409, 0.8131482173282865),
+        ((2, 2, 2), 2): (400, 0.7069650817322524), ((2, 2, 2), 5): (151, 0.360007486223759),
+        ((2, 2, 2), 8): (205, 0.2624911156786436), ((2, 2, 2, 2), 2): (409, 0.8131482173282865),
         ((2, 2, 2, 2), 9): (259, 0.365003623114212),
         ((2, 2, 2, 2), 16): (196, 0.23534897342825634),
     }
@@ -492,9 +522,9 @@ def test_eigensolver_blocks_start_from_the_small_grid(monkeypatch, dims, rank, m
     # and reach the J of the same search started from the 265 of a 24-point grid.
     batches = _counting_objective(monkeypatch)
     rho = random_density_matrix(dims, rank, 1500 + rank)
-    assert measurement._block_size(rho) == min(rank, int(np.prod(dims)) // 2)
+    assert _block_size(rho) == min(rank, int(np.prod(dims)) // 2)
     best = classical_correlations(rho, measured)
-    assert batches[0] == (1, 61) == (1, len(measurement.angle_grid(measurement._block_size(rho))))
+    assert batches[0] == (1, 61) == (1, len(measurement.angle_grid(_block_size(rho))))
     assert best.converged
     batches.clear()
     monkeypatch.setattr(measurement, "_EIG_GRID", 24)
@@ -504,11 +534,11 @@ def test_eigensolver_blocks_start_from_the_small_grid(monkeypatch, dims, rank, m
 
 
 def test_stacked_search_keeps_states_independent():
-    # The flat a = 1 marginal converges after 8 steps while the others keep
+    # The flat product state converges after 8 steps while the others keep
     # moving; a retirement that matched rows of different states would change
     # the duplicated state's counts or one state's argmax.
     twice = analytic_marginals(StarConfig(10, 0.5))[1]
-    flat = analytic_marginals(StarConfig(10, 1.0))[1]
+    flat = DensityMatrix(np.kron(np.diag([0.7, 0.3]), np.eye(2) / 2.0), (2, 2))
     other = random_density_matrix((2, 2), 2, 1)
     stack = [(twice, 1), (flat, 1), (twice, 1), (other, 1)]
 
@@ -518,20 +548,23 @@ def test_stacked_search_keeps_states_independent():
     stacked = [fields(b) for _, _, b in measurement._classical_stack(stack)]
     assert stacked == [fields(classical_correlations(rho, m)) for rho, m in stack]
     assert stacked[0] == stacked[2]
-    # d_rest = 4 states of ranks 1, 2, 3 and 8 read 2 x 2, 2 x 2, 3 x 3 and 4 x 4
-    # outcome blocks, each block size in its own search.
+    # d_rest = 4 states of ranks 2, 3 and 8 read 2 x 2, 3 x 3 and 4 x 4 outcome
+    # blocks, each block size in its own search; the rank-1 state takes none.
     mixed_rank = [(random_density_matrix((2, 2, 2), r, 30 + r), 2) for r in (2, 8, 1, 3)]
     mixed_rank.insert(2, mixed_rank[0])
-    sizes = [measurement._block_size(rho) for rho, _ in mixed_rank]
+    sizes = [_block_size(rho) for rho, _ in mixed_rank]
     assert sizes == [2, 4, 2, 2, 3]
     stacked = [fields(b) for _, _, b in measurement._classical_stack(mixed_rank)]
     assert stacked == [fields(classical_correlations(rho, m)) for rho, m in mixed_rank]
     assert stacked[0] == stacked[2]
+    assert stacked[3][2:] == (0, 0, True)
     assert measurement._classical_stack([]) == []
     # (Unmeasured dimension, block size) (2, 2), (3, 3), (4, 2), (4, 4), (2, 2) and
-    # (4, 4) in one stack: each state's view, H(rest) and J are those of its own.
+    # (4, 4) in one stack with a pure state of d_rest = 4, which takes no search:
+    # each state's view, H(rest) and J are those of its own.
     mixed = [(other, 1), (random_density_matrix((2, 3), 3, 5), 0), mixed_rank[0],
-             (random_density_matrix((2, 4), 8, 6), 0), (twice, 1), mixed_rank[1]]
+             (random_density_matrix((2, 4), 8, 6), 0), mixed_rank[3], (twice, 1),
+             mixed_rank[1]]
     for (rho, m), (t, h, b) in zip(mixed, measurement._classical_stack(mixed), strict=True):
         alone_t, alone_h, alone_b = measurement._classical_stack([(rho, m)])[0]
         assert fields(b) == fields(alone_b) and h == alone_h and np.array_equal(t, alone_t)
@@ -550,7 +583,7 @@ def test_search_objective_matches_the_definition_at_every_rank(dims, measured):
     for rank in range(1, d + 1):
         for seed in range(3):
             rho = random_density_matrix(dims, rank, 500 + 10 * rank + seed)
-            k = measurement._block_size(rho)
+            k = _block_size(rho)
             assert k == min(d // 2, max(2, rank))
             t = measurement._measured_last(rho, measured)
             entropies = measurement._outcome_entropies(measurement._outcome_blocks(t[None], k))

@@ -107,7 +107,7 @@ def _j_cases(s: int):
                 qcorr.random_density_matrix((2, 2), r, seed), m)
     for dims, measured in RANK_CASES:
         name = "x".join(map(str, dims))
-        for rank in range(2, prod(dims) + 1):
+        for rank in range(1, prod(dims) + 1):
             yield name, f"{name}/r{rank}/s{s}", lambda seed, d=dims, r=rank, m=measured: (
                 qcorr.random_density_matrix(d, r, seed), m)
     for n in range(3, 7):
