@@ -46,7 +46,9 @@ from .core import (
     DensityMatrix,
     PureState,
     _require_density,
+    _require_integer,
     _require_state,
+    _subsystems,
     reduced_density_matrix,
     relative_entropy,
     trace_distance_half,
@@ -132,10 +134,7 @@ class EnvConsensusReport:
 
 
 def _single_qubit_index(psi: PureState, s, what: str) -> int:
-    s = tuple(int(i) for i in (s if hasattr(s, "__iter__") else (s,)))
-    n = len(psi.dims)
-    if len(s) == 1 and not 0 <= s[0] < n:
-        raise ValueError(f"{what} index {s[0]} is out of range [0, {n})")
+    s = _subsystems(psi.dims, s, what)
     if len(s) != 1 or psi.dims[s[0]] != 2:
         raise UnsupportedDimensionError(f"{what} must be a single qubit, got subsystems {s}")
     return s[0]
@@ -190,7 +189,7 @@ def consensus_from_marginals(h_s: float, sites, j_site, j_complement) -> Consens
         raise UndefinedConsensusError(
             f"H(rho_S) = {h_s:.3e} <= {H_S_CUTOFF}; consensus parameters are undefined"
         )
-    sites = tuple(int(i) for i in sites)
+    sites = tuple(_require_integer(i, "site index") for i in sites)
     j_site = tuple(float(v) for v in j_site)
     j_complement = tuple(float(v) for v in j_complement)
     if not sites or len(sites) != len(j_site):
@@ -324,8 +323,8 @@ def fanchini_identity_audit(psi: PureState, s, site: int) -> BoundAudit:
     if psi.dims != (2, 2, 2):
         raise UnsupportedDimensionError(f"conservation audit needs 3 qubits, got dims {psi.dims}")
     s_idx = _single_qubit_index(psi, s, "system block")
-    site = int(site)
-    if site == s_idx or not 0 <= site < 3:
+    (site,) = _subsystems(psi.dims, (site,), "site")
+    if site == s_idx:
         raise ValueError(f"site {site} must be an environment qubit distinct from {s_idx}")
     other = next(i for i in range(3) if i not in (s_idx, site))
 
@@ -485,11 +484,7 @@ def env_eof_bound_audit(
             f"pairwise entanglement bound needs at least 3 sites, got dims {env.dims}: "
             "it bounds E(i:j) by J of site i against a third site"
         )
-    i, j = int(i), int(j)
-    if not (0 <= i < len(env.dims) and 0 <= j < len(env.dims)):
-        raise ValueError(f"site indices ({i}, {j}) must lie in [0, {len(env.dims)})")
-    if i == j:
-        raise ValueError("need two distinct sites")
+    i, j = _subsystems(env.dims, (i, j), "site")
     report = report or env_consensus(env)
     if len(report.entropies) != len(env.dims):
         raise ValueError(

@@ -126,15 +126,26 @@ def _require_density(rho, what: str) -> None:
     _require_state(rho, what, (DensityMatrix,))
 
 
-def _keep_indices(dims, keep) -> tuple[int, ...]:
-    keep = tuple(sorted(int(k) for k in keep))
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ValueError(f"duplicate subsystem indices in {keep}")
-    if keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError(f"subsystem index out of range for {len(dims)} subsystems: {keep}")
-    return keep
+def _require_integer(x, what: str) -> int:
+    """``x`` as an int; a bool, a float or a string raises TypeError rather than be rounded."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
+def _subsystems(dims, indices, what: str) -> tuple[int, ...]:
+    """One index, or an iterable of indices, into ``dims`` as a tuple of ints in the
+    order given: each an integer in range, at least one, none repeated."""
+    out = tuple(_require_integer(i, f"{what} index")
+                for i in (indices if hasattr(indices, "__iter__") else (indices,)))
+    if not out:
+        raise ValueError(f"{what} indices must be nonempty")
+    for k, i in enumerate(out):
+        if not 0 <= i < len(dims):
+            raise ValueError(f"{what} index {i} is out of range [0, {len(dims)})")
+        if i in out[:k]:
+            raise ValueError(f"{what} index {i} is repeated in {out}")
+    return out
 
 
 def _grouped_view(rho: DensityMatrix, first, second) -> np.ndarray:
@@ -148,7 +159,7 @@ def _grouped_view(rho: DensityMatrix, first, second) -> np.ndarray:
 
 def _group_entropy(t: np.ndarray, block: int) -> float:
     """Entropy of block 0 or 1 of a `_grouped_view`, the other block traced out."""
-    return entropy_of(np.trace(t, axis1=1 - block, axis2=3 - block))
+    return float(-_xlog2x_sum(np.linalg.eigvalsh(np.trace(t, axis1=1 - block, axis2=3 - block))))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -157,11 +168,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     Parameters
     ----------
     rho : DensityMatrix
-    keep : iterable of int
-        Indices into ``rho.dims`` of the subsystems to retain.
+    keep : int or iterable of int
+        Indices into ``rho.dims`` of the subsystems to retain: integers (a bool
+        or a float raises TypeError) in range, at least one, none repeated.
     """
     _require_density(rho, "partial_trace")
-    keep = _keep_indices(rho.dims, keep)
+    keep = tuple(sorted(_subsystems(rho.dims, keep, "kept subsystem")))
     t = _grouped_view(rho, keep, [i for i in range(len(rho.dims)) if i not in keep])
     return DensityMatrix(np.trace(t, axis1=1, axis2=3), tuple(rho.dims[i] for i in keep))
 
@@ -172,11 +184,12 @@ def reduced_density_matrix(psi: PureState | DensityMatrix, keep) -> DensityMatri
     A `DensityMatrix` goes through `partial_trace`. A pure state's marginal is
     ``partial_trace(density_from_pure(psi), keep)`` without the full density
     matrix: O(d * d_keep) instead of O(d^2), which matters for ~10-qubit states.
+    ``keep`` follows the index rule of `partial_trace`.
     """
     _require_state(psi, "reduced_density_matrix")
     if isinstance(psi, DensityMatrix):
         return partial_trace(psi, keep)
-    keep = _keep_indices(psi.dims, keep)
+    keep = tuple(sorted(_subsystems(psi.dims, keep, "kept subsystem")))
     n = len(psi.dims)
     traced = [i for i in range(n) if i not in keep]
     t = psi.vec.reshape(psi.dims)
@@ -188,9 +201,9 @@ def reduced_density_matrix(psi: PureState | DensityMatrix, keep) -> DensityMatri
 
 def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
     """Reorder the tensor factors of ``rho`` so factor ``order[k]`` becomes factor ``k``."""
-    order = tuple(int(i) for i in order)
+    order = _subsystems(rho.dims, order, "order")
     n = len(rho.dims)
-    if sorted(order) != list(range(n)):
+    if len(order) != n:
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
     t = _grouped_view(rho, order, ())
     return DensityMatrix(t.reshape(rho.dim, rho.dim), tuple(rho.dims[i] for i in order))
@@ -213,11 +226,6 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy -Tr(rho log2 rho) in bits, with 0*log 0 = 0."""
     _require_density(rho, "von_neumann_entropy")
     return float(-_xlog2x_sum(rho.spectrum))
-
-
-def entropy_of(mat: np.ndarray) -> float:
-    """Entropy in bits of a raw Hermitian PSD array (no invariant checks)."""
-    return float(-_xlog2x_sum(np.linalg.eigvalsh(mat)))
 
 
 def binary_entropy(p: float) -> float:
@@ -261,12 +269,7 @@ def trace_distance_half(x: DensityMatrix, y: DensityMatrix) -> float:
     _require_density(y, "trace_distance_half")
     if x.dims != y.dims:
         raise ValueError(f"dimension mismatch: {x.dims} vs {y.dims}")
-    return _half_trace_norm(x.mat - y.mat)
-
-
-def _half_trace_norm(m: np.ndarray) -> float:
-    """Half the trace norm of a raw Hermitian array."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))) / 2.0)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(x.mat - y.mat))) / 2.0)
 
 
 def random_pure_state(dims, seed: int) -> PureState:
@@ -285,7 +288,7 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
     """
     dims = _as_dims(dims)
     d = prod(dims)
-    rank = int(rank)
+    rank = _require_integer(rank, "rank")
     if not 1 <= rank <= d:
         raise ValueError(f"rank must lie in [1, {d}], got {rank}")
     rng = np.random.default_rng(seed)

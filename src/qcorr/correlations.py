@@ -26,6 +26,7 @@ from .core import (
     _grouped_view,
     _require_density,
     _require_state,
+    _subsystems,
     _xlog2x_sum,
     binary_entropy,
     reduced_density_matrix,
@@ -53,7 +54,12 @@ _ROOF_MAX_STEPS = 3000
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A state together with a two-block grouping of its subsystems."""
+    """A state together with a two-block grouping of its subsystems.
+
+    ``side_a`` and ``side_b`` are indices into ``rho.dims``, stored sorted. Each
+    side follows the index rule of `partial_trace` (integers, in range, at least
+    one, none repeated); together they cover every subsystem once.
+    """
 
     rho: DensityMatrix
     side_a: tuple[int, ...]
@@ -61,21 +67,15 @@ class Bipartition:
 
     def __post_init__(self):
         _require_density(self.rho, "Bipartition")
-        side_a = tuple(sorted(int(i) for i in self.side_a))
-        side_b = tuple(sorted(int(i) for i in self.side_b))
+        side_a = tuple(sorted(_subsystems(self.rho.dims, self.side_a, "side_a")))
+        side_b = tuple(sorted(_subsystems(self.rho.dims, self.side_b, "side_b")))
         object.__setattr__(self, "side_a", side_a)
         object.__setattr__(self, "side_b", side_b)
         n = len(self.rho.dims)
-        for name, side in (("side_a", side_a), ("side_b", side_b)):
-            repeated = [i for i, j in zip(side, side[1:]) if i == j]
-            if repeated:
-                raise ValueError(f"{name} {side} repeats subsystem {repeated[0]}")
         if set(side_a) & set(side_b):
             raise ValueError(f"sides overlap: {side_a} and {side_b}")
         if set(side_a) | set(side_b) != set(range(n)):
             raise ValueError(f"sides {side_a} | {side_b} do not cover all {n} subsystems")
-        if not side_a or not side_b:
-            raise ValueError("both sides must be nonempty")
 
 
 @dataclass(frozen=True)

@@ -789,7 +789,7 @@ def test_consensus_audits_reject_qutrits():
 
 
 def test_env_eof_bound_rejects_equal_and_undefined_sites():
-    with pytest.raises(ValueError, match="need two distinct sites"):
+    with pytest.raises(ValueError, match=r"^site index 1 is repeated in \(1, 1\)$"):
         env_eof_bound_audit(random_pure_state((2, 2, 2), 1), 1, 1)
     vec = np.zeros(8)
     vec[0] = 1.0
@@ -828,7 +828,7 @@ def test_env_eof_bound_rejects_mixed_environments():
         env_eof_bound_audit(random_density_matrix((2, 2, 2), 8, 71), 0, 1)
     env = random_pure_state((2, 2, 2, 2), 79)
     for j in (-1, 7):
-        with pytest.raises(ValueError, match=rf"site indices \(0, {j}\) must lie in \[0, 4\)"):
+        with pytest.raises(ValueError, match=rf"^site index {j} is out of range \[0, 4\)$"):
             env_eof_bound_audit(env, 0, j, env_consensus(env))
 
 

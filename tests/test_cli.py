@@ -309,7 +309,7 @@ def test_state_usage_errors(tmp_path, capsys):
     assert main(["state", "--in", str(fixture), "--split", "0|5"]) == 2
     assert main(["state", "--in", str(fixture), "--split", "01"]) == 2
     assert main(["state", "--in", str(fixture), "--split", "0|1,1"]) == 2
-    assert "side_b (1, 1) repeats subsystem 1" in capsys.readouterr().err
+    assert "side_b index 1 is repeated in (1, 1)" in capsys.readouterr().err
     assert main(["state", "--in", str(fixture), "--split", "x|1"]) == 2
     assert "malformed --split side 'x'" in capsys.readouterr().err
     assert main(["state", "--in", str(fixture), "--split", "|1"]) == 2

@@ -13,6 +13,7 @@ from qcorr import (
     classical_correlations,
     concurrence_two_qubit,
     consensus_delta,
+    consensus_from_marginals,
     continuity_chain_audit,
     density_from_pure,
     discord_bound_audit,
@@ -187,6 +188,16 @@ def test_partial_trace_rejects_bad_keep_sets():
         partial_trace(rho, (2,))
 
 
+def test_subsystem_indices_take_numpy_integers_ranges_and_one_bare_index():
+    rho = random_density_matrix((2, 2, 2), 8, 5)
+    want = partial_trace(rho, (0, 2)).mat
+    for keep in ([2, 0], range(0, 3, 2), np.array([0, 2]), (np.int32(0), np.int64(2))):
+        assert np.array_equal(partial_trace(rho, keep).mat, want)
+    assert np.array_equal(partial_trace(rho, np.int64(1)).mat, partial_trace(rho, (1,)).mat)
+    psi = random_pure_state((2, 2, 2), 5)
+    assert consensus_delta(psi, 0) == consensus_delta(psi, (np.int64(0),))
+
+
 def test_permute_subsystems_swaps_product_factors():
     rho_a = random_density_matrix((2,), 2, 31)
     rho_b = random_density_matrix((2,), 2, 37)
@@ -199,10 +210,12 @@ def test_constructors_and_reorderings_name_their_failed_check():
     with pytest.raises(ValueError, match="vector length 3 does not match dims"):
         PureState(np.ones(3) / np.sqrt(3.0), (2, 2))
     rho = random_density_matrix((2, 2), 4, 5)
-    with pytest.raises(ValueError, match="duplicate subsystem indices"):
+    with pytest.raises(ValueError, match=r"^kept subsystem index 0 is repeated in \(0, 0\)$"):
         partial_trace(rho, (0, 0))
-    with pytest.raises(ValueError, match="is not a permutation"):
+    with pytest.raises(ValueError, match=r"^order index 0 is repeated in \(0, 0\)$"):
         permute_subsystems(rho, (0, 0))
+    with pytest.raises(ValueError, match=r"^order \(1,\) is not a permutation of 0..1$"):
+        permute_subsystems(rho, (1,))
     with pytest.raises(ValueError, match="GHZ state needs at least 2 qubits"):
         ghz_state(1)
     with pytest.raises(ValueError, match="W state needs at least 2 qubits"):
@@ -211,11 +224,14 @@ def test_constructors_and_reorderings_name_their_failed_check():
 
 _PSI = random_pure_state((2, 2), 3)
 _RHO = random_density_matrix((2, 2), 4, 3)
-_RHO_3Q = density_from_pure(random_pure_state((2, 2, 2), 3))
+_PSI_3Q = random_pure_state((2, 2, 2), 3)
+_PSI_4Q = random_pure_state((2, 2, 2, 2), 3)
+_RHO_3Q = density_from_pure(_PSI_3Q)
 _DENSITY = "needs a DensityMatrix, got PureState; density_from_pure"
 _INDEX = "^measured subsystem index must be an integer, got "
 # Each call passes a PureState where a DensityMatrix is needed, a DensityMatrix or a raw
-# array where a PureState is needed, or a measured index that is not an integer.
+# array where a PureState is needed, or a subsystem index or a count that is not an
+# integer.
 _WRONG_TYPES = {
     "von_neumann_entropy": (lambda: von_neumann_entropy(_PSI), _DENSITY),
     "partial_trace": (lambda: partial_trace(_PSI, (0,)), _DENSITY),
@@ -243,6 +259,29 @@ _WRONG_TYPES = {
                                 "^fanchini_identity_audit needs a PureState, got ndarray$"),
     "measured-index": (lambda: classical_correlations(_RHO, 1.5), _INDEX + "1.5$"),
     "measured-index-bool": (lambda: classical_correlations(_RHO, True), _INDEX + "True$"),
+    "kept-index": (lambda: reduced_density_matrix(_PSI, (0.9,)),
+                   "^kept subsystem index must be an integer, got 0.9$"),
+    "kept-index-entropy": (lambda: entanglement_entropy(_PSI, (0.2,)),
+                           "^kept subsystem index must be an integer, got 0.2$"),
+    "side-index": (lambda: Bipartition(_RHO, (0.5,), (1.9,)),
+                   "^side_a index must be an integer, got 0.5$"),
+    "order-index": (lambda: permute_subsystems(_RHO, (1.2, 0.1)),
+                    "^order index must be an integer, got 1.2$"),
+    "system-index": (lambda: consensus_delta(_PSI_3Q, 0.9),
+                     "^system block index must be an integer, got 0.9$"),
+    "system-index-str": (lambda: consensus_delta(_PSI_3Q, "0"),
+                         "^system block index must be an integer, got '0'$"),
+    "system-index-bool": (lambda: koashi_winter_audit(_PSI_3Q, True, 2.2),
+                          "^system block index must be an integer, got True$"),
+    "site-index": (lambda: fanchini_identity_audit(_PSI_3Q, 0, 1.5),
+                   "^site index must be an integer, got 1.5$"),
+    "site-index-pair": (lambda: env_eof_bound_audit(_PSI_4Q, 0.5, 1.5),
+                        "^site index must be an integer, got 0.5$"),
+    "consensus-site": (lambda: consensus_from_marginals(1.0, (1.9,), (0.5,), (0.5,)),
+                       "^site index must be an integer, got 1.9$"),
+    "rank": (lambda: random_density_matrix((2, 2), 2.7, 1), "^rank must be an integer, got 2.7$"),
+    "rank-bool": (lambda: random_density_matrix((2, 2), True, 1),
+                  "^rank must be an integer, got True$"),
 }
 
 
@@ -250,7 +289,8 @@ _WRONG_TYPES = {
 def test_wrong_input_types_fail_with_a_type_error_that_names_them(case):
     # These died with an AttributeError on `mat` or `spectrum`, the float index with
     # "tuple indices must be integers" and the bool index in numpy's transpose; the
-    # pure-state audits raised a ValueError that named an inner step.
+    # pure-state audits raised a ValueError that named an inner step. The other
+    # indices and counts were rounded by int() and ran on another subsystem or rank.
     call, message = _WRONG_TYPES[case]
     with pytest.raises(TypeError, match=message):
         call()

@@ -182,6 +182,35 @@ def test_classical_correlations_of_bell_state_reach_one():
     assert best.value == pytest.approx(1.0, abs=1e-9)
 
 
+def test_classical_correlations_match_luo_on_bell_diagonal_states():
+    # Bell-diagonal rho = (1 + sum_i c_i sigma_i x sigma_i)/4 has J = 1 - h((1 + max|c_i|)/2)
+    # on either side (S. Luo, PRA 77, 042303 (2008)), and J is invariant under local
+    # unitaries. The largest |c_i| leads the next by at least 1e-2 of its value: the
+    # search stops short on closer ties.
+    rng = np.random.default_rng(101)
+    bell = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) / np.sqrt(2.0)
+    signs = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])  # c of each row
+    checked = 0
+    while checked < 100:
+        p = rng.dirichlet(np.ones(4))
+        top, second = np.sort(np.abs(p @ signs))[::-1][:2]
+        if top - second < 1e-2 * top:
+            continue
+        mat = (bell.T * p) @ bell + 0j
+        if checked % 2:
+            u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                    for _ in range(2))
+            w = np.kron(u, v)
+            mat = w @ mat @ w.conj().T
+        rho = DensityMatrix(mat, (2, 2))
+        luo = 1.0 - binary_entropy((1.0 + top) / 2.0)
+        for measured in (0, 1):
+            best = classical_correlations(rho, measured)
+            assert abs(best.value - luo) <= 1e-12
+            assert best.converged
+        checked += 1
+
+
 def test_classical_correlations_of_classical_mixture_hit_binary_entropy():
     mat = np.diag([0.7, 0.0, 0.0, 0.3]).astype(complex)
     rho = DensityMatrix(mat, (2, 2))
@@ -252,7 +281,7 @@ def test_classical_correlations_reject_non_qubit_measured_side():
 
 def test_classical_correlations_reject_a_measured_index_out_of_range():
     rho = random_density_matrix((2, 2), 4, 55)
-    with pytest.raises(ValueError, match="measured subsystem 2 out of range"):
+    with pytest.raises(ValueError, match=r"^measured subsystem index 2 is out of range \[0, 2\)$"):
         classical_correlations(rho, 2)
 
 
