@@ -46,6 +46,7 @@ from .core import (
     DensityMatrix,
     PureState,
     _require_density,
+    _require_distinct,
     _require_integer,
     _require_state,
     _subsystems,
@@ -190,6 +191,7 @@ def consensus_from_marginals(h_s: float, sites, j_site, j_complement) -> Consens
             f"H(rho_S) = {h_s:.3e} <= {H_S_CUTOFF}; consensus parameters are undefined"
         )
     sites = tuple(_require_integer(i, "site index") for i in sites)
+    _require_distinct(sites, "site")
     j_site = tuple(float(v) for v in j_site)
     j_complement = tuple(float(v) for v in j_complement)
     if not sites or len(sites) != len(j_site):
@@ -400,9 +402,13 @@ def f_bound_audit(rho: DensityMatrix, measured: int) -> BoundAudit:
     entropies, and f's trace distance and smallest eigenvalues, come from
     `measurement._Pinching` at P~.
 
-    P~ is J's argmax, which a flat maximum fixes only to about sqrt(machine
-    epsilon) rad, so lhs and rhs follow any change to J's search at about 1e-9
-    (5.6e-9 seen where J itself moved by 1.8e-15) while ``satisfied`` does not.
+    P~ is J's argmax, which a flat maximum fixes only to where the search stops,
+    about 1e-7 rad from the stationary point (the step of a quadratic model
+    gain of 1e-16), so lhs and rhs follow the search's stopping rule while
+    ``satisfied`` does not. On the 294 f-bound states of a 42-seed
+    `tools/parity.py` run, against the same search run to its limit (step
+    tolerance 1e-12 rad, no gain rule), lhs moved by at most 3.1e-9 and rhs by
+    3.5e-9; the 3 x 3 stencil search's argmax had them up to 1.3e-8 away.
     """
     pinching = _Pinching(rho, measured, "f-function audit")
     n = pinching.n_best

@@ -140,12 +140,18 @@ def _subsystems(dims, indices, what: str) -> tuple[int, ...]:
                 for i in (indices if hasattr(indices, "__iter__") else (indices,)))
     if not out:
         raise ValueError(f"{what} indices must be nonempty")
-    for k, i in enumerate(out):
+    for i in out:
         if not 0 <= i < len(dims):
             raise ValueError(f"{what} index {i} is out of range [0, {len(dims)})")
-        if i in out[:k]:
-            raise ValueError(f"{what} index {i} is repeated in {out}")
+    _require_distinct(out, what)
     return out
+
+
+def _require_distinct(indices: tuple, what: str) -> None:
+    """ValueError naming the first index of ``indices`` that repeats an earlier one."""
+    for k, i in enumerate(indices):
+        if i in indices[:k]:
+            raise ValueError(f"{what} index {i} is repeated in {indices}")
 
 
 def _grouped_view(rho: DensityMatrix, first, second) -> np.ndarray:
@@ -201,6 +207,7 @@ def reduced_density_matrix(psi: PureState | DensityMatrix, keep) -> DensityMatri
 
 def permute_subsystems(rho: DensityMatrix, order) -> DensityMatrix:
     """Reorder the tensor factors of ``rho`` so factor ``order[k]`` becomes factor ``k``."""
+    _require_density(rho, "permute_subsystems")
     order = _subsystems(rho.dims, order, "order")
     n = len(rho.dims)
     if len(order) != n:
@@ -301,6 +308,7 @@ def random_density_matrix(dims, rank: int, seed: int) -> DensityMatrix:
 
 def ghz_state(n_qubits: int) -> PureState:
     """(|0...0> + |1...1>)/sqrt(2) on ``n_qubits`` qubits."""
+    n_qubits = _require_integer(n_qubits, "n_qubits")
     if n_qubits < 2:
         raise ValueError("GHZ state needs at least 2 qubits")
     v = np.zeros(2**n_qubits, dtype=complex)
@@ -310,6 +318,7 @@ def ghz_state(n_qubits: int) -> PureState:
 
 def w_state(n_qubits: int) -> PureState:
     """Equal superposition of all single-excitation basis states."""
+    n_qubits = _require_integer(n_qubits, "n_qubits")
     if n_qubits < 2:
         raise ValueError("W state needs at least 2 qubits")
     v = np.zeros(2**n_qubits, dtype=complex)

@@ -35,15 +35,17 @@ search reads the T_s blocks, as m2 always does.
 fixed settings: one point per measurement axis of an angle grid sized to the
 outcome-block kernel (_GRID x _GRID for the closed-form k = 2 blocks, _EIG_GRID x
 _EIG_GRID where each point costs an eigensolve), _STARTS refined directions per
-state, each in its grid point's pole-free chart (`_grid` builds a grid and its
-charts once per process, on first use), a step tolerance of _TOL radians and at
-most _MAX_STEPS refinement steps. Each step probes a 3 x 3 stencil per direction
-and moves its centre by the Newton step of the stencil's central differences
-where that is a trusted descent step, or else takes a compass step, which
-doubles after a strict move. Over the 4326 seeded states of `tools/parity.py`
-(42 seeds), 347 of them pure, the median search takes 5 objective calls after
-the grid pass and evaluates 400 directions on k = 2 blocks and 196 on larger
-ones (mean 424 and 207).
+state, a step tolerance of _TOL radians and at most _MAX_STEPS refinement steps.
+Each step is a Riemannian Newton step from the exact tangent gradient and
+Hessian of the objective, which `_outcome_entropies` gives in closed form for
+k = 2 and from one stacked eigh of both outcome blocks for k > 2: one derivative
+call per live start per step. Over the 4326 seeded states of `tools/parity.py`
+(42 seeds) outside its Bell-diagonal family, 347 of them pure, the search
+evaluates a median of 273 directions on k = 2 blocks and 70 on larger ones
+(mean 274 and 71; the 3 x 3 stencil search it replaced took 400 and 196). On
+its 1512 Bell-diagonal states, whose two largest correlations are tied or
+nearly tied (relative gaps 1e-12 to 1e-2), J is within 1.6e-15 of Luo's closed
+form and every search converged.
 """
 
 from __future__ import annotations
@@ -66,29 +68,30 @@ from .core import (
 
 # sigma_0 = 1 and the Pauli matrices; direction n projects onto (1 +- n.sigma)/2.
 _PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
-# The 3 x 3 stencil probed by each refinement step holds the points c + step (i, j)
-# for i, j in _OFFSETS, row-major in (i, j) so that a (3, 3) view of its values
-# holds f(c + step (i, j)) at [i + 1, j + 1]; _CENTRE indexes (0, 0).
-_OFFSETS = np.array([-1.0, 0.0, 1.0])
-_CENTRE = 4
-# Step divisor after a failed compass step, and the least one after a Newton step;
-# 8 took the fewest batched steps of the plain compass search (2-16 tried).
-_SHRINK = 8.0
-# Longest Newton step taken, in units of the step length.
-_TRUST = 2.0
+_LN2 = np.log(2.0)
+# Signs of the two outcomes +-n (and of the two eigenvalues mid +- |w| of a 2 x 2
+# tangent Hessian in `_newton_step`).
+_SIGNS = np.array([1.0, -1.0])
+_ADJUGATE = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_EYE2 = np.eye(2)
+# Floor of the outcome-block eigenvalues (and traces) whose logarithms enter the
+# objective's derivatives, not its values: a zero eigenvalue, exact or rounded,
+# gets the finite slope and curvature of one at _FLOOR.
+_FLOOR = 1e-15
 # `sphere_search` settings, read at call time: grid points per angle (even, so the
 # full grid is closed under n -> -n) for the closed-form k = 2 kernel and for the
-# eigensolver kernel of larger blocks, directions refined, step (radians) below
-# which a start has converged, and the cap on refinement steps.
+# eigensolver kernel of larger blocks, directions refined, the step (radians) and
+# the model gain (bits, about the objective's rounding) below which a start stops,
+# and the cap on refinement steps.
 _GRID = 24
-# A grid point of a k > 2 block costs an eigensolve, as does each of the 9 points
-# of a refine step per start. On the 2646 k > 2 states of a 42-seed
-# `tools/parity.py` run, 12 points (61 directions, first step pi/11) evaluated
-# 50% fewer directions than 24 (265, pi/23), and J dropped by at most 5.8e-15.
+# A grid point of a k > 2 block costs an eigensolve. On the 2646 k > 2 states of a
+# 42-seed `tools/parity.py` run under the stencil search, 12 points (61 directions)
+# evaluated 50% fewer directions than 24 (265), and J dropped by at most 5.8e-15.
 # With 12 for k = 2, the extra refine steps cost more than the grid points saved.
 _EIG_GRID = 12
 _STARTS = 5
 _TOL = 1e-8
+_GAIN_TOL = 1e-16
 _MAX_STEPS = 400
 
 
@@ -114,10 +117,18 @@ class BlochAngles:
 @dataclass(frozen=True)
 class MeasurementOptimum:
     """Best value found (J for `classical_correlations`, the smallest objective value
-    for `sphere_search`), its direction, the distinct directions refined, whether each
-    met ``_TOL`` or was retired onto a no-worse start within ``_MAX_STEPS`` steps, and
-    the directions evaluated. ``evaluations == 0`` and ``starts_used == 0`` mean that
-    no search ran: J of a pure state is H(rest), at the pole."""
+    for `sphere_search`), its direction, and the search's diagnostics:
+
+    - ``starts_used``: the distinct directions refined.
+    - ``converged``: each start stopped within ``_MAX_STEPS`` steps, by the step
+      rule (a step below ``_TOL`` radians or a model gain below ``_GAIN_TOL``, with
+      no negative tangent curvature beyond rounding) or by retiring onto the best
+      start of its state.
+    - ``evaluations``: the directions evaluated, the grid's points and one per
+      start per step.
+
+    ``evaluations == 0`` and ``starts_used == 0`` mean that no search ran: J of a
+    pure state is H(rest), at the pole."""
 
     value: float
     angles: BlochAngles
@@ -159,21 +170,15 @@ def _measured_last(rho: DensityMatrix, measured: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only `angle_grid` points, their directions n and charts (rows n, e_phi, -e_theta)
-    for a _GRID of ``size``: a local unit vector times a chart is a world direction."""
+def _grid(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only `angle_grid` points and their directions n for a _GRID of ``size``."""
     thetas = np.linspace(0.0, np.pi, size)[1 : size // 2]
     phis = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     points = np.vstack([[0.0, 0.0], np.column_stack([tt.ravel(), pp.ravel()])])
     n = _bloch_directions(points)
-    theta, phi = points.T
-    ct = np.cos(theta)
-    e_phi = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)])
-    minus_e_theta = np.column_stack([-ct * np.cos(phi), -ct * np.sin(phi), np.sin(theta)])
-    charts = np.stack([n, e_phi, minus_e_theta], axis=1)
-    points.flags.writeable = n.flags.writeable = charts.flags.writeable = False
-    return points, n, charts
+    points.flags.writeable = n.flags.writeable = False
+    return points, n
 
 
 def angle_grid(k: int = 2) -> np.ndarray:
@@ -201,104 +206,159 @@ def sphere_search(objective, states: int, k: int) -> list[MeasurementOptimum]:
 
     ``objective(rows, n)`` maps the state index of each of K rows (K,) and each
     row's unit vectors n (K, G, 3) to that state's values (K, G); every state's
-    objective is equal at n and -n. ``k`` is the size of the outcome blocks the
-    objective reads: it picks the grid, and so the first step pi / (g - 1).
+    objective is equal at n and -n. ``objective(rows, frames, True)`` takes one
+    orthonormal frame per row (K, 3, 3) whose first row is a direction n, and
+    returns the values at n (K,), the gradients (K, 3) along the frame's rows and
+    the Hessians (K, 2, 2) along its two tangent rows, of the objective's formula
+    extended off the sphere. ``k`` is the size of the outcome blocks the
+    objective reads: it picks the grid, and so the grid spacing pi / (g - 1).
 
     Every `angle_grid(k)` point (one per axis) is evaluated for every state, in one
     objective call for the whole stack, and ranked (stable sort, so ties keep
-    grid order). Each state's _STARTS best points become rows, and all rows are
-    refined together, each in the (theta, phi) chart of its grid point (cached
-    read-only with the grid), where it starts at (pi/2, 0), far from the chart's
-    poles. Each step probes a 3 x 3 stencil, a centre c and the 8 points c + s
-    (i, j) at the row's step length s, and moves the row's best point to the
-    stencil's lowest point if that is strictly lower.
-    The stencil's central differences give a gradient g and Hessian H; if H is
-    positive definite and the Newton step delta = -H^-1 g reaches at most
-    _TRUST s, the next centre is c + delta and the next step min(|delta|, s/8).
-    Otherwise the step is a compass step: the next centre is the row's best
-    point, and the step is doubled, up to the first step, after a strict move
-    to a neighbour and divided by 8 otherwise, so a flat or indefinite
-    objective is searched as by a plain compass and a long valley is walked at
-    a growing step. After each step a row is retired (its step set to 0) when
-    it lies within max(step_i, step_j) of an earlier row j of the same state
-    up to sign, |n_i . n_j| > cos(max(step_i, step_j)), and is no better than
-    it, f_i >= f_j. A row has converged once its step is below _TOL; the loop stops
-    after _MAX_STEPS steps. Rows of different states never meet, so each
-    state's result and its counts are those of a search over that state alone.
+    grid order). Each state's _STARTS best points become rows, refined together
+    by Riemannian Newton steps (Absil, Mahony & Sepulchre, Optimization
+    Algorithms on Matrix Manifolds, 2008), one derivative call per live row per
+    step. At a point that lowers the row's value (its first point does), the
+    tangent gradient and the Riemannian Hessian, the tangent Hessian less
+    (n . gradient) times the identity, give the step of `_newton_step`, taken
+    along the geodesic, which turns the row's frame with it. At a point that does
+    not, the row backtracks to a quarter of its last step, which keeps Newton
+    steps from cycling. Each row keeps the lowest value it evaluated: the result
+    is a value the search evaluated, at its direction. A row stops when its step
+    from a lower point is below _TOL radians or its quadratic model gains less
+    than _GAIN_TOL, with no negative curvature beyond rounding (where there is
+    some, the row steps on); when its backtracked step is below _TOL; or when it
+    retires, its next direction within its step of its state's best direction
+    so far, found by another row, up to sign. A state has converged when each
+    of its rows stopped within _MAX_STEPS steps. Rows of different states never
+    meet, so each state's result and its counts are those of its own search.
     """
     size = _grid_size(k)
-    _, n, charts = _grid(size)
+    n = _grid(size)[1]
     values = objective(np.arange(states), np.broadcast_to(n, (states, *n.shape)))
     picked = np.argsort(values, axis=1, kind="stable")[:, :_STARTS].ravel()
+    first = np.arange(0, len(picked), _STARTS)  # each state's first row
     owner = np.repeat(np.arange(states), _STARTS)
     f = values[owner, picked]
-    chart = charts[picked]  # each row starts at its chart's (pi/2, 0)
-    x = np.tile([np.pi / 2, 0.0], (len(picked), 1))  # chart angles of each row's best point
-    c = x.copy()  # chart angles of each row's stencil centre
-    d = n[picked]  # world direction of each row's best point
-    first = np.pi / (size - 1)
-    step = np.full(len(x), first)
-    probes = np.zeros(len(x), dtype=int)  # stencil points evaluated per row
-    # Per-state views of the rows. |n_i . n_j| of a state's rows i < j are its Gram matrix's
-    # upper triangle, a BLAS d @ d.T (an elementwise product-sum rounds differently).
-    ds = d.reshape(states, _STARTS, 3)
-    fs, ss = f.reshape(states, _STARTS), step.reshape(states, _STARTS)
-    earlier = np.arange(_STARTS)[:, None] < np.arange(_STARTS)
-    for _ in range(_MAX_STEPS):
-        live = (step >= _TOL).nonzero()[0]
-        if live.size == 0:
-            break
-        if live.size == len(step):
-            live = slice(None)  # basic indexing: views instead of gathers
-        s = step[live]
-        # The stencil's 3 thetas and 3 phis of each row (L, 2, 3): its point (i, j)
-        # is (theta_i, phi_j), so 3 + 3 sines and cosines give its 9 directions.
-        ang = c[live, :, None] + s[:, None, None] * _OFFSETS
-        sin, cos = np.sin(ang), np.cos(ang)
-        local = np.empty((len(s), 3, 3, 3))
-        np.multiply(sin[:, 0, :, None], cos[:, 1, None, :], out=local[..., 0])
-        np.multiply(sin[:, 0, :, None], sin[:, 1, None, :], out=local[..., 1])
-        local[..., 2] = cos[:, 0, :, None]
-        n_trial = local.reshape(len(s), 9, 3) @ chart[live]
-        ft = objective(owner[live], n_trial)
-        probes[live] += 9
-        low = ft.argmin(axis=1)  # each row's lowest stencil point
-        best = ft.min(axis=1)
-        moved = best < f[live]
-        movers = moved.nonzero()[0]
-        if movers.size:
-            at = movers if isinstance(live, slice) else live[movers]
-            i, j = np.divmod(low[movers], 3)
-            x[at, 0] = ang[movers, 0, i]
-            x[at, 1] = ang[movers, 1, j]
-            d[at] = n_trial[movers, low[movers]]
-            f[at] = best[movers]
-        # Central differences in units of the step: gradient (gx, gy) and Hessian
-        # [[hxx, hxy], [hxy, hyy]]. Where the Hessian is positive definite, the
-        # Newton step -H^-1 g is taken if it reaches at most _TRUST steps.
-        v = ft.reshape(-1, 3, 3)
-        gx, gy = (v[:, 2, 1] - v[:, 0, 1]) / 2.0, (v[:, 1, 2] - v[:, 1, 0]) / 2.0
-        hxx = v[:, 2, 1] - 2.0 * v[:, 1, 1] + v[:, 0, 1]
-        hyy = v[:, 1, 2] - 2.0 * v[:, 1, 1] + v[:, 1, 0]
-        hxy = (v[:, 2, 2] - v[:, 2, 0] - v[:, 0, 2] + v[:, 0, 0]) / 4.0
-        det = hxx * hyy - hxy**2
-        convex = (hxx > 0.0) & (det > 0.0)
-        den = np.where(convex, det, 1.0)
-        delta = np.column_stack([hxy * gy - hyy * gx, hxy * gx - hxx * gy]) / den[:, None]
-        reach = np.hypot(delta[:, 0], delta[:, 1])
-        newton = convex & (reach <= _TRUST)
-        c[live] = np.where(newton[:, None], c[live] + s[:, None] * delta, x[live])
-        compass = np.where(moved & (low != _CENTRE), np.minimum(2.0 * s, first), s / _SHRINK)
-        step[live] = np.where(newton, s * np.minimum(reach, 1.0 / _SHRINK), compass)
-        near = np.abs(ds @ ds.transpose(0, 2, 1)) > np.cos(np.maximum(ss[:, :, None], ss[:, None]))
-        ss[(near & earlier & (fs[:, :, None] <= fs[:, None])).any(axis=1)] = 0.0
-    i = np.arange(0, len(f), _STARTS) + fs.argmin(axis=1)  # first of ties: best-ranked
+    d = n[picked]  # each row's best direction
+    # Per live row: the frame at its last accepted point (its base), the value there,
+    # the unit tangent direction of the step from it, that step's length as tried,
+    # and the frame it reaches.
+    base = trial = _frames(d)
+    base_f = np.full(len(f), np.inf)
+    heading, tried = np.zeros((len(f), 2)), np.zeros(len(f))
+    cap = np.pi / (size - 1)
+    steps = np.full(len(f), _MAX_STEPS)  # derivative calls per row
+    live = np.arange(len(f))
+    for it in range(1, _MAX_STEPS + 1):
+        value, grad, h = objective(owner[live], trial, True)
+        lower = value < f[live]
+        at = live[lower]
+        f[at], d[at] = value[lower], trial[lower, 0]
+        h[:, 0, 0] -= grad[:, 0]
+        h[:, 1, 1] -= grad[:, 0]
+        step, length, gain, saddle = _newton_step(grad[:, 1:], h, cap)
+        accepted = value < base_f  # a new base and its step, else a quarter step back
+        base = np.where(accepted[:, None, None], trial, base)
+        base_f = np.where(accepted, value, base_f)
+        heading = np.where(accepted[:, None], step / np.maximum(length, 1e-300)[:, None], heading)
+        tried = np.where(accepted, length, tried / 4.0)
+        trial = _turn(base, heading, tried)
+        lead = (first + f.reshape(states, _STARTS).argmin(axis=1))[owner[live]]
+        retired = (np.abs((trial[:, 0] * d[lead]).sum(axis=1)) > np.cos(tried)) & (live != lead)
+        stopped = np.where(accepted, ~saddle & ((length < _TOL) | (gain < _GAIN_TOL)),
+                           tried < _TOL)
+        going = ~(retired | stopped)
+        if not going.all():
+            steps[live[~going]] = it
+            live, base, base_f, heading, tried, trial = (
+                a[going] for a in (live, base, base_f, heading, tried, trial))
+            if live.size == 0:
+                break
+    i = first + f.reshape(states, _STARTS).argmin(axis=1)  # first of ties: best-ranked
     polar, azimuth = np.arccos(np.clip(d[i, 2], -1.0, 1.0)), np.arctan2(d[i, 1], d[i, 0])
-    evaluations = len(n) + probes.reshape(states, _STARTS).sum(axis=1)
+    evaluations = len(n) + steps.reshape(states, _STARTS).sum(axis=1)
+    converged = ~np.isin(np.arange(states), owner[live])
     return [
         MeasurementOptimum(float(v), _canonical_angles(t, p), _STARTS, bool(ok), int(e))
-        for v, t, p, ok, e in zip(f[i], polar, azimuth, (ss < _TOL).all(axis=1), evaluations)
+        for v, t, p, ok, e in zip(f[i], polar, azimuth, converged, evaluations)
     ]
+
+
+def _frames(n: np.ndarray) -> np.ndarray:
+    """Right-handed orthonormal frames (K, 3, 3) with rows n and two tangent vectors
+    at the unit vectors n (K, 3), by the branch-free formula of Duff et al. (JCGT
+    6(1), 2017)."""
+    x, y, z = n.T
+    s = np.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    frames = np.empty((len(n), 3, 3))
+    frames[:, 0] = n
+    frames[:, 1, 0] = 1.0 + s * x * x * a
+    frames[:, 1, 1] = s * b
+    frames[:, 1, 2] = -s * x
+    frames[:, 2, 0] = b
+    frames[:, 2, 1] = s + y * y * a
+    frames[:, 2, 2] = -y
+    return frames
+
+
+def _newton_step(g: np.ndarray, h: np.ndarray, cap: float):
+    """Tangent steps (K, 2) of at most ``cap``, their lengths (K,), the decreases the
+    quadratic models predict for them (K,) and whether h has negative curvature
+    beyond rounding (K,), from tangent gradients g (K, 2) and Hessians h (K, 2, 2).
+
+    Along each eigenvector v of h, with eigenvalue lambda, the step is Newton's
+    -(g . v) / lambda where lambda exceeds rounding, tol = 1e-12 of the larger
+    |lambda|; steepest descent -(g . v) / tol where lambda lies within it; and
+    a step of ``cap`` downhill where lambda is below -tol, which leaves a saddle
+    or a maximum instead of stopping on it. h has eigenvalues mid -+ |w|, w =
+    (h_00 - h_11) / 2 + i h_01. Where every h is positive definite beyond
+    rounding the step is -h^-1 g, from h's adjugate; else a tangent vector turned
+    by -arg(w) / 2, as a complex number, has its components along the
+    eigenvectors of mid + |w| and mid - |w| as real and imaginary parts."""
+    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    half, mid = (a - c) / 2.0, (a + c) / 2.0
+    radius = np.hypot(half, b)
+    tol = 1e-12 * (np.abs(mid) + radius) + 1e-300
+    low = mid - radius
+    if (low > tol).all():
+        adjugate = h[:, ::-1, ::-1] * _ADJUGATE
+        step = -(adjugate @ g[..., None])[..., 0] / (low * (mid + radius))[:, None]
+        saddle = np.zeros(len(g), dtype=bool)
+    else:
+        lam = mid[:, None] + radius[:, None] * _SIGNS
+        turn = np.exp(-0.5j * np.arctan2(b, half))[:, None]
+        slope = (g.view(complex) * turn).view(float)
+        coef = -slope / np.maximum(lam, tol[:, None])
+        saddle = lam <= -tol[:, None]
+        coef[saddle] = -np.copysign(cap, slope[saddle])
+        step = (coef.view(complex) * turn.conj()).view(float)
+        saddle = saddle[:, 1]
+    length = np.hypot(step[:, 0], step[:, 1])
+    shrink = cap / np.maximum(length, cap)
+    step = step * shrink[:, None]
+    gain = -((g + (h @ step[..., None])[..., 0] / 2.0) * step).sum(axis=1)
+    return step, length * shrink, gain, saddle
+
+
+def _turn(frames: np.ndarray, u: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Frames (K, 3, 3) moved by ``length`` (K,) along the geodesics of their unit
+    tangent directions ``u`` (K, 2): each turns in the plane of its direction n and
+    u, so n -> n cos + u sin and u -> u cos - n sin. n is then rescaled to unit
+    length: the objective's formula extended off the sphere has a radial slope of
+    order log2 of the smallest outcome eigenvalue, so a drift of |n| by rounding
+    would move the value the search reports (by about 1e-15 on near-pure states)."""
+    cos, sin = np.cos(length), np.sin(length)
+    turn = np.empty((len(u), 3, 3))
+    turn[:, 0, 0] = cos
+    turn[:, 0, 1:] = sin[:, None] * u
+    turn[:, 1:, 0] = -turn[:, 0, 1:]
+    turn[:, 1:, 1:] = _EYE2 + (cos - 1.0)[:, None, None] * u[:, :, None] * u[:, None, :]
+    frames = turn @ frames
+    frames[:, 0] /= np.sqrt((frames[:, 0] ** 2).sum(axis=1))[:, None]
+    return frames
 
 
 def _pauli_blocks(tensors: np.ndarray) -> np.ndarray:
@@ -343,36 +403,139 @@ def _outcome_entropies(blocks: np.ndarray):
     `_factor_blocks` G_s of rho = Psi Psi^dag it is K(+-n) = Psi^dag (1 x P+-) Psi,
     which has the nonzero spectrum of B(+-n) up to the eigenvalues of rho outside
     its `_support` (at most 3.6e-15 each), which Psi leaves out: that moves J by
-    less than 6e-12 bits in the worst case (see the module docstring). The
-    returned function maps row states (K,) and directions n (K, G, 3) to each
+    less than 6e-12 bits in the worst case (see the module docstring).
+
+    The returned function maps row states (K,) and directions n (K, G, 3) to each
     outcome's p log2 p and sum_i lambda_i log2 lambda_i (2, K, G), with the
     eigenvalues lambda_i clipped to [0, 1] and p = sum_i lambda_i: each row's n.X
     is one batched matmul against its own state's X_s. For k = 2 a block
     b_0 + b.sigma has eigenvalues b_0 -+ |b|, and this closed form is the one
     k = 2 entropy kernel: both terms come from the two eigenvalue arrays, with no
     stacked spectrum. Larger blocks of every row go through one stacked eigvalsh.
+
+    Given row weights w (K,) or a scalar one, and one frame per row (K, 3, 3)
+    whose first row is n, it returns instead sum_+- (w p log2 p - sum_i lambda_i
+    log2 lambda_i) at n (K,), its gradient (K, 3) along the frame's rows and its
+    Hessian (K, 2, 2) along the two tangent rows, with the eigenvalues and traces
+    in their logarithms floored at _FLOOR. With phi(x) = x log2 x, along frame
+    row a each outcome block moves by +-D_a / 2, D_a = a . X:
+    - k = 2 (`_k2_derivatives`): in closed form, the b-space gradient and
+      Hessian of w phi(p) - phi(lo) - phi(hi), summed over the outcomes and
+      contracted with the 3 x 4 map from the frame's rows to b.
+    - k > 2 (`_eigh_derivatives`): one eigh B = U diag(lambda) U^dag of both
+      outcome blocks of every row. With Y_a = U^dag D_a U, the spectral term has
+      the Hellmann-Feynman gradient sum_i phi'(lambda_i) (Y_a)_ii / 2 and the
+      Daleckii-Krein Hessian sum_ij Gamma_ij (Y_a)_ij conj((Y_b)_ij) / 4, where
+      Gamma_ij is the `_divided_difference` of phi' on lambda_i and lambda_j, or its
+      limit 1 / (lambda ln 2) on equal ones: one matmul of (Y o Gamma) reshaped to
+      (..., 2, k^2) against conj(Y).
     """
     k = blocks.shape[-1]
-    signs = np.array([1.0, -1.0]).reshape(2, 1, 1, 1)
+    signs = _SIGNS.reshape(2, 1, 1, 1)
     if k == 2:
-        coef = np.einsum("xsab,rba->xsr", blocks, _PAULI).real / 2.0
+        # Halved Pauli coefficients: outcome +-n has b = coef_0 +- n.coef, exactly
+        # (X_0 +- n.X) / 2 in bits, since halving is exact.
+        coef = np.einsum("xsab,rba->xsr", blocks, _PAULI).real / 4.0
 
-        def entropies(rows, n):
-            b = (coef[rows, None, 0] + signs * (n @ coef[rows, 1:])) / 2.0
+        def entropies(rows, n, weight=None):
+            if weight is not None:
+                return _k2_derivatives(coef[rows], n, weight)
+            b = coef[rows, None, 0] + signs * (n @ coef[rows, 1:])
             r = np.sqrt(b[..., 1] ** 2 + b[..., 2] ** 2 + b[..., 3] ** 2)
             lo, hi = (b[..., 0] - r).clip(0.0, 1.0), (b[..., 0] + r).clip(0.0, 1.0)
             return _xlog2x((lo + hi).clip(0.0, 1.0)), _xlog2x(lo) + _xlog2x(hi)
 
     else:
         flat = blocks.reshape(len(blocks), 4, -1)
+        traces = np.trace(blocks[:, 1:], axis1=2, axis2=3).real
 
-        def entropies(rows, n):
+        def entropies(rows, n, weight=None):
+            if weight is not None:
+                return _eigh_derivatives(blocks[rows], traces[rows], n, weight)
             nx = (n @ flat[rows, 1:]).reshape(*n.shape[:2], k, k)
             outcome = (blocks[rows, None, 0] + signs[..., None] * nx) / 2.0
             w = np.linalg.eigvalsh(outcome).clip(0.0, 1.0)
             return _xlog2x(w.sum(axis=-1).clip(0.0, 1.0)), _xlog2x_sum(w)
 
     return entropies
+
+
+def _divided_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(phi'(b) - phi'(a)) / (b - a) of positive a and b, phi'(x) = log2 x + 1 / ln 2,
+    and its limit phi''(a) = 1 / (a ln 2) where they are equal."""
+    t = b / a - 1.0
+    t[t == 0.0] = 1e-300  # log1p(t) / t is then 1
+    return np.log1p(t) / (t * a) / _LN2
+
+
+def _k2_derivatives(coef: np.ndarray, frames: np.ndarray, weight):
+    """`_outcome_entropies`' value, gradient and tangent Hessian for 2 x 2 blocks with
+    halved Pauli coefficients ``coef`` (K, 4, 4), in closed form.
+
+    Per outcome, b = (b_0, b_v) has eigenvalues lo, hi = b_0 -+ |b_v| and trace p = lo + hi;
+    with A, B = phi''(lo), phi''(hi) and gamma their `_divided_difference`, the
+    b-space gradient of w phi(p) - phi(lo) - phi(hi) is (2 w phi'(p) - phi'(lo) -
+    phi'(hi), -2 gamma b_v) and its Hessian diag(4 w phi''(p) - A - B, -2 gamma,
+    -2 gamma, -2 gamma) + u y^T + y u^T, u = (0, b_v / |b_v|), y = (A - B, (gamma -
+    (A + B) / 2) u_v). b moves by +-``along`` along the frame's rows."""
+    along = frames @ coef[:, 1:]
+    b = coef[:, 0] + _SIGNS[:, None, None] * along[:, 0]
+    r = np.sqrt((b[..., 1:] ** 2).sum(axis=-1))
+    e = np.empty((3, *r.shape))  # lo, hi and p of each outcome
+    e[:2] = b[..., 0] - _SIGNS[:, None, None] * r
+    e[:2] = e[:2].clip(0.0, 1.0)
+    e[2] = (e[0] + e[1]).clip(0.0, 1.0)
+    terms = _xlog2x(e)
+    value = weight * terms[2] - (terms[0] + terms[1])
+    value = value[0] + value[1]
+    e = np.maximum(e, _FLOOR)
+    logs, curve = np.log2(e), 1.0 / (e * _LN2)
+    gamma = _divided_difference(e[0], e[1])
+    grad_b = b * (-2.0 * gamma)[..., None]
+    grad_b[..., 0] = 2.0 * weight * logs[2] - logs[0] - logs[1] + 2.0 * (weight - 1.0) / _LN2
+    grad = (along @ (grad_b[0] - grad_b[1])[..., None])[..., 0]
+    u = b / (r + (r == 0.0))[..., None]
+    u[..., 0] = 0.0
+    y = u * (gamma - (curve[0] + curve[1]) / 2.0)[..., None]
+    y[..., 0] = curve[0] - curve[1]
+    hess_b = u.transpose(1, 2, 0) @ y.transpose(1, 0, 2)
+    hess_b += hess_b.transpose(0, 2, 1)
+    diagonal = 4.0 * weight * curve[2] - curve[0] - curve[1]
+    hess_b[:, 0, 0] += diagonal[0] + diagonal[1]
+    hess_b.reshape(len(hess_b), 16)[:, 5::5] -= 2.0 * (gamma[0] + gamma[1])[:, None]
+    tangent = along[:, 1:]
+    return value, grad, tangent @ hess_b @ tangent.transpose(0, 2, 1)
+
+
+def _eigh_derivatives(x: np.ndarray, traces: np.ndarray, frames: np.ndarray, weight):
+    """`_outcome_entropies`' value, gradient and tangent Hessian for the k x k blocks
+    of the rows' X_s (K, 4, k, k) with traces tr X_a (K, 3): one stacked eigh of the
+    2 K outcome blocks, and Y_a = U^dag D_a U for the three frame rows a from two
+    matmuls, U^dag [D_1 D_2 D_3] stacked as (3 k, k) rows times U."""
+    rows, k = len(x), x.shape[-1]
+    along = (frames @ x[:, 1:].reshape(rows, 3, k * k)).reshape(rows, 3, k, k)
+    lam, vecs = np.linalg.eigh((x[:, 0] + _SIGNS[:, None, None, None] * along[:, 0]) / 2.0)
+    w = lam.clip(0.0, 1.0)
+    p = w.sum(axis=-1).clip(0.0, 1.0)
+    value = weight * _xlog2x(p) - _xlog2x(w).sum(axis=-1)
+    value = value[0] + value[1]
+    w, p = np.maximum(w, _FLOOR), np.maximum(p, _FLOOR)
+    left = vecs.conj().swapaxes(-1, -2) @ along.transpose(0, 2, 1, 3).reshape(rows, k, 3 * k)
+    y = (left.reshape(2, rows, k, 3, k).transpose(0, 1, 3, 2, 4).reshape(2, rows, 3 * k, k)
+         @ vecs).reshape(2, rows, 3, k, k)
+    t = (frames @ traces[..., None])[..., 0]
+    # sum_i phi'(lambda_i) Y_ii = sum_i log2(lambda_i) Y_ii + tr Y / ln 2, with tr Y = t.
+    feynman = (y.diagonal(axis1=-2, axis2=-1).real @ np.log2(w)[..., None])[..., 0]
+    slope = weight * np.log2(p) + (weight - 1.0) / _LN2
+    grad = _SIGNS[:, None, None] * (slope[..., None] * t - feynman)
+    grad = (grad[0] + grad[1]) / 2.0
+    y = y[:, :, 1:].reshape(2, rows, 2, k * k)
+    z = y * _divided_difference(w[..., :, None], w[..., None, :]).reshape(2, rows, 1, k * k)
+    krein = (z @ y.conj().swapaxes(-1, -2)).real
+    t = t[:, 1:]
+    curve = weight / (p * _LN2)
+    return value, grad, ((curve[0] + curve[1])[:, None, None] * t[:, :, None] * t[:, None, :]
+                         - krein[0] - krein[1]) / 4.0
 
 
 def _conditional_entropy(plogp: np.ndarray, spectral: np.ndarray) -> np.ndarray:
@@ -418,7 +581,9 @@ def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, Measur
         stack = np.stack([t for _, t in group])
         entropies = _outcome_entropies(_outcome_blocks(stack, k))
 
-        def objective(rows, n):
+        def objective(rows, n, derivatives=False):
+            if derivatives:
+                return entropies(rows, n, 1.0)
             return _conditional_entropy(*entropies(rows, n))
 
         for (i, _), t, best in zip(group, stack, sphere_search(objective, len(group), k)):
@@ -461,8 +626,9 @@ class _Pinching:
     so they and their `_outcome_entropies` are formed once. They give every
     pinched entropy, and rho_F's Bloch vector ``bloch`` (r_s = tr T_s), spectrum
     ``lam_f`` = (1 -+ |r|)/2 and entropy ``h_f``. One `sphere_search` runs J's
-    `_conditional_entropy` and, ``with_m2``, m2's H(rho||rho_P) as a second state;
-    rows of different states never meet, so J's optimum ``best`` (direction
+    `_conditional_entropy` and, ``with_m2``, m2's H(rho||rho_P) as a second state,
+    whose Newton steps read the spectral term's derivatives alone (weight 0 on
+    p log2 p); rows of different states never meet, so J's optimum ``best`` (direction
     ``n_best`` (3,), and ``h_rest``) equals `classical_correlations` bit for bit,
     and m2 a search of its own.
     """
@@ -486,8 +652,12 @@ class _Pinching:
         self.n_best = _direction(self.best.angles)
         self._m2 = found[1:]
 
-    def _objectives(self, rows, n):
+    def _objectives(self, rows, n, derivatives=False):
         """J's objective on the rows of state 0, H(rho||rho_P) on those of state 1."""
+        if derivatives:
+            j = rows == 0
+            value, grad, hess = self._entropies(np.zeros_like(rows), n, j.astype(float))
+            return np.where(j, value, value - self.h_full), grad, hess
         plogp, spectral = self._entropies(np.zeros_like(rows), n)
         pinched = -spectral.sum(axis=0) - self.h_full
         return np.where(rows[:, None] == 0, _conditional_entropy(plogp, spectral), pinched)

@@ -279,6 +279,9 @@ _WRONG_TYPES = {
                         "^site index must be an integer, got 0.5$"),
     "consensus-site": (lambda: consensus_from_marginals(1.0, (1.9,), (0.5,), (0.5,)),
                        "^site index must be an integer, got 1.9$"),
+    "permute_subsystems": (lambda: permute_subsystems(_PSI, (1, 0)), _DENSITY),
+    "ghz_state": (lambda: ghz_state(3.0), "^n_qubits must be an integer, got 3.0$"),
+    "w_state": (lambda: w_state(True), "^n_qubits must be an integer, got True$"),
     "rank": (lambda: random_density_matrix((2, 2), 2.7, 1), "^rank must be an integer, got 2.7$"),
     "rank-bool": (lambda: random_density_matrix((2, 2), True, 1),
                   "^rank must be an integer, got True$"),

@@ -49,6 +49,18 @@ def test_a_j_drop_above_the_limit_exits_1_and_a_rise_exits_0(tmp_path):
     assert _compare(tmp_path / "rise", j=[_j_record(0.5 + 1e-3)]) == 0
 
 
+def test_a_shortfall_against_the_reference_exits_1_even_when_both_sides_share_it(
+        tmp_path, capsys):
+    assert parity.REF_LIMIT == 1e-12
+    short = {**_j_record(0.5), "ref": 0.5 + 2e-12}
+    assert parity.main(["--compare", str(_output(tmp_path / "a", "a", j=[short])),
+                        str(_output(tmp_path / "a", "b", j=[short]))]) == 1
+    assert "worst shortfall against ref: A 2.00e-12, B 2.00e-12" in capsys.readouterr().out
+    close = {**_j_record(0.5), "ref": 0.5 + 5e-13}
+    assert parity.main(["--compare", str(_output(tmp_path / "b", "a", j=[short])),
+                        str(_output(tmp_path / "b", "b", j=[close]))]) == 0
+
+
 def test_an_audit_that_is_no_longer_satisfied_exits_1(tmp_path, capsys):
     assert _compare(tmp_path, audits=[_audit_record(satisfied=False)]) == 1
     assert "no longer satisfied: kw/3q/s0/0" in capsys.readouterr().out

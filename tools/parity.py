@@ -7,6 +7,7 @@ The first form writes, on N seeds (default 42) of each case of `_j_cases` and
 `_audit_cases`, and exits 1 if a CLI command fails:
 
   OUTDIR/j.json       J, evaluated directions and `converged` of each J state,
+                      and Luo's closed-form J as `ref` where there is one,
                       sorted by id
   OUTDIR/audits.json  label, lhs, rhs, slack, satisfied and extras of each audit,
                       floats as their `repr`, sorted by id
@@ -15,18 +16,21 @@ The first form writes, on N seeds (default 42) of each case of `_j_cases` and
                       state files, without manifests
 
 The J states are every rank of 2x2 to 2x2x2x2 and 3x2x2 states, pure-state
-marginals, near-product and near-pure mixes, noisy GHZ and W states, real states
-and star-sweep marginals; the audits include the f-bound audit and the
-continuity audit's m2, which no CSV holds. Identical code gives byte-identical
-files, and each case's seed is the CRC-32 of its id, so a run of more seeds
-holds the cases of a run of fewer.
+marginals, near-product and near-pure mixes, noisy GHZ and W states, real states,
+star-sweep marginals and Bell-diagonal states whose two largest |c_i| are tied
+or nearly tied, whose J S. Luo gives in closed form (PRA 77, 042303 (2008)); the
+audits include the f-bound audit and the continuity audit's m2, which no CSV
+holds. Identical code gives byte-identical files, and each case's seed is the
+CRC-32 of its id, so a run of more seeds holds the cases of a run of fewer.
 
 The second form matches two outputs by id and CSV file name. It prints, per J
-family, the worst drop and largest rise of J and the evaluations of each; per
-audit kind, each field that moved, in how many audits and by how much at most;
-and each moved CSV cell. It exits 2 if the outputs hold different J states,
-audits or CSV files; else 1 if J drops by more than DROP_LIMIT or an audit
-satisfied in A is not satisfied in B; else 0. A moved CSV cell does not fail.
+family, the worst drop and largest rise of J and the evaluations of each, and
+each side's worst shortfall against `ref`; per audit kind, each field that moved,
+in how many audits and by how much at most; and each moved CSV cell. It exits 2
+if the outputs hold different J states, audits or CSV files; else 1 if J drops
+by more than DROP_LIMIT, B's J falls short of `ref` by more than REF_LIMIT (which
+also sees a shortfall that both sides share) or an audit satisfied in A is not
+satisfied in B; else 0. A moved CSV cell does not fail.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import os
 import sys
 import tempfile
 import zlib
+from functools import partial
 from math import prod
 from pathlib import Path
 
@@ -50,6 +55,10 @@ from qcorr.cli import SUITES
 from qcorr.cli import main as cli_main
 
 DROP_LIMIT = 1e-13
+REF_LIMIT = 1e-12
+# Relative gaps between the two largest |c_i| of the Bell-diagonal J states; 0 is a tie.
+BELL_GAPS = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+_PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
 # dims and measured qubit of the J rank families, d_rest = 3, 3, 4, 4, 6 and 8.
 RANK_CASES = (((2, 3), 0), ((3, 2), 1), ((2, 4), 0), ((2, 2, 2), 2), ((3, 2, 2), 1),
               ((2, 2, 2, 2), 3))
@@ -99,8 +108,28 @@ def _real_state(dims, rank: int, seed: int) -> DensityMatrix:
     return DensityMatrix(rho / np.trace(rho), dims)
 
 
+def _bell_diagonal(seed: int, gap: float, rotated: bool, measured: int):
+    """A Bell-diagonal state (1 + sum_i c_i sigma_i x sigma_i) / 4 whose two largest |c_i|
+    differ by ``gap`` of the larger, under a seeded local unitary if ``rotated``, the
+    measured qubit, and Luo's J = 1 - h((1 + max |c_i|) / 2) of either qubit."""
+    rng = np.random.default_rng(seed)
+    while True:
+        top = rng.uniform(0.05, 0.95)
+        c = rng.choice([-1.0, 1.0], 3) * [top, top * (1.0 - gap), rng.uniform(0.0, 0.9) * top]
+        rng.shuffle(c)
+        mat = (np.eye(4) + sum(ci * np.kron(p, p) for ci, p in zip(c, _PAULIS))) / 4.0
+        if np.linalg.eigvalsh(mat)[0] >= 0.0:
+            break
+    if rotated:
+        u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(2))
+        mat = np.kron(u, v) @ mat @ np.kron(u, v).conj().T
+    return DensityMatrix(mat, (2, 2)), measured, 1.0 - qcorr.binary_entropy((1.0 + top) / 2.0)
+
+
 def _j_cases(s: int):
-    """(family, id, builder of (rho, measured)) of every J state of seed index ``s``."""
+    """(family, id, builder of (rho, measured) or (rho, measured, ref)) of every J state
+    of seed index ``s``; ``ref`` is J in closed form."""
     for rank in range(1, 5):
         for measured in (0, 1):
             yield "2x2", f"2x2/r{rank}/m{measured}/s{s}", lambda seed, r=rank, m=measured: (
@@ -157,16 +186,29 @@ def _j_cases(s: int):
         return qcorr.reduced_density_matrix(qcorr.build_universe_brute(cfg), (0, 1, 2)), 0
 
     yield "star", f"star/brute/s{s}", brute
+    for gap in BELL_GAPS:
+        for rotated in (False, True):
+            for measured in (0, 1):
+                state_id = f"bell/g{gap:g}/{'rotated' if rotated else 'plain'}/m{measured}/s{s}"
+                yield "bell-diagonal", state_id, partial(
+                    _bell_diagonal, gap=gap, rotated=rotated, measured=measured)
 
 
 def j_records(seeds: int) -> list[dict]:
     records = []
     for s in range(seeds):
         for family, state_id, build in _j_cases(s):
-            best = qcorr.classical_correlations(*build(_seed(state_id)))
+            rho, measured, *ref = build(_seed(state_id))
+            best = qcorr.classical_correlations(rho, measured)
             records.append({"id": state_id, "family": family, "j": best.value,
-                            "evaluations": best.evaluations, "converged": best.converged})
+                            "evaluations": best.evaluations, "converged": best.converged,
+                            **({"ref": ref[0]} if ref else {})})
     return records
+
+
+def _shortfall(records: dict) -> float:
+    """Largest ref - J over the records that hold a ``ref``, or 0."""
+    return max((r["ref"] - r["j"] for r in records.values() if "ref" in r), default=0.0)
 
 
 def compare_j(a: dict, b: dict) -> int:
@@ -184,7 +226,9 @@ def compare_j(a: dict, b: dict) -> int:
               f"{np.median(ev_a):>6g} -> {np.median(ev_b):<4g} "
               f"{ev_a.sum():>8} -> {ev_b.sum():<8} {unconverged[0]:>4} -> {unconverged[1]}")
     print(f"worst drop {worst:.2e} (limit {DROP_LIMIT:g})")
-    return 1 if worst > DROP_LIMIT else 0
+    short_a, short_b = _shortfall(a), _shortfall(b)
+    print(f"worst shortfall against ref: A {short_a:.2e}, B {short_b:.2e} (limit {REF_LIMIT:g})")
+    return 1 if worst > DROP_LIMIT or short_b > REF_LIMIT else 0
 
 
 # ---------------------------------------------------------------------------
