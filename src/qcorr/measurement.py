@@ -72,7 +72,6 @@ _LN2 = np.log(2.0)
 # Signs of the two outcomes +-n (and of the two eigenvalues mid +- |w| of a 2 x 2
 # tangent Hessian in `_newton_step`).
 _SIGNS = np.array([1.0, -1.0])
-_ADJUGATE = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _EYE2 = np.eye(2)
 # Floor of the outcome-block eigenvalues (and traces) whose logarithms enter the
 # objective's derivatives, not its values: a zero eigenvalue, exact or rounded,
@@ -231,7 +230,8 @@ def sphere_search(objective, states: int, k: int) -> list[MeasurementOptimum]:
     retires, its next direction within its step of its state's best direction
     so far, found by another row, up to sign. A state has converged when each
     of its rows stopped within _MAX_STEPS steps. Rows of different states never
-    meet, so each state's result and its counts are those of its own search.
+    meet and take one `_newton_step` route, so each state's result and counts are
+    its own search's bit for bit (`test_stacked_search_keeps_states_independent`).
     """
     size = _grid_size(k)
     n = _grid(size)[1]
@@ -309,38 +309,33 @@ def _newton_step(g: np.ndarray, h: np.ndarray, cap: float):
     quadratic models predict for them (K,) and whether h has negative curvature
     beyond rounding (K,), from tangent gradients g (K, 2) and Hessians h (K, 2, 2).
 
-    Along each eigenvector v of h, with eigenvalue lambda, the step is Newton's
-    -(g . v) / lambda where lambda exceeds rounding, tol = 1e-12 of the larger
-    |lambda|; steepest descent -(g . v) / tol where lambda lies within it; and
-    a step of ``cap`` downhill where lambda is below -tol, which leaves a saddle
-    or a maximum instead of stopping on it. h has eigenvalues mid -+ |w|, w =
-    (h_00 - h_11) / 2 + i h_01. Where every h is positive definite beyond
-    rounding the step is -h^-1 g, from h's adjugate; else a tangent vector turned
-    by -arg(w) / 2, as a complex number, has its components along the
-    eigenvectors of mid + |w| and mid - |w| as real and imaginary parts."""
-    a, b, c = h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+    Along each eigenvector v of h's symmetric part, with eigenvalue lambda, the
+    step is Newton's -(g . v) / lambda where lambda exceeds rounding, tol = 1e-12
+    of the larger |lambda|; steepest descent -(g . v) / tol where lambda lies
+    within it; and a step of ``cap`` downhill where lambda is below -tol, which
+    leaves a saddle or a maximum instead of stopping on it. The symmetric part has
+    eigenvalues mid -+ |w|, w = (h_00 - h_11) / 2 + i (h_01 + h_10) / 2, and a
+    tangent vector turned by -arg(w) / 2, as a complex number, has its components
+    along the eigenvectors of mid + |w| and mid - |w| as real and imaginary parts.
+    Every row takes this one route, so a row's step depends on that row alone.
+    Both off-diagonal entries count: on near-pure states h's rounding, its
+    asymmetry included, is of the order of h itself."""
+    a, b, c = h[:, 0, 0], (h[:, 0, 1] + h[:, 1, 0]) / 2.0, h[:, 1, 1]
     half, mid = (a - c) / 2.0, (a + c) / 2.0
     radius = np.hypot(half, b)
     tol = 1e-12 * (np.abs(mid) + radius) + 1e-300
-    low = mid - radius
-    if (low > tol).all():
-        adjugate = h[:, ::-1, ::-1] * _ADJUGATE
-        step = -(adjugate @ g[..., None])[..., 0] / (low * (mid + radius))[:, None]
-        saddle = np.zeros(len(g), dtype=bool)
-    else:
-        lam = mid[:, None] + radius[:, None] * _SIGNS
-        turn = np.exp(-0.5j * np.arctan2(b, half))[:, None]
-        slope = (g.view(complex) * turn).view(float)
-        coef = -slope / np.maximum(lam, tol[:, None])
-        saddle = lam <= -tol[:, None]
-        coef[saddle] = -np.copysign(cap, slope[saddle])
-        step = (coef.view(complex) * turn.conj()).view(float)
-        saddle = saddle[:, 1]
+    lam = mid[:, None] + radius[:, None] * _SIGNS
+    turn = np.exp(-0.5j * np.arctan2(b, half))[:, None]
+    slope = (g.view(complex) * turn).view(float)
+    coef = -slope / np.maximum(lam, tol[:, None])
+    saddle = lam <= -tol[:, None]
+    coef[saddle] = -np.copysign(cap, slope[saddle])
+    step = (coef.view(complex) * turn.conj()).view(float)
     length = np.hypot(step[:, 0], step[:, 1])
     shrink = cap / np.maximum(length, cap)
     step = step * shrink[:, None]
     gain = -((g + (h @ step[..., None])[..., 0] / 2.0) * step).sum(axis=1)
-    return step, length * shrink, gain, saddle
+    return step, length * shrink, gain, saddle[:, 1]
 
 
 def _turn(frames: np.ndarray, u: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -562,10 +557,10 @@ def _classical_stack(pairs, h_rest=None) -> list[tuple[np.ndarray, float, Measur
 
     A state of `_rank` 1 takes `_PURE_OPTIMUM`, J = H(rest), with no search. A
     state of rank r >= 2 is searched on its k x k `_outcome_blocks`, k =
-    min(d_rest, r), and one `sphere_search` runs over the states of each
-    (unmeasured dimension, block size). Each state's result equals its own search: the states share the
-    search's steps, not its starts. A caller that holds each pair's H(rest)
-    passes them as ``h_rest``; otherwise they are formed.
+    min(d_rest, r), and one `sphere_search` runs over the states of each (unmeasured
+    dimension, block size). Each state's result equals its own search bit for bit
+    (`test_stacked_search_keeps_states_independent`): the states share the steps,
+    not the starts. A caller that holds each pair's H(rest) passes ``h_rest``.
     """
     pairs = list(pairs)
     groups = {}
@@ -630,7 +625,7 @@ class _Pinching:
     whose Newton steps read the spectral term's derivatives alone (weight 0 on
     p log2 p); rows of different states never meet, so J's optimum ``best`` (direction
     ``n_best`` (3,), and ``h_rest``) equals `classical_correlations` bit for bit,
-    and m2 a search of its own.
+    and m2 a search of its own (`test_continuity_and_f_bound_run_one_stacked_search`).
     """
 
     def __init__(self, rho: DensityMatrix, measured: int, what: str, with_m2: bool = False):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import H_S_CUTOFF, consensus_from_marginals
-from .core import DensityMatrix, PureState, binary_entropy
+from .core import DensityMatrix, PureState, _require_integer, binary_entropy
 from .correlations import _eof_from_concurrence
 
 BRUTE_MAX_SITES = 12
@@ -41,15 +41,15 @@ BRUTE_MAX_SITES = 12
 
 @dataclass(frozen=True)
 class StarConfig:
-    """Star-network parameters: environment size and gate parameter a."""
+    """Star-network parameters: environment size n_env (an integer >= 1) and gate parameter a."""
 
     n_env: int
     a: float
 
     def __post_init__(self):
-        if int(self.n_env) != self.n_env or self.n_env < 1:
+        object.__setattr__(self, "n_env", _require_integer(self.n_env, "n_env"))
+        if self.n_env < 1:
             raise ValueError(f"n_env must be a positive integer, got {self.n_env}")
-        object.__setattr__(self, "n_env", int(self.n_env))
         if not 0.0 <= self.a <= 1.0:
             raise ValueError(f"a must lie in [0, 1], got {self.a}")
         object.__setattr__(self, "a", float(self.a))

@@ -44,14 +44,14 @@ def _complex_array(entries, what: str, ndim: int) -> np.ndarray:
 def load_state(path) -> DensityMatrix | PureState:
     """Read a state file back into a PureState or DensityMatrix.
 
-    Raises ValueError with the failing check for malformed files, including
-    violations of the state invariants (finite entries, trace, Hermiticity,
-    positivity, normalization) enforced by the returned types.
+    Raises ValueError with the failing check for malformed files (not UTF-8 JSON,
+    or both a vector and a matrix) and for violations of the state invariants
+    (finite entries, trace, Hermiticity, positivity, normalization).
     """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError(f"state file {path} must hold an object with a 'dims' field")
@@ -63,6 +63,8 @@ def load_state(path) -> DensityMatrix | PureState:
         raise ValueError(
             f"state file {path} has malformed dims {payload['dims']!r}: {exc}"
         ) from exc
+    if "vector" in payload and "matrix" in payload:
+        raise ValueError(f"state file {path} holds both 'vector' and 'matrix'; keep one")
     if "vector" in payload:
         return PureState(_complex_array(payload["vector"], "vector", 1), dims)
     if "matrix" in payload:

@@ -319,6 +319,9 @@ def test_state_usage_errors(tmp_path, capsys):
     assert main(["state", "--in", str(broken), "--split", "0|1"]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    broken.write_bytes(b'{"dims": [2, 2], "note": "\xff"}')
+    assert main(["state", "--in", str(broken), "--split", "0|1"]) == 2
+    assert f"error: malformed state file {broken}" in capsys.readouterr().err
 
 
 def test_state_reports_non_finite_entries(tmp_path, capsys):

@@ -234,6 +234,25 @@ def test_classical_correlations_reach_luo_on_near_ties(gap):
                 assert best.converged
 
 
+def test_classical_correlations_reach_the_exact_rank_two_reference():
+    # A two-qubit state of rank 2 has J = H(rest) - E_F(rest : C) in closed form
+    # (`parity._rank_two_j`). Over seeds 0-3999 measured on either side, search
+    # minus reference lay in [-1.6e-14, +2.4e-15], and over 400 near-pure mixtures
+    # (these weights, 40 seeds each) in [-1.6e-14, +5.4e-15]; the bound is about
+    # three times the widest of these. One stack runs every search: each state's
+    # result is its own search's (`test_stacked_search_keeps_states_independent`).
+    states = [random_density_matrix((2, 2), 2, seed) for seed in range(1000)]
+    for w in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        for seed in range(20):
+            a, b = (random_pure_state((2, 2), 2 * seed + i).vec for i in (0, 1))
+            mix = (1.0 - w) * np.outer(a, a.conj()) + w * np.outer(b, b.conj())
+            states.append(DensityMatrix(mix, (2, 2)))
+    pairs = [(rho, measured) for rho in states for measured in (0, 1)]
+    for (rho, measured), (_, _, best) in zip(pairs, measurement._classical_stack(pairs)):
+        assert abs(best.value - parity._rank_two_j(rho, measured)) <= 5e-14
+        assert best.converged
+
+
 def test_degenerate_states_search_without_warnings():
     # pytest turns warnings into errors. The GHZ pair marginal has a zero outcome
     # eigenvalue at its optimum, the W pair marginal a zero curvature around the z
@@ -693,6 +712,21 @@ def test_stacked_search_keeps_states_independent():
     for (rho, m), (t, h, b) in zip(mixed, measurement._classical_stack(mixed), strict=True):
         alone_t, alone_h, alone_b = measurement._classical_stack([(rho, m)])[0]
         assert fields(b) == fields(alone_b) and h == alone_h and np.array_equal(t, alone_t)
+    # Stacks of 100 seeded states per k > 2 family, and a k = 2 stack of 100 rank-4
+    # states with 6 near-tie Bell-diagonal states, whose Newton steps meet saddles:
+    # each row's step must depend on its own row alone. With a step that sent the
+    # whole stack down one of two routes, 54, 40, 41 and 53 of the 100 values of
+    # each k > 2 family and 13 of the 106 k = 2 values moved (by up to 1.8e-15).
+    families = [((2, 2, 2), 8, 2), ((2, 3), 6, 0), ((2, 2, 2, 2), 16, 3), ((2, 2, 2), 3, 2)]
+    stacks = [[(random_density_matrix(dims, rank, 4000 + seed), m) for seed in range(100)]
+              for dims, rank, m in families]
+    near_ties = [parity._bell_diagonal(7 + i, gap, True, i % 2)[:2]
+                 for i, gap in enumerate((0.0, 0.0, 1e-12, 1e-12, 1e-8, 1e-8))]
+    stacks.append([(random_density_matrix((2, 2), 4, 4000 + seed), seed % 2)
+                   for seed in range(100)] + near_ties)
+    for stack in stacks:
+        stacked = [fields(b) for _, _, b in measurement._classical_stack(stack)]
+        assert stacked == [fields(classical_correlations(rho, m)) for rho, m in stack]
 
 
 # Unmeasured dimension 3, 3, 4, 8 and 4 with the measured qubit first, last or inside.

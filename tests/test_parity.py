@@ -1,5 +1,5 @@
 """Tests for the exit codes and listings of `tools/parity.py --compare` on small
-synthetic outputs."""
+synthetic outputs, and for which J states carry a closed-form reference."""
 
 import importlib.util
 from pathlib import Path
@@ -59,6 +59,17 @@ def test_a_shortfall_against_the_reference_exits_1_even_when_both_sides_share_it
     close = {**_j_record(0.5), "ref": 0.5 + 5e-13}
     assert parity.main(["--compare", str(_output(tmp_path / "b", "a", j=[short])),
                         str(_output(tmp_path / "b", "b", j=[close]))]) == 0
+
+
+def test_closed_form_references_cover_bell_and_rank_two_two_qubit_states():
+    # Luo's J on the Bell-diagonal states and H(rest) - E_F(rest : C) on every
+    # two-qubit J state of rank <= 2, so `--compare`'s REF_LIMIT covers them.
+    with_ref = {state_id.rsplit("/", 1)[0] for _, state_id, build in parity._j_cases(0)
+                if len(build(parity._seed(state_id))) == 3}
+    bell = {i for i in with_ref if i.startswith("bell/")}
+    assert len(bell) == 4 * len(parity.BELL_GAPS)
+    assert with_ref - bell == {"2x2/r1/m0", "2x2/r1/m1", "2x2/r2/m0", "2x2/r2/m1",
+                               "pure3/keep2", "star/site/m0", "star/site/m1"}
 
 
 def test_an_audit_that_is_no_longer_satisfied_exits_1(tmp_path, capsys):

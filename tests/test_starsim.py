@@ -36,6 +36,17 @@ def test_star_config_validates_ranges():
         StarConfig(2, 1.1)
 
 
+def test_star_config_takes_integer_sizes_only():
+    # A bool or a float n_env raises rather than be cast: StarConfig(True, 0.5) was
+    # n_env = 1, and 3.0 or 2.5 was truncated. Python and numpy ints pass as ints.
+    for n_env in (True, 3.0, 2.5, "3", np.float64(3.0)):
+        with pytest.raises(TypeError, match="n_env must be an integer"):
+            StarConfig(n_env, 0.5)
+    for n_env in (3, np.int64(3), np.int32(3)):
+        cfg = StarConfig(n_env, 0.5)
+        assert cfg == StarConfig(3, 0.5) and type(cfg.n_env) is int
+
+
 def test_cmaybe_gate_is_unitary_for_all_couplings():
     for a in np.linspace(0.0, 1.0, 11):
         u = cmaybe_gate(a)

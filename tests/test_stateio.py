@@ -56,6 +56,26 @@ def test_load_rejects_malformed_json(tmp_path):
         load_state(path)
 
 
+def test_load_rejects_undecodable_files(tmp_path):
+    # Bytes that are not UTF-8 raise the malformed-file error naming the file, not a
+    # bare UnicodeDecodeError.
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dims": [2], "vector": [[1, 0], [0, 0]], "note": "\xe9"}')
+    with pytest.raises(ValueError, match=f"malformed state file {path}") as info:
+        load_state(path)
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+def test_load_rejects_a_file_with_both_a_vector_and_a_matrix(tmp_path):
+    # Such a file was read as its vector, whatever its matrix held.
+    path = tmp_path / "both.json"
+    payload = {"dims": [2], "vector": [[1.0, 0.0], [0.0, 0.0]],
+               "matrix": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="holds both 'vector' and 'matrix'"):
+        load_state(path)
+
+
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "nodims.json"
     path.write_text(json.dumps({"vector": [[1.0, 0.0], [0.0, 0.0]]}), encoding="utf-8")

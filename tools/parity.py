@@ -7,8 +7,9 @@ The first form writes, on N seeds (default 42) of each case of `_j_cases` and
 `_audit_cases`, and exits 1 if a CLI command fails:
 
   OUTDIR/j.json       J, evaluated directions and `converged` of each J state,
-                      and Luo's closed-form J as `ref` where there is one,
-                      sorted by id
+                      and a closed-form J as `ref` where there is one (Luo's
+                      on Bell-diagonal states, `_rank_two_j` on two-qubit
+                      states of rank <= 2), sorted by id
   OUTDIR/audits.json  label, lhs, rhs, slack, satisfied and extras of each audit,
                       floats as their `repr`, sorted by id
   OUTDIR/cli/*.csv    the default and a finer `qcorr sweep`, every `qcorr audit`
@@ -127,13 +128,31 @@ def _bell_diagonal(seed: int, gap: float, rotated: bool, measured: int):
     return DensityMatrix(mat, (2, 2)), measured, 1.0 - qcorr.binary_entropy((1.0 + top) / 2.0)
 
 
+def _rank_two_j(rho: DensityMatrix, measured: int) -> float:
+    """Exact J of a two-qubit state of rank <= 2 with qubit ``measured`` measured. A qubit C
+    purifies it, and J = H(rest) - E_F(rest : C) (Koashi & Winter, PRA 69, 022309
+    (2004)), with E_F in Wootters' closed form (PRL 80, 2245 (1998)). Projective
+    measurements reach this POVM J on rank-2 two-qubit states (Galve, Giorgi & Zambrini,
+    EPL 96, 40005 (2011)). Eigenvalues of rho beyond its two largest are dropped."""
+    lam, vecs = np.linalg.eigh(rho.mat)
+    psi = (vecs[:, -2:] * np.sqrt(lam[-2:].clip(0.0))).ravel()  # qubits 0, 1 then C
+    universe = qcorr.PureState(psi / np.linalg.norm(psi), (2, 2, 2))
+    rest_c = qcorr.reduced_density_matrix(universe, (1 - measured, 2))
+    return (qcorr.von_neumann_entropy(qcorr.partial_trace(rho, (1 - measured,)))
+            - qcorr.eof_two_qubit(rest_c))
+
+
 def _j_cases(s: int):
     """(family, id, builder of (rho, measured) or (rho, measured, ref)) of every J state
-    of seed index ``s``; ``ref`` is J in closed form."""
+    of seed index ``s``; ``ref`` is J in closed form: Luo's on the Bell-diagonal states,
+    `_rank_two_j` on the two-qubit states of rank <= 2."""
     for rank in range(1, 5):
         for measured in (0, 1):
-            yield "2x2", f"2x2/r{rank}/m{measured}/s{s}", lambda seed, r=rank, m=measured: (
-                qcorr.random_density_matrix((2, 2), r, seed), m)
+            def two_qubit(seed, r=rank, m=measured):
+                rho = qcorr.random_density_matrix((2, 2), r, seed)
+                return (rho, m, _rank_two_j(rho, m)) if r <= 2 else (rho, m)
+
+            yield "2x2", f"2x2/r{rank}/m{measured}/s{s}", two_qubit
     for dims, measured in RANK_CASES:
         name = "x".join(map(str, dims))
         for rank in range(1, prod(dims) + 1):
@@ -141,9 +160,12 @@ def _j_cases(s: int):
                 qcorr.random_density_matrix(d, r, seed), m)
     for n in range(3, 7):
         for kept in range(2, min(4, n - 1) + 1):
-            yield "pure-marginal", f"pure{n}/keep{kept}/s{s}", lambda seed, n=n, k=kept: (
-                qcorr.reduced_density_matrix(qcorr.random_pure_state((2,) * n, seed),
-                                             tuple(range(k))), k - 1)
+            def pure_marginal(seed, n=n, k=kept):
+                rho = qcorr.reduced_density_matrix(qcorr.random_pure_state((2,) * n, seed),
+                                                   tuple(range(k)))
+                return (rho, k - 1, _rank_two_j(rho, k - 1)) if n == 3 else (rho, k - 1)
+
+            yield "pure-marginal", f"pure{n}/keep{kept}/s{s}", pure_marginal
     for dims, measured in (((2, 2), 1), ((2, 2, 2), 2)):
         name = "x".join(map(str, dims))
         for weight in MIX_WEIGHTS:
@@ -176,7 +198,8 @@ def _j_cases(s: int):
         def site(seed, m=measured):
             rng = np.random.default_rng(seed)
             cfg = StarConfig(int(rng.integers(1, 60)), float(rng.uniform(0.0, 1.0)))
-            return qcorr.analytic_marginals(cfg)[1], m
+            rho = qcorr.analytic_marginals(cfg)[1]
+            return rho, m, _rank_two_j(rho, m)
 
         yield "star", f"star/site/m{measured}/s{s}", site
 
