@@ -38,6 +38,7 @@ J's, stacked with m2's for the continuity audit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,18 +188,18 @@ def consensus_from_marginals(h_s: float, sites, j_site, j_complement) -> Consens
     which a measurement in the Schmidt basis attains for pure universes.
     """
     if h_s <= H_S_CUTOFF:
-        raise UndefinedConsensusError(
-            f"H(rho_S) = {h_s:.3e} <= {H_S_CUTOFF}; consensus parameters are undefined"
-        )
+        raise UndefinedConsensusError(f"H(rho_S) = {h_s:.3e} <= {H_S_CUTOFF}; consensus "
+                                      "parameters are undefined")
     sites = tuple(_require_integer(i, "site index") for i in sites)
     _require_distinct(sites, "site")
     j_site = tuple(float(v) for v in j_site)
     j_complement = tuple(float(v) for v in j_complement)
-    if not sites or len(sites) != len(j_site):
-        raise ValueError(f"consensus needs one or more sites, one J each; got {sites}, {j_site}")
-    delta_i = tuple(
-        (h_s - min(js, jc)) / h_s for js, jc in zip(j_site, j_complement, strict=True)
-    )
+    if not sites or not len(sites) == len(j_site) == len(j_complement):
+        raise ValueError(f"consensus needs one or more sites, one J each; got {sites}, "
+                         f"{j_site}, {j_complement}")
+    if not all(map(math.isfinite, (h_s, *j_site, *j_complement))):
+        raise ValueError(f"consensus needs finite H(rho_S) and J; got {h_s}, {j_site}, {j_complement}")
+    delta_i = tuple((h_s - min(js, jc)) / h_s for js, jc in zip(j_site, j_complement))
     return ConsensusReport(
         h_s=float(h_s),
         j_full=float(h_s),

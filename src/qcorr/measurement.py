@@ -41,11 +41,10 @@ Hessian of the objective, which `_outcome_entropies` gives in closed form for
 k = 2 and from one stacked eigh of both outcome blocks for k > 2: one derivative
 call per live start per step. Over the 4326 seeded states of `tools/parity.py`
 (42 seeds) outside its Bell-diagonal family, 347 of them pure, the search
-evaluates a median of 273 directions on k = 2 blocks and 70 on larger ones
-(mean 274 and 71; the 3 x 3 stencil search it replaced took 400 and 196). On
-its 1512 Bell-diagonal states, whose two largest correlations are tied or
-nearly tied (relative gaps 1e-12 to 1e-2), J is within 1.6e-15 of Luo's closed
-form and every search converged.
+evaluates a median of 273 directions on k = 2 blocks and 34 on larger ones
+(mean 274 and 35). On its 1512 Bell-diagonal states, whose two largest
+correlations are tied or nearly tied (relative gaps 1e-12 to 1e-2), J is within
+1.6e-15 of Luo's closed form and every search converged.
 """
 
 from __future__ import annotations
@@ -83,11 +82,11 @@ _FLOOR = 1e-15
 # the model gain (bits, about the objective's rounding) below which a start stops,
 # and the cap on refinement steps.
 _GRID = 24
-# A grid point of a k > 2 block costs an eigensolve. On the 2646 k > 2 states of a
-# 42-seed `tools/parity.py` run under the stencil search, 12 points (61 directions)
-# evaluated 50% fewer directions than 24 (265), and J dropped by at most 5.8e-15.
-# With 12 for k = 2, the extra refine steps cost more than the grid points saved.
-_EIG_GRID = 12
+# A grid point of a k > 2 block costs an eigensolve. On the 12,600 k > 2 states of a
+# 200-seed `tools/parity.py` run, 8 points (25 directions) against 12 (61) cut the median
+# evaluations from 70 to 34 with no search unconverged, and J dropped by at most 2.9e-15
+# but on one flat near-pure maximum (7.9e-14); 6 points end 4.4e-4 short on 2x3/r6/s4.
+_EIG_GRID = 8
 _STARTS = 5
 _TOL = 1e-8
 _GAIN_TOL = 1e-16
@@ -184,7 +183,7 @@ def angle_grid(k: int = 2) -> np.ndarray:
     """Read-only array of the (theta, phi) points, one per measurement axis, that
     `sphere_search` ranks for k x k outcome blocks: (1 + (g/2 - 1) g, 2) for a grid
     of g = _GRID points per angle where k = 2 (265 points), and g = _EIG_GRID where
-    k > 2 (61 points), computed once per g.
+    k > 2 (25 points), computed once per g.
 
     The full grid (theta over [0, pi] inclusive, phi over [0, 2*pi) without the
     endpoint) is closed under n -> -n, which is one measurement, and its pole rows

@@ -236,10 +236,19 @@ def test_consensus_mean_is_np_mean_bit_for_bit_and_bad_sites_raise():
         j_site, j_complement = rng.uniform(0.0, 0.9, (2, k))
         report = consensus_from_marginals(0.9, range(1, k + 1), j_site, j_complement)
         assert report.delta == float(np.mean(report.delta_i))
-    # No sites, or sites and J of different lengths, name the check.
-    for sites, j in (((), ()), ((1, 2), (0.1,))):
+    # No sites, or sites and J of different lengths, name the check: a short
+    # j_complement raised zip's own error.
+    for sites, j, jc in (((), (), ()), ((1, 2), (0.1,), (0.1,)), ((1, 2), (0.1, 0.2), (0.1,)),
+                         ((1,), (0.1,), (0.1, 0.2))):
         with pytest.raises(ValueError, match="one or more sites, one J each"):
-            consensus_from_marginals(0.5, sites, j, j)
+            consensus_from_marginals(0.5, sites, j, jc)
+    # A NaN H(rho_S) passed the cutoff test and a NaN or infinite J went into delta_i:
+    # each returned a report of NaNs.
+    for h_s, j, jc in ((np.nan, (0.1,), (0.1,)), (np.inf, (0.1,), (0.1,)),
+                       (0.5, (np.nan,), (0.1,)), (0.5, (0.1,), (np.nan,)),
+                       (0.5, (0.1,), (-np.inf,))):
+        with pytest.raises(ValueError, match=r"^consensus needs finite H\(rho_S\) and J; got"):
+            consensus_from_marginals(h_s, (1,), j, jc)
     # A repeated site counted one site twice in the mean delta.
     with pytest.raises(ValueError, match=r"^site index 1 is repeated in \(1, 1\)$"):
         consensus_from_marginals(1.0, (1, 1), (0.5, 0.4), (0.5, 0.4))

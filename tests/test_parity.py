@@ -49,6 +49,22 @@ def test_a_j_drop_above_the_limit_exits_1_and_a_rise_exits_0(tmp_path):
     assert _compare(tmp_path / "rise", j=[_j_record(0.5 + 1e-3)]) == 0
 
 
+def test_each_family_names_the_states_of_its_worst_drop_and_largest_rise(tmp_path, capsys):
+    ids = ("2x2/r2/m0/s0", "2x2/r2/m0/s1", "2x2/r2/m0/s2")
+    a = [_j_record(0.5, i) for i in ids]
+    b = [_j_record(j, i) for j, i in zip((0.5 - 1e-14, 0.5 - 3e-14, 0.5 + 2e-14), ids)]
+    assert parity.main(["--compare", str(_output(tmp_path, "a", j=a)),
+                        str(_output(tmp_path, "b", j=b))]) == 0
+    out = capsys.readouterr().out
+    assert "    worst drop at 2x2/r2/m0/s1; largest rise at 2x2/r2/m0/s2\n" in out
+    # A family whose J did not move names no state, and one that only dropped names
+    # its drop alone.
+    assert _compare(tmp_path / "same") == 0
+    assert " at " not in capsys.readouterr().out
+    assert _compare(tmp_path / "drop", j=[_j_record(0.5 - 1e-14)]) == 0
+    assert "    worst drop at 2x2/r2/m0/s0\n" in capsys.readouterr().out
+
+
 def test_a_shortfall_against_the_reference_exits_1_even_when_both_sides_share_it(
         tmp_path, capsys):
     assert parity.REF_LIMIT == 1e-12

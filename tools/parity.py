@@ -25,13 +25,14 @@ holds. Identical code gives byte-identical files, and each case's seed is the
 CRC-32 of its id, so a run of more seeds holds the cases of a run of fewer.
 
 The second form matches two outputs by id and CSV file name. It prints, per J
-family, the worst drop and largest rise of J and the evaluations of each, and
-each side's worst shortfall against `ref`; per audit kind, each field that moved,
-in how many audits and by how much at most; and each moved CSV cell. It exits 2
-if the outputs hold different J states, audits or CSV files; else 1 if J drops
-by more than DROP_LIMIT, B's J falls short of `ref` by more than REF_LIMIT (which
-also sees a shortfall that both sides share) or an audit satisfied in A is not
-satisfied in B; else 0. A moved CSV cell does not fail.
+family, the worst drop and largest rise of J with the id of the state of each,
+and the evaluations of each side, and each side's worst shortfall against `ref`;
+per audit kind, each field that moved, in how many audits and by how much at
+most; and each moved CSV cell. It exits 2 if the outputs hold different J
+states, audits or CSV files; else 1 if J drops by more than DROP_LIMIT, B's J
+falls short of `ref` by more than REF_LIMIT (which also sees a shortfall that
+both sides share) or an audit satisfied in A is not satisfied in B; else 0. A
+moved CSV cell does not fail.
 """
 
 from __future__ import annotations
@@ -248,6 +249,10 @@ def compare_j(a: dict, b: dict) -> int:
         print(f"{family:<14} {len(ids):>6} {drop:>11.2e} {rise:>12.2e} "
               f"{np.median(ev_a):>6g} -> {np.median(ev_b):<4g} "
               f"{ev_a.sum():>8} -> {ev_b.sum():<8} {unconverged[0]:>4} -> {unconverged[1]}")
+        named = [f"{what} at {ids[at]}" for what, size, at in (
+            ("worst drop", drop, diff.argmin()), ("largest rise", rise, diff.argmax())) if size]
+        if named:
+            print(f"    {'; '.join(named)}")
     print(f"worst drop {worst:.2e} (limit {DROP_LIMIT:g})")
     short_a, short_b = _shortfall(a), _shortfall(b)
     print(f"worst shortfall against ref: A {short_a:.2e}, B {short_b:.2e} (limit {REF_LIMIT:g})")
